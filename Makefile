@@ -86,17 +86,13 @@ ALLOCBENCH_DURATION ?= 0.02
 bench-shard:
 	$(GO) run ./cmd/basrptbench -shardbench BENCH_shard.json \
 		-shardbudget bench_shard_budget.json \
-		-racks 344 -hosts 12 -duration $(SHARDBENCH_DURATION) \
-		-centralized-duration $(SHARDBENCH_CENTRALIZED_DURATION)
+		-racks 344 -hosts 12 -duration $(SHARDBENCH_DURATION)
 
-# Simulated horizon of the bench-shard arms. 2 ms at 4128 hosts is ~62k
-# scheduling decisions on the centralized arm, whose O(hosts^2)
-# fabric-global matching dominates the wall time (~21 s for the full
-# horizon vs ~0.3 s per decomposed arm) — so the centralized arm runs a
-# quarter-horizon cap by default: decisions/sec converges well within it
-# and the decomposed arms still run (and digest-check) the full horizon.
+# Simulated horizon of every bench-shard arm. 2 ms at 4128 hosts is ~62k
+# scheduling decisions on the centralized arm, whose fabric-global
+# matching dominates the wall time (a few seconds, vs ~0.3 s per
+# decomposed arm).
 SHARDBENCH_DURATION ?= 0.002
-SHARDBENCH_CENTRALIZED_DURATION ?= 0.0005
 
 # Trace-export smoke check: two fixed-seed traced runs must produce
 # byte-identical JSONL (the determinism contract CI also enforces).

@@ -586,10 +586,9 @@ func RunAllocBench(scale Scale, load float64) (*AllocBenchResult, error) {
 }
 
 // RunShardBench measures scheduling throughput across shard counts on
-// one topology: the centralized engine at 1 shard (optionally on a
-// capped horizon — see ShardBenchOptions.CentralizedDuration), then
-// rack-decomposed arms doubling from 2 up to ShardBenchOptions.MaxShards
-// (default 4). Every decomposed arm must report an identical
+// one topology: the centralized engine at 1 shard, then rack-decomposed
+// arms doubling from 2 up to ShardBenchOptions.MaxShards (default 4), all
+// on the full horizon. Every decomposed arm must report an identical
 // deterministic digest or the bench errors, so each run doubles as a
 // grouping-invariance check at scale.
 func RunShardBench(scale Scale, opts ShardBenchOptions) (*ShardBenchResult, error) {

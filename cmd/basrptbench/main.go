@@ -41,9 +41,9 @@
 // speedup (widest arm vs 2 shards), and the per-arm barrier/imbalance
 // attribution to PATH (the CI artifact BENCH_shard.json). Pass
 // -shardbudget FILE to fail the run when the widest arm misses the
-// checked-in scaling floor, -centralized-duration SEC to cap the slow
-// centralized arm's horizon, and -barrier-every K to batch K lookahead
-// windows per coordinator barrier in the decomposed arms.
+// checked-in scaling floor, and -barrier-every K to batch K lookahead
+// windows per coordinator barrier in the decomposed arms. Every arm runs
+// the full -duration.
 //
 // Profiling: -cpuprofile/-memprofile write pprof profiles around whatever
 // work the other flags select; -pprof ADDR serves net/http/pprof for live
@@ -100,7 +100,6 @@ func run(args []string, w io.Writer) error {
 		shardJSON = fs.String("shardbench", "", "instead of experiments: benchmark the sharded fabric engine across shard counts at this scale (load 0.5) and write decisions/sec + speedup to this path")
 		shards    = fs.Int("shards", 4, "with -shardbench: widest shard count (arms double from 2 up to this)")
 		shardBudg = fs.String("shardbudget", "", "with -shardbench: JSON budget file (min_speedup_at_max_shards, min_parallel_speedup); missing the floor fails the run")
-		centDur   = fs.Float64("centralized-duration", 0, "with -shardbench: cap the centralized arm's simulated horizon in seconds (0 = full -duration); decomposed arms always run the full horizon")
 		barrier   = fs.Int("barrier-every", 0, "with -shardbench: windows per coordinator barrier for the decomposed arms (0 = engine default)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the selected work to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile (after the selected work) to this file")
@@ -187,9 +186,8 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("-shardbench runs single-seed arms (drop -seeds)")
 		}
 		return runShardBench(w, scale, basrpt.ShardBenchOptions{
-			MaxShards:           *shards,
-			CentralizedDuration: *centDur,
-			BarrierEvery:        *barrier,
+			MaxShards:    *shards,
+			BarrierEvery: *barrier,
 		}, *shardJSON, *shardBudg)
 	}
 

@@ -43,23 +43,14 @@ type ShardBenchOptions struct {
 	// MaxShards is the widest decomposed arm (arms double from 2 up to
 	// it); <= 0 selects 4.
 	MaxShards int
-	// CentralizedDuration caps the centralized arm's simulated horizon
-	// in seconds — the O(hosts²) fabric-global matching makes that arm
-	// ~100x slower in wall time than every decomposed arm combined, and
-	// decisions/sec (the compared rate) converges within a fraction of
-	// the full horizon. 0 runs the full Scale.Duration; values above it
-	// are clamped. Decomposed arms always run the full horizon (their
-	// digests are the grouping-invariance gate).
-	CentralizedDuration float64
 	// BarrierEvery is forwarded to every decomposed arm (see
 	// fabricsim.ShardConfig.BarrierEvery); 0 selects the engine default.
 	BarrierEvery int
 }
 
 // ShardBenchRow reports one arm of the shard-scaling benchmark. Wall
-// time spans the whole RunShard call — construction included, which is
-// honest about the centralized arm's O(hosts²) table — and decisions
-// per second divide the run's scheduling decisions by that wall time.
+// time spans the whole RunShard call, construction included, and
+// decisions per second divide the run's scheduling decisions by that wall time.
 // The JSON tags shape BENCH_shard.json, the scaling artifact CI
 // archives per commit.
 type ShardBenchRow struct {
@@ -71,9 +62,8 @@ type ShardBenchRow struct {
 	CompletedFlows  int     `json:"completed_flows"`
 	WallSeconds     float64 `json:"wall_seconds"`
 	DecisionsPerSec float64 `json:"decisions_per_sec"`
-	// DurationSeconds is the arm's simulated horizon — normally the
-	// scale's, shorter for a capped centralized arm (rate comparisons
-	// stay meaningful; absolute decision counts do not).
+	// DurationSeconds is the arm's simulated horizon: every arm runs
+	// the scale's full Duration.
 	DurationSeconds float64 `json:"duration_seconds"`
 	// SpeedupVsCentralized is this arm's decisions/sec over the
 	// centralized arm's (1.0 for the centralized arm itself).
@@ -101,9 +91,8 @@ type ShardBenchResult struct {
 }
 
 // RunShardBench measures scheduling throughput across shard counts on
-// one topology: the centralized engine at 1 shard (optionally on a
-// capped horizon — see ShardBenchOptions.CentralizedDuration), then
-// decomposed arms doubling from 2 up to MaxShards. All decomposed arms
+// one topology: the centralized engine at 1 shard, then decomposed arms
+// doubling from 2 up to MaxShards, all on the full horizon. All decomposed arms
 // must produce identical deterministic digests — the bench fails
 // otherwise, making every CI bench run double as a grouping-invariance
 // check at scale.
@@ -126,9 +115,6 @@ func RunShardBench(scale Scale, opts ShardBenchOptions) (*ShardBenchResult, erro
 	if maxShards < 2 {
 		return nil, fmt.Errorf("shard bench: max shards %d < 2 leaves nothing to compare", maxShards)
 	}
-	if opts.CentralizedDuration < 0 {
-		return nil, fmt.Errorf("shard bench: centralized duration %g < 0", opts.CentralizedDuration)
-	}
 	topo, err := scale.Topology()
 	if err != nil {
 		return nil, err
@@ -145,16 +131,12 @@ func RunShardBench(scale Scale, opts ShardBenchOptions) (*ShardBenchResult, erro
 	}
 	var decomposedDigest string
 	for _, shards := range arms {
-		dur := scale.Duration
-		if shards == 1 && opts.CentralizedDuration > 0 && opts.CentralizedDuration < dur {
-			dur = opts.CentralizedDuration
-		}
 		start := time.Now()
 		run, err := fabricsim.RunShard(fabricsim.ShardConfig{
 			Topology:     topo,
 			Scheduler:    "fast-basrpt",
 			Load:         load,
-			Duration:     dur,
+			Duration:     scale.Duration,
 			Seed:         scale.Seed,
 			Shards:       shards,
 			BarrierEvery: opts.BarrierEvery,
@@ -187,7 +169,7 @@ func RunShardBench(scale Scale, opts ShardBenchOptions) (*ShardBenchResult, erro
 			CompletedFlows:  run.CompletedFlows,
 			WallSeconds:     wall,
 			DecisionsPerSec: float64(run.Decisions) / wall,
-			DurationSeconds: dur,
+			DurationSeconds: scale.Duration,
 			Digest:          digest,
 			Imbalance:       run.Imbalance,
 		})

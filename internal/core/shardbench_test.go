@@ -74,46 +74,6 @@ func TestRunShardBenchSmall(t *testing.T) {
 	}
 }
 
-// TestRunShardBenchCentralizedCap pins the -centralized-duration
-// behavior: only the 1-shard arm's horizon shrinks, rates stay positive,
-// and the decomposed digests are unaffected.
-func TestRunShardBenchCentralizedCap(t *testing.T) {
-	scale := Scale{Racks: 3, HostsPerRack: 4, Duration: 0.01, Seed: 1}
-	full, err := RunShardBench(scale, ShardBenchOptions{Load: 0.6, MaxShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := RunShardBench(scale, ShardBenchOptions{
-		Load: 0.6, MaxShards: 2, CentralizedDuration: scale.Duration / 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := capped.Rows[0].DurationSeconds, scale.Duration/4; got != want {
-		t.Fatalf("centralized arm ran %gs, want %g", got, want)
-	}
-	if capped.Rows[0].Decisions >= full.Rows[0].Decisions {
-		t.Fatalf("capped centralized arm took %d decisions, full took %d",
-			capped.Rows[0].Decisions, full.Rows[0].Decisions)
-	}
-	if capped.Rows[1].DurationSeconds != scale.Duration {
-		t.Fatalf("decomposed arm was capped to %gs", capped.Rows[1].DurationSeconds)
-	}
-	if capped.Rows[1].Digest != full.Rows[1].Digest {
-		t.Fatal("centralized cap changed the decomposed digest")
-	}
-	// A cap at or above the horizon is a no-op.
-	uncapped, err := RunShardBench(scale, ShardBenchOptions{
-		Load: 0.6, MaxShards: 2, CentralizedDuration: scale.Duration * 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uncapped.Rows[0].DurationSeconds != scale.Duration {
-		t.Fatalf("over-horizon cap clamped to %gs", uncapped.Rows[0].DurationSeconds)
-	}
-}
-
 func TestRunShardBenchValidation(t *testing.T) {
 	if _, err := RunShardBench(Scale{Racks: -1, HostsPerRack: 4, Duration: 0.01, Seed: 1}, ShardBenchOptions{Load: 0.5, MaxShards: 4}); !errors.Is(err, ErrScale) {
 		t.Fatalf("negative racks accepted or wrong error: %v", err)
@@ -123,8 +83,5 @@ func TestRunShardBenchValidation(t *testing.T) {
 	}
 	if _, err := RunShardBench(Scale{Racks: 2, HostsPerRack: 4, Duration: 0.01, Seed: 1}, ShardBenchOptions{Load: 0.5, MaxShards: 1}); err == nil {
 		t.Fatal("max shards 1 accepted")
-	}
-	if _, err := RunShardBench(Scale{Racks: 2, HostsPerRack: 4, Duration: 0.01, Seed: 1}, ShardBenchOptions{CentralizedDuration: -1}); err == nil {
-		t.Fatal("negative centralized duration accepted")
 	}
 }

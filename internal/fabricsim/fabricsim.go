@@ -920,44 +920,45 @@ func (s *Sim) deepValidate() error {
 	}
 	var total float64
 	flows := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			q := s.table.VOQ(i, j)
-			var qSum float64
-			var err error
-			top := q.Top()
-			q.ForEachFlow(func(f *flow.Flow) {
-				if err != nil {
-					return
-				}
-				switch {
-				case !f.Attached():
-					err = fmt.Errorf("deep validate: VOQ (%d,%d) holds detached flow %d (remaining %g)",
-						i, j, f.ID, f.Remaining)
-				case f.Src != i || f.Dst != j:
-					err = fmt.Errorf("deep validate: VOQ (%d,%d) holds misfiled flow %d addressed %d->%d",
-						i, j, f.ID, f.Src, f.Dst)
-				case f.Remaining < 0:
-					err = fmt.Errorf("deep validate: VOQ (%d,%d) flow %d has negative remaining %g",
-						i, j, f.ID, f.Remaining)
-				case f.Remaining < top.Remaining:
-					err = fmt.Errorf("deep validate: VOQ (%d,%d) top is flow %d (remaining %g) but flow %d has %g",
-						i, j, top.ID, top.Remaining, f.ID, f.Remaining)
-				default:
-					qSum += f.Remaining
-					flows++
-				}
-			})
-			if err != nil {
-				return err
-			}
-			if !closeEnough(qSum, q.Backlog()) {
-				return fmt.Errorf("deep validate: VOQ (%d,%d) backlog %g, recomputed %g", i, j, q.Backlog(), qSum)
-			}
-			ingress[i] += qSum
-			egress[j] += qSum
-			total += qSum
+	var err error
+	s.table.ForEachVOQ(func(q *flow.VOQ) {
+		if err != nil {
+			return
 		}
+		i, j := q.Src, q.Dst
+		var qSum float64
+		top := q.Top()
+		q.ForEachFlow(func(f *flow.Flow) {
+			if err != nil {
+				return
+			}
+			switch {
+			case !f.Attached():
+				err = fmt.Errorf("deep validate: VOQ (%d,%d) holds detached flow %d (remaining %g)",
+					i, j, f.ID, f.Remaining)
+			case f.Src != i || f.Dst != j:
+				err = fmt.Errorf("deep validate: VOQ (%d,%d) holds misfiled flow %d addressed %d->%d",
+					i, j, f.ID, f.Src, f.Dst)
+			case f.Remaining < 0:
+				err = fmt.Errorf("deep validate: VOQ (%d,%d) flow %d has negative remaining %g",
+					i, j, f.ID, f.Remaining)
+			case f.Remaining < top.Remaining:
+				err = fmt.Errorf("deep validate: VOQ (%d,%d) top is flow %d (remaining %g) but flow %d has %g",
+					i, j, top.ID, top.Remaining, f.ID, f.Remaining)
+			default:
+				qSum += f.Remaining
+				flows++
+			}
+		})
+		if err == nil && !closeEnough(qSum, q.Backlog()) {
+			err = fmt.Errorf("deep validate: VOQ (%d,%d) backlog %g, recomputed %g", i, j, q.Backlog(), qSum)
+		}
+		ingress[i] += qSum
+		egress[j] += qSum
+		total += qSum
+	})
+	if err != nil {
+		return err
 	}
 	for p := 0; p < n; p++ {
 		if !closeEnough(ingress[p], s.table.IngressBacklog(p)) {

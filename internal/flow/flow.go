@@ -75,7 +75,8 @@ type Flow struct {
 	Remaining float64
 	Arrival   float64
 
-	heapIndex int // position in the owning VOQ's heap; -1 when detached
+	slot      int32 // owning VOQ's table slot; meaningful only while attached
+	heapIndex int32 // position in the owning VOQ's heap; -1 when detached
 }
 
 // NewFlow constructs a flow with Remaining initialized to Size.
@@ -97,25 +98,48 @@ func (f *Flow) Attached() bool { return f.heapIndex >= 0 }
 
 // VOQ is one virtual output queue q_ij: the flows that arrived at ingress
 // port Src and are destined for egress port Dst, ordered by remaining size.
+//
+// The read methods (Len, Backlog, Top, Flows, ForEachFlow) accept a nil
+// receiver and read it as an empty queue: Table.VOQ returns nil for a
+// pair that has never carried a flow.
 type VOQ struct {
 	Src, Dst int
 
 	flows   []*Flow
 	backlog float64
+
+	slot        int32 // dense table slot, fixed once assigned
+	nonEmptyPos int32 // position in the table's non-empty list; -1 if absent
+	dirtyPos    int32 // position in the table's dirty list; -1 if clean
 }
 
+// Slot returns the VOQ's dense table slot: a small integer in
+// [0, Table.NumSlots()) assigned when the pair first carried a flow and
+// never changed afterwards, so per-VOQ side arrays can be indexed by it.
+func (q *VOQ) Slot() int { return int(q.slot) }
+
 // Len returns the number of flows queued.
-func (q *VOQ) Len() int { return len(q.flows) }
+func (q *VOQ) Len() int {
+	if q == nil {
+		return 0
+	}
+	return len(q.flows)
+}
 
 // Backlog returns the total remaining size over all queued flows — the
 // X_ij(t) of the paper's queue-evolution model.
-func (q *VOQ) Backlog() float64 { return q.backlog }
+func (q *VOQ) Backlog() float64 {
+	if q == nil {
+		return 0
+	}
+	return q.backlog
+}
 
 // Top returns the flow with the smallest remaining size, or nil when the
 // queue is empty. Ties break on lower flow ID so decisions are
 // deterministic.
 func (q *VOQ) Top() *Flow {
-	if len(q.flows) == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
 	return q.flows[0]
@@ -124,8 +148,10 @@ func (q *VOQ) Top() *Flow {
 // Flows returns the queued flows in heap order (only the first element has
 // a guaranteed position). The slice is a copy.
 func (q *VOQ) Flows() []*Flow {
-	out := make([]*Flow, len(q.flows))
-	copy(out, q.flows)
+	out := make([]*Flow, q.Len())
+	if q != nil {
+		copy(out, q.flows)
+	}
 	return out
 }
 
@@ -133,6 +159,9 @@ func (q *VOQ) Flows() []*Flow {
 // first element has a guaranteed position) without copying the queue.
 // fn must not mutate the VOQ.
 func (q *VOQ) ForEachFlow(fn func(f *Flow)) {
+	if q == nil {
+		return
+	}
 	for _, f := range q.flows {
 		fn(f)
 	}
@@ -148,8 +177,8 @@ func (q *VOQ) less(i, j int) bool {
 
 func (q *VOQ) swap(i, j int) {
 	q.flows[i], q.flows[j] = q.flows[j], q.flows[i]
-	q.flows[i].heapIndex = i
-	q.flows[j].heapIndex = j
+	q.flows[i].heapIndex = int32(i)
+	q.flows[j].heapIndex = int32(j)
 }
 
 func (q *VOQ) up(i int) {
@@ -183,14 +212,14 @@ func (q *VOQ) down(i int) {
 }
 
 func (q *VOQ) push(f *Flow) {
-	f.heapIndex = len(q.flows)
+	f.heapIndex = int32(len(q.flows))
 	q.flows = append(q.flows, f)
-	q.up(f.heapIndex)
+	q.up(int(f.heapIndex))
 	q.backlog += f.Remaining
 }
 
 func (q *VOQ) remove(f *Flow) {
-	i := f.heapIndex
+	i := int(f.heapIndex)
 	last := len(q.flows) - 1
 	if i != last {
 		q.swap(i, last)
@@ -216,6 +245,6 @@ func (q *VOQ) adjust(f *Flow, delta float64) {
 	if q.backlog < 0 {
 		q.backlog = 0
 	}
-	q.down(f.heapIndex)
-	q.up(f.heapIndex)
+	q.down(int(f.heapIndex))
+	q.up(int(f.heapIndex))
 }

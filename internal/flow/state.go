@@ -32,7 +32,10 @@ type VOQState struct {
 // TableState is the full serializable state of a Table. VOQs appear in
 // nonEmpty-list order (which restore reproduces — scheduler index rebuilds
 // iterate that order), Dirty preserves the dirty-list order, and every
-// float accumulator is verbatim.
+// float accumulator is verbatim. Dirty names each VOQ by its pair index
+// src*N+dst, never by table slot: slots depend on the order pairs were
+// first used, which a checkpoint does not record and a resumed table does
+// not reproduce.
 type TableState struct {
 	N              int        `json:"n"`
 	Epoch          uint64     `json:"epoch"`
@@ -52,15 +55,18 @@ func (t *Table) StateSnapshot() TableState {
 		N:              t.n,
 		Epoch:          t.epoch,
 		DirtyBasis:     t.dirtyBasis,
-		Dirty:          append([]int(nil), t.dirty...),
 		IngressBacklog: append([]float64(nil), t.ingressBacklog...),
 		EgressBacklog:  append([]float64(nil), t.egressBacklog...),
 		IngressFlows:   append([]int(nil), t.ingressFlows...),
 		EgressFlows:    append([]int(nil), t.egressFlows...),
 		NumFlows:       t.numFlows,
 	}
-	for _, i := range t.nonEmpty {
-		q := &t.voqs[i]
+	for _, s := range t.dirty {
+		q := t.at(s)
+		st.Dirty = append(st.Dirty, q.Src*t.n+q.Dst)
+	}
+	for _, s := range t.nonEmpty {
+		q := t.at(s)
 		vs := VOQState{Src: q.Src, Dst: q.Dst, Backlog: q.backlog, Flows: make([]FlowState, len(q.flows))}
 		for k, f := range q.flows {
 			vs.Flows[k] = FlowState{
@@ -98,9 +104,8 @@ func RestoreTable(st TableState) (*Table, map[ID]*Flow, error) {
 		if vs.Src < 0 || vs.Src >= n || vs.Dst < 0 || vs.Dst >= n {
 			return nil, nil, fmt.Errorf("flow: restore: VOQ (%d,%d) out of range for n=%d", vs.Src, vs.Dst, n)
 		}
-		i := t.idx(vs.Src, vs.Dst)
-		q := &t.voqs[i]
-		if len(q.flows) > 0 || t.nonEmptyPos[i] >= 0 {
+		q := t.materialize(vs.Src, vs.Dst)
+		if len(q.flows) > 0 {
 			return nil, nil, fmt.Errorf("flow: restore: VOQ (%d,%d) appears twice", vs.Src, vs.Dst)
 		}
 		if len(vs.Flows) == 0 {
@@ -110,7 +115,7 @@ func RestoreTable(st TableState) (*Table, map[ID]*Flow, error) {
 			f := &Flow{
 				ID: ID(fs.ID), Src: fs.Src, Dst: fs.Dst, Class: Class(fs.Class),
 				Size: fs.Size, Remaining: fs.Remaining, Arrival: fs.Arrival,
-				heapIndex: k,
+				slot: q.slot, heapIndex: int32(k),
 			}
 			if f.Src != vs.Src || f.Dst != vs.Dst {
 				return nil, nil, fmt.Errorf("flow: restore: VOQ (%d,%d) holds misfiled flow %d addressed %d->%d",
@@ -132,8 +137,8 @@ func RestoreTable(st TableState) (*Table, map[ID]*Flow, error) {
 			}
 		}
 		q.backlog = vs.Backlog
-		t.nonEmptyPos[i] = len(t.nonEmpty)
-		t.nonEmpty = append(t.nonEmpty, i)
+		q.nonEmptyPos = int32(len(t.nonEmpty))
+		t.nonEmpty = append(t.nonEmpty, q.slot)
 		total += len(vs.Flows)
 	}
 	if total != st.NumFlows {
@@ -143,11 +148,12 @@ func RestoreTable(st TableState) (*Table, map[ID]*Flow, error) {
 		if i < 0 || i >= n*n {
 			return nil, nil, fmt.Errorf("flow: restore: dirty VOQ index %d out of range", i)
 		}
-		if t.dirtyPos[i] >= 0 {
+		q := t.materialize(i/n, i%n)
+		if q.dirtyPos >= 0 {
 			return nil, nil, fmt.Errorf("flow: restore: dirty VOQ index %d appears twice", i)
 		}
-		t.dirtyPos[i] = len(t.dirty)
-		t.dirty = append(t.dirty, i)
+		q.dirtyPos = int32(len(t.dirty))
+		t.dirty = append(t.dirty, q.slot)
 	}
 	t.epoch = st.Epoch
 	t.dirtyBasis = st.DirtyBasis

@@ -2,25 +2,35 @@ package flow
 
 import "fmt"
 
-// Table is the full N×N VOQ state of the big switch. It tracks which VOQs
-// are non-empty (for fast scheduler iteration), per-ingress-port backlogs
+// Table is the VOQ state of the big switch. It tracks which VOQs are
+// non-empty (for fast scheduler iteration), per-ingress-port backlogs
 // (what the paper plots as "queue length at a port"), and total counts.
+//
+// The table is sparse: a VOQ is materialized the first time a flow for its
+// (src, dst) pair is added, and receives the next dense slot. Slots are
+// never reassigned, and VOQs live in fixed-size chunks, so both a VOQ's
+// slot and its address stay valid for the table's lifetime. Memory is
+// proportional to the pairs a run has used, not to N². Only Add and
+// RestoreTable create slots, and VOQ looks a pair up without creating
+// one. Every other path reaches a VOQ through a flow's cached slot or the
+// slot lists below.
 //
 // The table also carries a change-tracking layer for incremental
 // consumers (see the package doc's "Change tracking" contract): every
 // state mutation bumps Epoch and marks the touched VOQ dirty until the
 // owning consumer calls ClearDirty.
 type Table struct {
-	n    int
-	voqs []VOQ
+	n int
 
-	nonEmpty    []int // VOQ indices with at least one flow
-	nonEmptyPos []int // voq index -> position in nonEmpty, -1 if absent
+	chunks   [][]VOQ   // slot s lives at chunks[s>>chunkShift][s&chunkMask]
+	numSlots int       // slots handed out so far
+	rows     [][]int32 // per source port: slots of its VOQs, by ascending Dst
 
-	epoch      uint64 // total mutations since construction
-	dirtyBasis uint64 // epoch value at the last ClearDirty
-	dirty      []int  // VOQ indices mutated since the last ClearDirty
-	dirtyPos   []int  // voq index -> position in dirty, -1 if clean
+	nonEmpty []int32 // slots of VOQs with at least one flow
+
+	epoch      uint64  // total mutations since construction
+	dirtyBasis uint64  // epoch value at the last ClearDirty
+	dirty      []int32 // slots of VOQs mutated since the last ClearDirty
 
 	ingressBacklog []float64
 	egressBacklog  []float64
@@ -29,38 +39,32 @@ type Table struct {
 	numFlows       int
 }
 
+const (
+	// A chunk holds 1024 VOQs (64 KiB). That is large enough for the
+	// runtime to allocate it as whole pages with no per-object header, so
+	// no size-class rounding is wasted. A table with fewer than 1024 pairs
+	// allocates a single chunk of exactly n² VOQs instead.
+	chunkShift = 10
+	chunkMask  = 1<<chunkShift - 1
+	// voqSeedCap is the heap capacity every VOQ starts with, carved from
+	// its chunk's arena.
+	voqSeedCap = 2
+)
+
 // NewTable creates a table for an n-port switch. It panics on n <= 0,
 // which is a configuration error.
 func NewTable(n int) *Table {
 	if n <= 0 {
 		panic(fmt.Sprintf("flow: invalid port count %d", n))
 	}
-	t := &Table{
+	return &Table{
 		n:              n,
-		voqs:           make([]VOQ, n*n),
-		nonEmptyPos:    make([]int, n*n),
-		dirtyPos:       make([]int, n*n),
+		rows:           make([][]int32, n),
 		ingressBacklog: make([]float64, n),
 		egressBacklog:  make([]float64, n),
 		ingressFlows:   make([]int, n),
 		egressFlows:    make([]int, n),
 	}
-	// Seed every VOQ heap slice with a small capacity carved from one
-	// contiguous arena so a cold VOQ's first pushes never allocate (the
-	// dominant residual allocation site in steady state otherwise). The
-	// three-index slice caps each chunk, so a VOQ that outgrows its seed
-	// reallocates privately instead of clobbering its neighbor — and the
-	// grown capacity is retained thereafter because remove only reslices.
-	const voqSeedCap = 2
-	arena := make([]*Flow, n*n*voqSeedCap)
-	for i := range t.voqs {
-		t.voqs[i].Src = i / n
-		t.voqs[i].Dst = i % n
-		t.voqs[i].flows = arena[i*voqSeedCap : i*voqSeedCap : (i+1)*voqSeedCap]
-		t.nonEmptyPos[i] = -1
-		t.dirtyPos[i] = -1
-	}
-	return t
 }
 
 // N returns the number of ports.
@@ -69,7 +73,14 @@ func (t *Table) N() int { return t.n }
 // NumFlows returns the number of active flows across all VOQs.
 func (t *Table) NumFlows() int { return t.numFlows }
 
-func (t *Table) idx(src, dst int) int { return src*t.n + dst }
+// NumSlots returns how many VOQs the table has materialized: the number of
+// distinct (src, dst) pairs that have carried a flow.
+func (t *Table) NumSlots() int { return t.numSlots }
+
+// at returns the VOQ in slot s.
+func (t *Table) at(s int32) *VOQ {
+	return &t.chunks[s>>chunkShift][s&chunkMask]
+}
 
 func (t *Table) checkPort(src, dst int) {
 	if src < 0 || src >= t.n || dst < 0 || dst >= t.n {
@@ -77,11 +88,82 @@ func (t *Table) checkPort(src, dst int) {
 	}
 }
 
-// VOQ returns the queue for (src, dst). The returned pointer stays valid
-// for the table's lifetime.
+// find binary-searches src's row for dst. It returns the pair's VOQ, or
+// nil and the row position a new slot for the pair belongs at.
+func (t *Table) find(src, dst int) (*VOQ, int) {
+	row := t.rows[src]
+	lo, hi := 0, len(row)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); t.at(row[m]).Dst < dst {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(row) {
+		if q := t.at(row[lo]); q.Dst == dst {
+			return q, lo
+		}
+	}
+	return nil, lo
+}
+
+// materialize returns the VOQ for (src, dst), assigning it the next slot
+// on first use. A new chunk is seeded from one arena, so a cold VOQ's
+// first pushes never allocate (the dominant residual allocation site in
+// steady state otherwise). The three-index slice caps each seed, so a VOQ
+// that outgrows it reallocates privately instead of clobbering its
+// neighbor — and the grown capacity is retained thereafter because remove
+// only reslices.
+func (t *Table) materialize(src, dst int) *VOQ {
+	q, i := t.find(src, dst)
+	if q != nil {
+		return q
+	}
+	s := int32(t.numSlots)
+	if s&chunkMask == 0 {
+		size := min(chunkMask+1, t.n*t.n)
+		chunk := make([]VOQ, size)
+		arena := make([]*Flow, size*voqSeedCap)
+		for k := range chunk {
+			chunk[k].flows = arena[k*voqSeedCap : k*voqSeedCap : (k+1)*voqSeedCap]
+		}
+		t.chunks = append(t.chunks, chunk)
+	}
+	t.numSlots++
+	q = t.at(s)
+	q.Src, q.Dst = src, dst
+	q.slot, q.nonEmptyPos, q.dirtyPos = s, -1, -1
+
+	// Rows grow by an eighth rather than by append's doubling: under a
+	// dense traffic matrix every row ends up holding nearly all n
+	// destinations, and doubling would leave up to half of each unused.
+	row := t.rows[src]
+	if len(row) == cap(row) {
+		row = append(make([]int32, 0, len(row)+len(row)/8+4), row...)
+	}
+	row = row[:len(row)+1]
+	copy(row[i+1:], row[i:])
+	row[i] = s
+	t.rows[src] = row
+	return q
+}
+
+// VOQ returns the queue for (src, dst), or nil when no flow for that pair
+// has ever been added; a nil VOQ reads as empty. It never materializes a
+// queue. A non-nil pointer stays valid for the table's lifetime.
 func (t *Table) VOQ(src, dst int) *VOQ {
 	t.checkPort(src, dst)
-	return &t.voqs[t.idx(src, dst)]
+	q, _ := t.find(src, dst)
+	return q
+}
+
+// ForEachVOQ calls fn for every materialized VOQ, empty ones included, in
+// slot order. fn must not add or remove flows.
+func (t *Table) ForEachVOQ(fn func(q *VOQ)) {
+	for s := 0; s < t.numSlots; s++ {
+		fn(t.at(int32(s)))
+	}
 }
 
 // Add inserts a flow into its VOQ. It panics if the flow is already
@@ -91,15 +173,15 @@ func (t *Table) Add(f *Flow) {
 	if f.Attached() {
 		panic(fmt.Sprintf("flow: flow %d added twice", f.ID))
 	}
-	i := t.idx(f.Src, f.Dst)
-	q := &t.voqs[i]
-	wasEmpty := q.Len() == 0
+	q := t.materialize(f.Src, f.Dst)
+	f.slot = q.slot
+	wasEmpty := len(q.flows) == 0
 	q.push(f)
 	if wasEmpty {
-		t.nonEmptyPos[i] = len(t.nonEmpty)
-		t.nonEmpty = append(t.nonEmpty, i)
+		q.nonEmptyPos = int32(len(t.nonEmpty))
+		t.nonEmpty = append(t.nonEmpty, q.slot)
 	}
-	t.markDirty(i)
+	t.markDirty(q)
 	t.ingressBacklog[f.Src] += f.Remaining
 	t.egressBacklog[f.Dst] += f.Remaining
 	t.ingressFlows[f.Src]++
@@ -113,13 +195,12 @@ func (t *Table) Remove(f *Flow) {
 	if !f.Attached() {
 		panic(fmt.Sprintf("flow: flow %d removed while detached", f.ID))
 	}
-	i := t.idx(f.Src, f.Dst)
-	q := &t.voqs[i]
+	q := t.at(f.slot)
 	q.remove(f)
-	if q.Len() == 0 {
-		t.dropNonEmpty(i)
+	if len(q.flows) == 0 {
+		t.dropNonEmpty(q)
 	}
-	t.markDirty(i)
+	t.markDirty(q)
 	t.ingressBacklog[f.Src] -= f.Remaining
 	t.egressBacklog[f.Dst] -= f.Remaining
 	t.ingressFlows[f.Src]--
@@ -144,13 +225,12 @@ func (t *Table) Drain(f *Flow, amount float64) float64 {
 		return 0 // nothing left to drain: no state change, stays clean
 	}
 	f.Remaining -= amount
-	i := t.idx(f.Src, f.Dst)
-	q := &t.voqs[i]
+	q := t.at(f.slot)
 	q.adjust(f, -amount)
 	t.ingressBacklog[f.Src] -= amount
 	t.egressBacklog[f.Dst] -= amount
 	t.clampPort(f.Src, f.Dst)
-	t.markDirty(i)
+	t.markDirty(q)
 	return amount
 }
 
@@ -167,21 +247,21 @@ func (t *Table) clampPort(src, dst int) {
 	}
 }
 
-func (t *Table) dropNonEmpty(i int) {
-	pos := t.nonEmptyPos[i]
+func (t *Table) dropNonEmpty(q *VOQ) {
+	pos := q.nonEmptyPos
 	last := len(t.nonEmpty) - 1
 	moved := t.nonEmpty[last]
 	t.nonEmpty[pos] = moved
-	t.nonEmptyPos[moved] = pos
+	t.at(moved).nonEmptyPos = pos
 	t.nonEmpty = t.nonEmpty[:last]
-	t.nonEmptyPos[i] = -1
+	q.nonEmptyPos = -1
 }
 
 // NonEmpty appends pointers to every non-empty VOQ to dst and returns it.
 // The order is unspecified but deterministic for a given event history.
 func (t *Table) NonEmpty(dst []*VOQ) []*VOQ {
-	for _, i := range t.nonEmpty {
-		dst = append(dst, &t.voqs[i])
+	for _, s := range t.nonEmpty {
+		dst = append(dst, t.at(s))
 	}
 	return dst
 }
@@ -190,21 +270,21 @@ func (t *Table) NonEmpty(dst []*VOQ) []*VOQ {
 // fn must not add or remove flows. This is the scheduler hot path: it runs
 // on every arrival and completion.
 func (t *Table) ForEachNonEmpty(fn func(q *VOQ)) {
-	for _, i := range t.nonEmpty {
-		fn(&t.voqs[i])
+	for _, s := range t.nonEmpty {
+		fn(t.at(s))
 	}
 }
 
 // NumNonEmpty returns how many VOQs currently hold flows.
 func (t *Table) NumNonEmpty() int { return len(t.nonEmpty) }
 
-// markDirty records a mutation of VOQ index i: it bumps the epoch and adds
-// the VOQ to the dirty set unless already present.
-func (t *Table) markDirty(i int) {
+// markDirty records a mutation of q: it bumps the epoch and adds q to the
+// dirty set unless already present.
+func (t *Table) markDirty(q *VOQ) {
 	t.epoch++
-	if t.dirtyPos[i] < 0 {
-		t.dirtyPos[i] = len(t.dirty)
-		t.dirty = append(t.dirty, i)
+	if q.dirtyPos < 0 {
+		q.dirtyPos = int32(len(t.dirty))
+		t.dirty = append(t.dirty, q.slot)
 	}
 }
 
@@ -230,8 +310,8 @@ func (t *Table) NumDirty() int { return len(t.dirty) }
 // observe. The order is unspecified but deterministic for a given event
 // history.
 func (t *Table) DirtyVOQs(dst []*VOQ) []*VOQ {
-	for _, i := range t.dirty {
-		dst = append(dst, &t.voqs[i])
+	for _, s := range t.dirty {
+		dst = append(dst, t.at(s))
 	}
 	return dst
 }
@@ -239,8 +319,8 @@ func (t *Table) DirtyVOQs(dst []*VOQ) []*VOQ {
 // ForEachDirty calls fn for every VOQ mutated since the last ClearDirty,
 // without allocating. fn must not add or remove flows.
 func (t *Table) ForEachDirty(fn func(q *VOQ)) {
-	for _, i := range t.dirty {
-		fn(&t.voqs[i])
+	for _, s := range t.dirty {
+		fn(t.at(s))
 	}
 }
 
@@ -249,8 +329,8 @@ func (t *Table) ForEachDirty(fn func(q *VOQ)) {
 // this after applying the delta; see the package doc for the single-
 // consumer contract.
 func (t *Table) ClearDirty() {
-	for _, i := range t.dirty {
-		t.dirtyPos[i] = -1
+	for _, s := range t.dirty {
+		t.at(s).dirtyPos = -1
 	}
 	t.dirty = t.dirty[:0]
 	t.dirtyBasis = t.epoch
@@ -266,8 +346,8 @@ func (t *Table) EgressBacklog(j int) float64 { return t.egressBacklog[j] }
 // TotalBacklog returns the backlog summed over all VOQs.
 func (t *Table) TotalBacklog() float64 {
 	var sum float64
-	for _, i := range t.nonEmpty {
-		sum += t.voqs[i].Backlog()
+	for _, s := range t.nonEmpty {
+		sum += t.at(s).backlog
 	}
 	return sum
 }

@@ -34,6 +34,22 @@ func (d *pooledDriver) arrive() {
 	d.tab.Add(f)
 }
 
+// touchAllPairs adds and removes one flow on every (src, dst) pair, so the
+// table materializes all n² VOQs up front. A pair's first flow allocates
+// its VOQ slot (and grows the index's per-slot stamps); without this a
+// random arrival could hit a fresh pair inside the measured loop.
+func (d *pooledDriver) touchAllPairs() {
+	n := d.tab.N()
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			f := d.pool.Get(0, src, dst, flow.ClassOther, 1, 0)
+			d.tab.Add(f)
+			d.tab.Remove(f)
+			d.pool.Put(f)
+		}
+	}
+}
+
 // step serves the previous decision and replaces each completed flow with
 // a fresh arrival drawn from the free list. Unlike benchDriver.step it
 // holds the population exactly constant: every Get is preceded by a Put,
@@ -55,12 +71,15 @@ func (d *pooledDriver) step(served []*flow.Flow) {
 // testScheduleZeroAlloc drives a scheduler to steady state (index built,
 // every scratch buffer at its high-water capacity, free list populated) and
 // then requires the serve-admit-schedule loop to allocate nothing at all.
+// The warm-up first touches every pair: materializing a VOQ is a one-time
+// allocation per pair, not a per-decision one.
 // This is the regression gate behind the tentpole: any reintroduced
 // per-decision allocation — a fresh decision slice, a map in the index
 // check path, a boxed event — fails the test immediately.
 func testScheduleZeroAlloc(t *testing.T, s Scheduler) {
 	t.Helper()
 	d := newPooledDriver(32, 600)
+	d.touchAllPairs()
 	var served []*flow.Flow
 	for i := 0; i < 200; i++ {
 		d.step(served)

@@ -34,7 +34,7 @@ type candidateIndex struct {
 
 	view []scored // all current candidates, strictly cmpScored-ascending
 
-	// Repair bookkeeping. stale stamps each VOQ (src*n+dst) with the
+	// Repair bookkeeping. stale stamps each VOQ (by table slot) with the
 	// generation of the repair that last touched it; during the merge,
 	// view entries whose VOQ carries the current generation have been
 	// superseded (re-scored or emptied) and are skipped. Stamping instead
@@ -74,6 +74,11 @@ func (ix *candidateIndex) synced(t *flow.Table) bool {
 // a delta repair over the dirty VOQs when the index is current, a full
 // rebuild otherwise.
 func (ix *candidateIndex) sync(t *flow.Table, key Key) {
+	// Fresh zeroed stamps can never equal a repair generation: repair
+	// pre-increments gen, so the current generation is always positive and
+	// greater than every stamp written before. The same argument lets
+	// stamps left over from another table stay in place.
+	ix.stale = growPerSlot(ix.stale, t.NumSlots())
 	if ix.current(t) {
 		ix.repairs++
 		ix.repair(t, key)
@@ -85,24 +90,32 @@ func (ix *candidateIndex) sync(t *flow.Table, key Key) {
 	ix.basis = t.DirtyBasis()
 }
 
+// growPerSlot extends a per-slot side array to at least n entries; new
+// entries are zero. Tables hand out slots one at a time over a run, so it
+// keeps an eighth of headroom instead of reallocating per slot, and less
+// than append's doubling so the array stays close to the table's own
+// footprint.
+func growPerSlot[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		s = append(make([]T, 0, n+n/8), s...)
+	}
+	return s[:n]
+}
+
 // rebuild reconstructs the sorted view from every non-empty VOQ of t.
 func (ix *candidateIndex) rebuild(t *flow.Table, key Key) {
-	n := t.N()
-	if len(ix.stale) != n*n {
-		// Fresh zeroed stamps can never equal a repair generation: repair
-		// pre-increments gen, so the current generation is always positive
-		// and greater than every stamp written before the rebuild.
-		ix.stale = make([]uint64, n*n)
-	}
 	ix.table = t
-	ix.n = n
+	ix.n = t.N()
 	view := ix.view[:0]
 	t.ForEachNonEmpty(func(q *flow.VOQ) {
 		f := q.Top()
 		view = append(view, scored{
 			key: key(Candidate{Flow: f, QueueLen: q.Backlog()}),
 			f:   f,
-			voq: q.Src*n + q.Dst,
+			voq: q.Slot(),
 		})
 	})
 	slices.SortFunc(view, cmpScored)
@@ -126,7 +139,7 @@ func (ix *candidateIndex) repair(t *flow.Table, key Key) {
 	gen := ix.gen
 	changes := ix.changes[:0]
 	t.ForEachDirty(func(q *flow.VOQ) {
-		voq := q.Src*ix.n + q.Dst
+		voq := q.Slot()
 		ix.stale[voq] = gen
 		if q.Len() > 0 {
 			f := q.Top()
@@ -193,10 +206,8 @@ func (ix *candidateIndex) check(t *flow.Table, key Key) error {
 	// Dedup by VOQ with persistent generation-stamped slices instead of a
 	// per-call map, so the cross-check costs no allocations even when it
 	// runs on every decision (DeepValidateEvery: 1).
-	if len(ix.checkSeen) != ix.n*ix.n {
-		ix.checkSeen = make([]uint64, ix.n*ix.n)
-		ix.checkCand = make([]scored, ix.n*ix.n)
-	}
+	ix.checkSeen = growPerSlot(ix.checkSeen, t.NumSlots())
+	ix.checkCand = growPerSlot(ix.checkCand, t.NumSlots())
 	ix.checkGen++
 	for i, c := range ix.view {
 		if i > 0 && cmpScored(ix.view[i-1], c) >= 0 {
@@ -210,7 +221,7 @@ func (ix *candidateIndex) check(t *flow.Table, key Key) error {
 		if err != nil {
 			return
 		}
-		voq := q.Src*ix.n + q.Dst
+		voq := q.Slot()
 		if ix.checkSeen[voq] != ix.checkGen {
 			err = fmt.Errorf("sched: non-empty VOQ (%d,%d) has no index entry", q.Src, q.Dst)
 			return

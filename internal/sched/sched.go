@@ -143,7 +143,7 @@ type Candidate struct {
 type Key func(c Candidate) float64
 
 // scored is a candidate with its key precomputed, so sorting never calls
-// back into the discipline. voq caches the flow's VOQ slot (src*n+dst):
+// back into the discipline. voq caches the flow's VOQ slot (VOQ.Slot):
 // index repair consults it to recognize superseded entries without
 // dereferencing f, which may point at a flow that completed — and was
 // recycled through the flow free list — since the entry was built.
@@ -226,13 +226,12 @@ func (g *greedy) indexStats() IndexStats {
 // gather collects one scored candidate per non-empty VOQ.
 func (g *greedy) gather(t *flow.Table, key Key) {
 	g.cands = g.cands[:0]
-	n := t.N()
 	t.ForEachNonEmpty(func(q *flow.VOQ) {
 		f := q.Top()
 		g.cands = append(g.cands, scored{
 			key: key(Candidate{Flow: f, QueueLen: q.Backlog()}),
 			f:   f,
-			voq: q.Src*n + q.Dst,
+			voq: q.Slot(),
 		})
 	})
 }
