@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke bench-sched bench-obs bench-alloc bench-shard trace-smoke ops-smoke soak cover experiments stability fuzz scenarios doccheck clean
+.PHONY: all build test race vet bench bench-smoke trace-smoke ops-smoke soak cover experiments stability fuzz scenarios doccheck clean
 
 all: build test
 
@@ -19,8 +19,12 @@ race:
 vet:
 	gofmt -l . && $(GO) vet ./...
 
+# The repository's benchmark: both fabric engines on the four workloads
+# BENCHMARK.json declares, digest-checked, end-to-end plus per-layer
+# (see bench/README.md). The Go microbenchmarks stay reachable as
+# `go test -bench . -benchmem ./...`.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash bench/run.sh
 
 # Quick regression check of the multi-seed worker pool: a small Table I
 # aggregate plus a serial rerun, emitting runs/sec and speedup to
@@ -28,71 +32,6 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/basrptbench -exp table1 -scale small -duration 0.5 \
 		-seeds 4 -parallel 4 -benchjson BENCH_runner.json
-
-# Scheduling-core regression check: the BenchmarkSchedule* old-vs-new
-# microbenchmarks (N=144 ports, high-load candidate population), then the
-# fabric-level pairs on the paper's 144-host topology at 0.8 load —
-# incremental candidate index versus forced from-scratch on byte-identical
-# runs — emitting decisions/sec and speedup to BENCH_sched.json (uploaded
-# as a CI artifact alongside BENCH_runner.json).
-bench-sched:
-	$(GO) test -run NONE -bench 'BenchmarkSchedule' -benchmem ./internal/sched/
-	$(GO) run ./cmd/basrptbench -schedbench BENCH_sched.json \
-		-racks 12 -hosts 12 -duration $(SCHEDBENCH_DURATION)
-
-# Simulated horizon of the bench-sched fabric pairs. 20 ms of simulated
-# time at 144 hosts is ~38k scheduling decisions per arm.
-SCHEDBENCH_DURATION ?= 0.02
-
-# Observability regression check: the internal/obs disabled/enabled
-# microbenchmarks, then the paired disabled-vs-enabled fabric runs — which
-# assert byte-identical work, measure the disabled-path probe cost against
-# the per-decision scheduling cost (budget: 2%), and verify trace
-# byte-determinism — emitting the report to BENCH_obs.json (uploaded as a
-# CI artifact alongside BENCH_sched.json). The run must stay within the
-# checked-in bench_obs_budget.json, or the target fails.
-bench-obs:
-	$(GO) test -run NONE -bench 'BenchmarkObs' -benchmem ./internal/obs/
-	$(GO) run ./cmd/basrptbench -obsbench BENCH_obs.json \
-		-obsbudget bench_obs_budget.json \
-		-racks 4 -hosts 6 -duration $(OBSBENCH_DURATION)
-
-# Simulated horizon of the bench-obs fabric pairs (four runs total).
-OBSBENCH_DURATION ?= 0.1
-
-# GC-pressure regression gate: pooled-vs-baseline fabric runs on the
-# paper's 144-host topology at 0.8 load, asserting byte-identical Results
-# and measuring allocations and GC cycles per scheduling decision via
-# runtime.ReadMemStats deltas around the event loop. The report goes to
-# BENCH_alloc.json (uploaded as a CI artifact) and the pooled arm must stay
-# within the checked-in bench_alloc_budget.json, or the target fails.
-bench-alloc:
-	$(GO) run ./cmd/basrptbench -allocbench BENCH_alloc.json \
-		-allocbudget bench_alloc_budget.json \
-		-racks 12 -hosts 12 -duration $(ALLOCBENCH_DURATION)
-
-# Simulated horizon of the bench-alloc fabric pairs (four runs total).
-ALLOCBENCH_DURATION ?= 0.02
-
-# Shard-scaling regression gate: the centralized 1-shard engine versus
-# rack-decomposed arms at 2 and 4 shards on a 4128-host (344x12) fabric
-# at 0.5 load. Every decomposed arm must report one deterministic digest
-# (grouping invariance at scale); the widest arm must beat the
-# checked-in bench_shard_budget.json floor over the centralized arm and
-# (on >= 4-CPU machines) must not fall behind the 2-shard arm
-# (min_parallel_speedup), or the target fails. The report — including
-# per-arm windows-per-barrier and the worker/cell imbalance table — goes
-# to BENCH_shard.json (uploaded as a CI artifact).
-bench-shard:
-	$(GO) run ./cmd/basrptbench -shardbench BENCH_shard.json \
-		-shardbudget bench_shard_budget.json \
-		-racks 344 -hosts 12 -duration $(SHARDBENCH_DURATION)
-
-# Simulated horizon of every bench-shard arm. 2 ms at 4128 hosts is ~62k
-# scheduling decisions on the centralized arm, whose fabric-global
-# matching dominates the wall time (a few seconds, vs ~0.3 s per
-# decomposed arm).
-SHARDBENCH_DURATION ?= 0.002
 
 # Trace-export smoke check: two fixed-seed traced runs must produce
 # byte-identical JSONL (the determinism contract CI also enforces).
@@ -158,4 +97,4 @@ clean:
 	rm -rf internal/matching/testdata internal/stats/testdata internal/faults/testdata \
 		internal/trace/testdata internal/checkpoint/testdata internal/scenario/testdata \
 		soak_out scenario_out ops_smoke_out
-	rm -f BENCH_runner.json BENCH_sched.json BENCH_obs.json BENCH_alloc.json BENCH_shard.json trace_smoke_a.jsonl trace_smoke_b.jsonl
+	rm -f BENCH_runner.json trace_smoke_a.jsonl trace_smoke_b.jsonl

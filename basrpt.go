@@ -227,7 +227,7 @@ var ErrStopAfterCheckpoint = fabricsim.ErrStopAfterCheckpoint
 // whose result is byte-identical across every shard count >= 2 and any
 // GOMAXPROCS. At 4k+ hosts the decomposed engine's per-rack matchings
 // beat the centralized fabric-global matching by orders of magnitude
-// (see `make bench-shard`).
+// (see the rack4128 workloads of `bash bench/run.sh`).
 func RunShardedFabric(cfg ShardConfig) (*FabricResult, error) { return fabricsim.RunShard(cfg) }
 
 // ErrShardConfig is the sentinel wrapped by every ShardConfig
@@ -321,40 +321,6 @@ type (
 	// FaultsResult compares SRPT and fast BASRPT under identical injected
 	// fault schedules.
 	FaultsResult = core.FaultsResult
-	// SchedBenchResult compares the incremental scheduling core against
-	// the from-scratch baseline on byte-identical runs.
-	SchedBenchResult = core.SchedBenchResult
-	// SchedBenchRow is one discipline's old-vs-new decision-rate row.
-	SchedBenchRow = core.SchedBenchRow
-	// ObsBenchResult quantifies the observability layer's cost (the
-	// BENCH_obs.json shape) and trace determinism.
-	ObsBenchResult = core.ObsBenchResult
-	// ObsBudget is the checked-in observability ceiling the CI gate
-	// enforces over BENCH_obs.json: the maximum disabled-probe overhead
-	// percentage plus a trace-determinism requirement.
-	ObsBudget = core.ObsBudget
-	// AllocBenchResult reports the hot path's steady-state allocator
-	// pressure (the BENCH_alloc.json shape): bytes/allocs per decision
-	// and GC cycles per million decisions, pooled vs non-pooled.
-	AllocBenchResult = core.AllocBenchResult
-	// AllocBenchRow is one discipline's pooled-vs-baseline allocation row.
-	AllocBenchRow = core.AllocBenchRow
-	// AllocBudget is the checked-in per-decision allocation ceiling the CI
-	// gate enforces over BENCH_alloc.json.
-	AllocBudget = core.AllocBudget
-	// ShardBenchResult reports scheduling throughput across shard counts
-	// (the BENCH_shard.json shape): the centralized engine versus the
-	// rack-decomposed engine at growing shard counts.
-	ShardBenchResult = core.ShardBenchResult
-	// ShardBenchRow is one shard-count arm of the scaling benchmark.
-	ShardBenchRow = core.ShardBenchRow
-	// ShardBudget is the checked-in shard-scaling floor the CI gate
-	// enforces over BENCH_shard.json.
-	ShardBudget = core.ShardBudget
-	// ShardBenchOptions tunes RunShardBench: load, widest arm,
-	// centralized-horizon cap, and the barrier batch forwarded to the
-	// decomposed arms. The zero value selects every default.
-	ShardBenchOptions = core.ShardBenchOptions
 )
 
 // Observability (see internal/obs): a deterministic instrumentation
@@ -557,42 +523,6 @@ func RunNoise(scale Scale, v, load float64, levels []float64) (*NoiseResult, err
 // (incast) pattern.
 func RunIncast(scale Scale, v float64, fanout int, jobsPerSecond, backgroundLoad float64) (*IncastResult, error) {
 	return core.RunIncast(scale, v, fanout, jobsPerSecond, backgroundLoad)
-}
-
-// RunSchedBench benchmarks the incremental scheduling core against the
-// from-scratch baseline: every index-routed discipline runs twice on the
-// identical arrival stream and reports measured decisions/sec for both
-// arms (load <= 0 selects the 0.8 default).
-func RunSchedBench(scale Scale, load float64) (*SchedBenchResult, error) {
-	return core.RunSchedBench(scale, load)
-}
-
-// RunObsBench measures the observability layer's disabled-path overhead
-// against the per-decision scheduling cost and verifies that two traced
-// fixed-seed runs emit byte-identical JSONL (load <= 0 selects the 0.8
-// default).
-func RunObsBench(scale Scale, load float64) (*ObsBenchResult, error) {
-	return core.RunObsBench(scale, load)
-}
-
-// RunAllocBench measures the steady-state allocator pressure of the
-// scheduling hot path: SRPT and fast BASRPT each run twice on the
-// identical arrival stream — flow pooling on (default) and off — and the
-// report carries bytes/allocs per decision and GC cycles per million
-// decisions for both arms (load <= 0 selects the 0.8 default). The two
-// arms must produce byte-identical Results or the bench errors.
-func RunAllocBench(scale Scale, load float64) (*AllocBenchResult, error) {
-	return core.RunAllocBench(scale, load)
-}
-
-// RunShardBench measures scheduling throughput across shard counts on
-// one topology: the centralized engine at 1 shard, then rack-decomposed
-// arms doubling from 2 up to ShardBenchOptions.MaxShards (default 4), all
-// on the full horizon. Every decomposed arm must report an identical
-// deterministic digest or the bench errors, so each run doubles as a
-// grouping-invariance check at scale.
-func RunShardBench(scale Scale, opts ShardBenchOptions) (*ShardBenchResult, error) {
-	return core.RunShardBench(scale, opts)
 }
 
 // RunFaults compares SRPT and fast BASRPT under byte-identical workloads

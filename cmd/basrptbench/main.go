@@ -18,32 +18,8 @@
 // to also time a serial rerun and write a speedup report (the
 // benchmark-regression artifact BENCH_runner.json).
 //
-// With -schedbench PATH the tool skips the experiments and instead times
-// the incremental scheduling core against the from-scratch baseline on
-// byte-identical runs at 0.8 load, writing decisions/sec and speedup per
-// discipline to PATH (the CI artifact BENCH_sched.json).
-//
-// With -obsbench PATH the tool instead measures the observability layer:
-// disabled-path probe overhead against the per-decision scheduling cost
-// (budget: 2%) and trace byte-determinism, written to PATH (the CI
-// artifact BENCH_obs.json).
-//
-// With -allocbench PATH the tool instead measures steady-state allocator
-// pressure: bytes and allocations per scheduling decision and GC cycles
-// per million decisions, pooled default versus the non-pooled baseline on
-// byte-identical runs, written to PATH (the CI artifact BENCH_alloc.json).
-// Pass -allocbudget FILE to fail the run when allocs/decision exceeds the
-// checked-in budget (the CI allocation gate).
-//
-// With -shardbench PATH the tool instead benchmarks the sharded fabric
-// engine: the centralized 1-shard simulator against rack-decomposed arms
-// doubling up to -shards, reporting decisions/sec, speedup, parallel
-// speedup (widest arm vs 2 shards), and the per-arm barrier/imbalance
-// attribution to PATH (the CI artifact BENCH_shard.json). Pass
-// -shardbudget FILE to fail the run when the widest arm misses the
-// checked-in scaling floor, and -barrier-every K to batch K lookahead
-// windows per coordinator barrier in the decomposed arms. Every arm runs
-// the full -duration.
+// The simulator's performance benchmark is `bash bench/run.sh`, run from
+// the repository root (see bench/README.md).
 //
 // Profiling: -cpuprofile/-memprofile write pprof profiles around whatever
 // work the other flags select; -pprof ADDR serves net/http/pprof for live
@@ -92,15 +68,6 @@ func run(args []string, w io.Writer) error {
 		seeds     = fs.Int("seeds", 1, "independent replicates per experiment; > 1 switches to aggregated ±ci output")
 		parallel  = fs.Int("parallel", 0, "worker count for multi-seed runs (0 = GOMAXPROCS)")
 		benchJSON = fs.String("benchjson", "", "multi-seed only: also rerun serially and write a runs/sec + speedup report to this path")
-		schedJSON = fs.String("schedbench", "", "instead of experiments: benchmark the incremental scheduling core against the from-scratch baseline at this scale (load 0.8) and write decisions/sec + speedup to this path")
-		obsJSON   = fs.String("obsbench", "", "instead of experiments: measure observability overhead + trace determinism at this scale (load 0.8) and write the report to this path")
-		obsBudg   = fs.String("obsbudget", "", "with -obsbench: JSON budget file (max_disabled_overhead_pct, require_deterministic); exceeding it fails the run")
-		allocJSON = fs.String("allocbench", "", "instead of experiments: measure steady-state allocations/GC per decision (pooled vs non-pooled byte-identical runs, load 0.8) and write the report to this path")
-		allocBudg = fs.String("allocbudget", "", "with -allocbench: JSON budget file (max_allocs_per_decision, max_alloc_bytes_per_decision); exceeding it fails the run")
-		shardJSON = fs.String("shardbench", "", "instead of experiments: benchmark the sharded fabric engine across shard counts at this scale (load 0.5) and write decisions/sec + speedup to this path")
-		shards    = fs.Int("shards", 4, "with -shardbench: widest shard count (arms double from 2 up to this)")
-		shardBudg = fs.String("shardbudget", "", "with -shardbench: JSON budget file (min_speedup_at_max_shards, min_parallel_speedup); missing the floor fails the run")
-		barrier   = fs.Int("barrier-every", 0, "with -shardbench: windows per coordinator barrier for the decomposed arms (0 = engine default)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the selected work to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile (after the selected work) to this file")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the work runs")
@@ -161,34 +128,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *hosts > 0 {
 		scale.HostsPerRack = *hosts
-	}
-
-	if *schedJSON != "" {
-		if *seeds > 1 {
-			return fmt.Errorf("-schedbench runs single-seed pairs (drop -seeds)")
-		}
-		return runSchedBench(w, scale, *schedJSON)
-	}
-	if *obsJSON != "" {
-		if *seeds > 1 {
-			return fmt.Errorf("-obsbench runs single-seed pairs (drop -seeds)")
-		}
-		return runObsBench(w, scale, *obsJSON, *obsBudg)
-	}
-	if *allocJSON != "" {
-		if *seeds > 1 {
-			return fmt.Errorf("-allocbench runs single-seed pairs (drop -seeds)")
-		}
-		return runAllocBench(w, scale, *allocJSON, *allocBudg)
-	}
-	if *shardJSON != "" {
-		if *seeds > 1 {
-			return fmt.Errorf("-shardbench runs single-seed arms (drop -seeds)")
-		}
-		return runShardBench(w, scale, basrpt.ShardBenchOptions{
-			MaxShards:    *shards,
-			BarrierEvery: *barrier,
-		}, *shardJSON, *shardBudg)
 	}
 
 	wanted := strings.Split(*exp, ",")
@@ -482,226 +421,6 @@ type benchExperiment struct {
 type benchReport struct {
 	GOMAXPROCS  int               `json:"gomaxprocs"`
 	Experiments []benchExperiment `json:"experiments"`
-}
-
-// schedReport is the -schedbench artifact (BENCH_sched.json in CI): the
-// measured decision rate of every index-routed discipline with the
-// incremental candidate index on versus forced from-scratch, so the perf
-// trajectory of the scheduling core is tracked across commits.
-type schedReport struct {
-	GOMAXPROCS int                    `json:"gomaxprocs"`
-	Scale      string                 `json:"scale"`
-	Load       float64                `json:"load"`
-	Schedulers []basrpt.SchedBenchRow `json:"schedulers"`
-}
-
-// runSchedBench is the -schedbench path: old-vs-new scheduling-core pairs
-// on byte-identical runs, rendered as a table and written as JSON.
-func runSchedBench(w io.Writer, scale basrpt.Scale, path string) error {
-	start := time.Now()
-	res, err := basrpt.RunSchedBench(scale, 0)
-	if err != nil {
-		return fmt.Errorf("schedbench: %w", err)
-	}
-	fmt.Fprintln(w, res.Render())
-	fmt.Fprintf(w, "[schedbench took %s]\n", time.Since(start).Round(time.Millisecond))
-	report := schedReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      res.Scale.String(),
-		Load:       res.Load,
-		Schedulers: res.Rows,
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return fmt.Errorf("schedbench: marshal: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("schedbench: %w", err)
-	}
-	fmt.Fprintf(w, "[sched report written to %s]\n", path)
-	return nil
-}
-
-// obsReport is the -obsbench artifact (BENCH_obs.json in CI): the
-// observability layer's disabled-path overhead against the per-decision
-// scheduling cost, plus the trace byte-determinism verdict.
-type obsReport struct {
-	GOMAXPROCS int                    `json:"gomaxprocs"`
-	Scale      string                 `json:"scale"`
-	Budget     *basrpt.ObsBudget      `json:"budget,omitempty"`
-	Result     *basrpt.ObsBenchResult `json:"result"`
-}
-
-// runObsBench is the -obsbench path: overhead + determinism measurement,
-// rendered as a table, written as JSON, and checked against the budget
-// file when one is given (the CI observability gate).
-func runObsBench(w io.Writer, scale basrpt.Scale, path, budgetPath string) error {
-	start := time.Now()
-	res, err := basrpt.RunObsBench(scale, 0)
-	if err != nil {
-		return fmt.Errorf("obsbench: %w", err)
-	}
-	fmt.Fprintln(w, res.Render())
-	fmt.Fprintf(w, "[obsbench took %s]\n", time.Since(start).Round(time.Millisecond))
-	report := obsReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      scale.String(),
-		Result:     res,
-	}
-	var budgetErr error
-	if budgetPath != "" {
-		raw, err := os.ReadFile(budgetPath)
-		if err != nil {
-			return fmt.Errorf("obsbench: budget: %w", err)
-		}
-		var budget basrpt.ObsBudget
-		if err := json.Unmarshal(raw, &budget); err != nil {
-			return fmt.Errorf("obsbench: budget %s: %w", budgetPath, err)
-		}
-		report.Budget = &budget
-		// Write the report even on a violation, so CI archives the numbers
-		// that failed the gate.
-		budgetErr = res.CheckBudget(budget)
-	} else if !res.Deterministic {
-		budgetErr = fmt.Errorf("traced fixed-seed runs were not byte-identical")
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obsbench: marshal: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("obsbench: %w", err)
-	}
-	fmt.Fprintf(w, "[obs report written to %s]\n", path)
-	if budgetErr != nil {
-		return fmt.Errorf("obsbench: %w", budgetErr)
-	}
-	if budgetPath != "" {
-		fmt.Fprintf(w, "[obs budget OK: <= %.2f%% disabled overhead, determinism required: %v]\n",
-			report.Budget.MaxDisabledOverheadPct, report.Budget.RequireDeterministic)
-	}
-	return nil
-}
-
-// allocReport is the -allocbench artifact (BENCH_alloc.json in CI): the
-// steady-state allocator pressure of the hot path — bytes and allocations
-// per decision, GC cycles per million decisions — for the pooled default
-// against the non-pooled baseline on byte-identical runs, plus the budget
-// the run was gated on (when one was supplied).
-type allocReport struct {
-	GOMAXPROCS int                    `json:"gomaxprocs"`
-	Scale      string                 `json:"scale"`
-	Load       float64                `json:"load"`
-	Budget     *basrpt.AllocBudget    `json:"budget,omitempty"`
-	Schedulers []basrpt.AllocBenchRow `json:"schedulers"`
-}
-
-// runAllocBench is the -allocbench path: pooled-vs-baseline allocation
-// pairs on byte-identical runs, rendered as a table, written as JSON, and
-// checked against the budget file when one is given (the CI gate).
-func runAllocBench(w io.Writer, scale basrpt.Scale, path, budgetPath string) error {
-	start := time.Now()
-	res, err := basrpt.RunAllocBench(scale, 0)
-	if err != nil {
-		return fmt.Errorf("allocbench: %w", err)
-	}
-	fmt.Fprintln(w, res.Render())
-	fmt.Fprintf(w, "[allocbench took %s]\n", time.Since(start).Round(time.Millisecond))
-	report := allocReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      res.Scale.String(),
-		Load:       res.Load,
-		Schedulers: res.Rows,
-	}
-	var budgetErr error
-	if budgetPath != "" {
-		raw, err := os.ReadFile(budgetPath)
-		if err != nil {
-			return fmt.Errorf("allocbench: budget: %w", err)
-		}
-		var budget basrpt.AllocBudget
-		if err := json.Unmarshal(raw, &budget); err != nil {
-			return fmt.Errorf("allocbench: budget %s: %w", budgetPath, err)
-		}
-		report.Budget = &budget
-		// Write the report even on a violation, so CI archives the numbers
-		// that failed the gate.
-		budgetErr = res.CheckBudget(budget)
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return fmt.Errorf("allocbench: marshal: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("allocbench: %w", err)
-	}
-	fmt.Fprintf(w, "[alloc report written to %s]\n", path)
-	if budgetErr != nil {
-		return fmt.Errorf("allocbench: %w", budgetErr)
-	}
-	if budgetPath != "" {
-		fmt.Fprintf(w, "[alloc budget OK: <= %.2f allocs/decision, <= %.0f bytes/decision]\n",
-			report.Budget.MaxAllocsPerDecision, report.Budget.MaxAllocBytesPerDecision)
-	}
-	return nil
-}
-
-// shardReport is the -shardbench artifact (BENCH_shard.json in CI): the
-// sharded fabric engine's decision throughput per shard count — the
-// centralized 1-shard arm against rack-decomposed arms — plus the
-// scaling budget the run was gated on (when one was supplied).
-type shardReport struct {
-	GOMAXPROCS int                      `json:"gomaxprocs"`
-	Budget     *basrpt.ShardBudget      `json:"budget,omitempty"`
-	Result     *basrpt.ShardBenchResult `json:"result"`
-}
-
-// runShardBench is the -shardbench path: shard-scaling arms on one
-// topology, rendered as a table, written as JSON, and checked against
-// the budget file when one is given (the CI scaling gate).
-func runShardBench(w io.Writer, scale basrpt.Scale, opts basrpt.ShardBenchOptions, path, budgetPath string) error {
-	start := time.Now()
-	res, err := basrpt.RunShardBench(scale, opts)
-	if err != nil {
-		return fmt.Errorf("shardbench: %w", err)
-	}
-	fmt.Fprintln(w, res.Render())
-	fmt.Fprintf(w, "[shardbench took %s]\n", time.Since(start).Round(time.Millisecond))
-	report := shardReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Result:     res,
-	}
-	var budgetErr error
-	if budgetPath != "" {
-		raw, err := os.ReadFile(budgetPath)
-		if err != nil {
-			return fmt.Errorf("shardbench: budget: %w", err)
-		}
-		var budget basrpt.ShardBudget
-		if err := json.Unmarshal(raw, &budget); err != nil {
-			return fmt.Errorf("shardbench: budget %s: %w", budgetPath, err)
-		}
-		report.Budget = &budget
-		// Write the report even on a violation, so CI archives the numbers
-		// that failed the gate.
-		budgetErr = res.CheckBudget(budget)
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return fmt.Errorf("shardbench: marshal: %w", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return fmt.Errorf("shardbench: %w", err)
-	}
-	fmt.Fprintf(w, "[shard report written to %s]\n", path)
-	if budgetErr != nil {
-		return fmt.Errorf("shardbench: %w", budgetErr)
-	}
-	if budgetPath != "" {
-		fmt.Fprintf(w, "[shard budget OK: >= %.2fx decisions/sec at %d shards vs centralized]\n",
-			report.Budget.MinSpeedupAtMaxShards, res.Rows[len(res.Rows)-1].Shards)
-	}
-	return nil
 }
 
 // runMultiSeed is the -seeds > 1 path: every selected experiment fans its

@@ -185,53 +185,6 @@ func TestMultiSeedCSVAndBenchJSON(t *testing.T) {
 	}
 }
 
-// TestSchedBenchJSON checks the -schedbench mode: the old-vs-new
-// scheduling-core report renders per-discipline decision rates and lands
-// as valid JSON (the BENCH_sched.json CI artifact).
-func TestSchedBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_sched.json")
-	var buf bytes.Buffer
-	err := run([]string{
-		"-schedbench", path, "-racks", "2", "-hosts", "3", "-duration", "0.3",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Fatalf("schedbench output lacks speedup column:\n%s", buf.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		GOMAXPROCS int     `json:"gomaxprocs"`
-		Scale      string  `json:"scale"`
-		Load       float64 `json:"load"`
-		Schedulers []struct {
-			Discipline      string  `json:"discipline"`
-			Decisions       int64   `json:"decisions"`
-			IncrementalRate float64 `json:"incremental_decisions_per_sec"`
-			FromScratchRate float64 `json:"fromscratch_decisions_per_sec"`
-			Speedup         float64 `json:"speedup"`
-		} `json:"schedulers"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("sched report not valid JSON: %v\n%s", err, raw)
-	}
-	if report.GOMAXPROCS < 1 || report.Load != 0.8 || len(report.Schedulers) != 4 {
-		t.Fatalf("sched report shape wrong: %+v", report)
-	}
-	for _, row := range report.Schedulers {
-		if row.Decisions <= 0 || row.IncrementalRate <= 0 || row.FromScratchRate <= 0 || row.Speedup <= 0 {
-			t.Fatalf("sched row not measured: %+v", row)
-		}
-	}
-	if err := run([]string{"-schedbench", path, "-seeds", "2"}, &buf); err == nil {
-		t.Fatal("-schedbench with -seeds accepted")
-	}
-}
-
 // TestMultiSeedRejectsBadFlags pins the multi-seed flag validation.
 func TestMultiSeedRejectsBadFlags(t *testing.T) {
 	var buf bytes.Buffer
@@ -243,108 +196,6 @@ func TestMultiSeedRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-exp", "stability", "-seeds", "2", "-scale", "small"}, &buf); err == nil {
 		t.Fatal("stability-only multi-seed run should fail (no multi-seed form)")
-	}
-}
-
-func TestObsBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_obs.json")
-	var buf bytes.Buffer
-	// 24 hosts keeps the decision cost (~1.5µs) far above the probe cost
-	// so the 2% bound holds with margin; see core.TestObsBenchOverhead*.
-	err := run([]string{
-		"-obsbench", path, "-racks", "4", "-hosts", "6", "-duration", "0.05",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Observability overhead") {
-		t.Fatalf("missing rendered table:\n%s", buf.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report obsReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("invalid report JSON: %v\n%s", err, raw)
-	}
-	r := report.Result
-	if r == nil || r.Decisions == 0 || !r.Deterministic {
-		t.Fatalf("report = %+v", report)
-	}
-	if r.DisabledOverheadPct <= 0 || r.DisabledOverheadPct > 2 {
-		t.Fatalf("disabled overhead %.4f%% outside (0, 2]", r.DisabledOverheadPct)
-	}
-
-	// Multi-seed makes no sense for the paired measurement.
-	if err := run([]string{"-obsbench", path, "-seeds", "3"}, &buf); err == nil {
-		t.Fatal("-obsbench with -seeds accepted")
-	}
-}
-
-// TestShardBenchJSON checks the -shardbench mode: the shard-scaling
-// report renders per-arm decision rates, lands as valid JSON (the
-// BENCH_shard.json CI artifact), and the budget gate writes the report
-// before failing.
-func TestShardBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_shard.json")
-	var buf bytes.Buffer
-	err := run([]string{
-		"-shardbench", path, "-racks", "3", "-hosts", "4", "-duration", "0.01", "-shards", "4",
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Shard scaling") {
-		t.Fatalf("missing rendered table:\n%s", buf.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report shardReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("invalid report JSON: %v\n%s", err, raw)
-	}
-	if report.GOMAXPROCS < 1 || report.Result == nil || len(report.Result.Rows) != 3 {
-		t.Fatalf("report shape wrong: %+v", report)
-	}
-	for _, row := range report.Result.Rows {
-		if row.Decisions <= 0 || row.DecisionsPerSec <= 0 || row.Digest == "" {
-			t.Fatalf("shard row not measured: %+v", row)
-		}
-	}
-
-	// An impossible budget fails the run but still writes the report —
-	// CI archives the numbers that tripped the gate.
-	budgetPath := filepath.Join(dir, "budget.json")
-	if err := os.WriteFile(budgetPath, []byte(`{"min_speedup_at_max_shards": 1e9}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gatedPath := filepath.Join(dir, "BENCH_shard_gated.json")
-	err = run([]string{
-		"-shardbench", gatedPath, "-racks", "3", "-hosts", "4", "-duration", "0.01",
-		"-shardbudget", budgetPath,
-	}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "shard budget exceeded") {
-		t.Fatalf("impossible budget passed: %v", err)
-	}
-	if _, err := os.Stat(gatedPath); err != nil {
-		t.Fatalf("report not written on budget violation: %v", err)
-	}
-
-	// Multi-seed makes no sense for the fixed-seed scaling arms.
-	if err := run([]string{"-shardbench", path, "-seeds", "2"}, &buf); err == nil {
-		t.Fatal("-shardbench with -seeds accepted")
-	}
-	// A missing budget file is a configuration error.
-	if err := run([]string{
-		"-shardbench", path, "-racks", "2", "-hosts", "2", "-duration", "0.01",
-		"-shardbudget", filepath.Join(dir, "nope.json"),
-	}, &buf); err == nil {
-		t.Fatal("missing budget file accepted")
 	}
 }
 

@@ -76,16 +76,6 @@ type Config struct {
 	// diagnoses so failed sweep points are replayable. It does not drive
 	// any randomness here (the generator and schedulers own their seeds).
 	Seed uint64
-	// DisableFlowPool turns off the recycling of completed Flow structs
-	// through the simulator's free list, so every arrival allocates as it
-	// did before pooling existed. Recycling is invisible to the physics —
-	// pooled and non-pooled runs produce byte-identical Results at a fixed
-	// seed (property-tested, and cross-checked by RunAllocBench) — so the
-	// knob exists only for that A/B comparison. Pooling also switches off
-	// automatically when Faults is set: the outage fallback's held matching
-	// retains flow pointers across completions, which recycling would
-	// invalidate.
-	DisableFlowPool bool
 	// Faults, when non-nil, injects the schedule's link faults (access
 	// links down or degraded for an interval, forcing reschedules at the
 	// boundaries) and scheduler outages (decisions served from the held
@@ -274,8 +264,8 @@ type Result struct {
 	Decisions      int64
 	// SchedNanos is the cumulative wall-clock time spent inside
 	// Scheduler.Schedule, in nanoseconds. It is measured, not simulated —
-	// machine-dependent by nature — so it feeds the scheduling benchmarks
-	// (BENCH_sched.json) and never enters the deterministic sample
+	// machine-dependent by nature — so it feeds the benchmark's per-layer
+	// sched metrics (bench/) and never enters the deterministic sample
 	// aggregates the multi-seed runner compares across worker counts.
 	SchedNanos int64
 	// Duration is the simulated time covered: the configured horizon, or
@@ -379,9 +369,12 @@ type Sim struct {
 	winFCTSum0      float64
 
 	// Steady-state allocation avoidance: completed flows recycle through
-	// pool into the next arrivals (poolOn — see Config.DisableFlowPool),
-	// decisions are re-checked by a scratch-owning validator, and
-	// deepValidate keeps its per-port accumulators across calls.
+	// pool into the next arrivals, decisions are re-checked by a
+	// scratch-owning validator, and deepValidate keeps its per-port
+	// accumulators across calls. Recycling is invisible to the physics
+	// (TestFlowPoolEquivalence). poolOn is false when Faults is set: the
+	// outage fallback's held matching retains flow pointers across
+	// completions, which recycling would invalidate.
 	pool      flow.FreeList
 	poolOn    bool
 	validator sched.Validator
@@ -489,7 +482,7 @@ func New(cfg Config) (*Sim, error) {
 	// contract): an index-maintaining scheduler consumes the feed itself;
 	// for everything else the sim is the consumer of record.
 	s.clearsDirty = !sched.IsDirtyConsumer(s.scheduler)
-	s.poolOn = !cfg.DisableFlowPool && cfg.Faults == nil
+	s.poolOn = cfg.Faults == nil
 	s.reg = cfg.Obs.Registry()
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()

@@ -3,8 +3,9 @@ package obs
 import "testing"
 
 // The disabled path is a nil handle: these benchmarks bound the cost the
-// instrumentation adds to uninstrumented runs. The obsbench harness
-// (core/obsbench.go) folds these numbers into BENCH_obs.json.
+// instrumentation adds to uninstrumented runs. fabricsim's
+// TestDisabledObsOverhead prices the same probe against a run's
+// per-decision scheduling cost.
 
 func BenchmarkObsDisabledEmit(b *testing.B) {
 	var o *Obs

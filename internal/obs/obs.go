@@ -18,7 +18,7 @@
 //     comparison, and registry instruments resolved through a nil handle
 //     are themselves nil no-ops. Hot paths therefore instrument
 //     unconditionally; the overhead budget is verified by
-//     BenchmarkObsDisabled* and the obsbench harness (BENCH_obs.json).
+//     BenchmarkObsDisabled* and by fabricsim's TestDisabledObsOverhead.
 //
 // Like the simulators it instruments, an Obs is single-goroutine state:
 // build one per run. Parallel experiments (internal/runner) construct a
