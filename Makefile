@@ -91,10 +91,12 @@ fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzCheckpointLoad -fuzztime 15s ./internal/checkpoint/
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 15s ./internal/scenario/
+	$(GO) test -fuzz FuzzShardRouting -fuzztime 15s ./internal/fabricsim/
 
 clean:
 	$(GO) clean ./...
 	rm -rf internal/matching/testdata internal/stats/testdata internal/faults/testdata \
 		internal/trace/testdata internal/checkpoint/testdata internal/scenario/testdata \
+		internal/fabricsim/testdata \
 		soak_out scenario_out ops_smoke_out
 	rm -f BENCH_runner.json trace_smoke_a.jsonl trace_smoke_b.jsonl

@@ -59,6 +59,51 @@ func TestSteadyStateAllocsPerDecision(t *testing.T) {
 	}
 }
 
+// TestDecomposedAllocsPerDecision holds the decomposed engine to the
+// same allocation ceiling on 288 hosts (24 racks) at 0.5 load. The
+// MemStats delta runs from the first barrier's heartbeat to the last, so
+// cell construction and the end-of-run merge are excluded and what is
+// left is the steady barrier loop: windows, routing, and folds. Boxing
+// each cross-rack message again (one allocation per message, ~0.4 per
+// decision here) trips it.
+func TestDecomposedAllocsPerDecision(t *testing.T) {
+	var first, last runtime.MemStats
+	var firstDec, lastDec int64
+	seen := false
+	res, err := RunShard(ShardConfig{
+		Topology:  topology.MustNew(topology.Scaled(24, 12)),
+		Scheduler: "fast-basrpt",
+		Load:      0.5,
+		Duration:  0.01,
+		Seed:      1,
+		Shards:    2,
+		Workers:   1,
+		OnWindow: func(p ShardProgress) {
+			if !seen {
+				seen = true
+				runtime.ReadMemStats(&first)
+				firstDec = p.Decisions
+				return
+			}
+			runtime.ReadMemStats(&last)
+			lastDec = p.Decisions
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := float64(lastDec - firstDec)
+	if dec <= 0 {
+		t.Fatalf("no decisions between the first and last barrier (run total %d)", res.Decisions)
+	}
+	allocs := float64(last.Mallocs-first.Mallocs) / dec
+	bytes := float64(last.TotalAlloc-first.TotalAlloc) / dec
+	t.Logf("%.0f decisions, %.4f allocs/decision, %.1f B/decision", dec, allocs, bytes)
+	if allocs > maxAllocsPerDecision {
+		t.Errorf("%.4f allocs/decision exceeds %.2f", allocs, maxAllocsPerDecision)
+	}
+}
+
 // disabledObs is the nil handle the overhead probe emits through. A
 // package variable, so the compiler cannot fold the nil check away.
 var disabledObs *obs.Obs

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"basrpt/internal/eventq"
 	"basrpt/internal/flow"
 	"basrpt/internal/metrics"
 	"basrpt/internal/obs"
@@ -228,8 +227,17 @@ type ShardImbalance struct {
 	SlowestCell int `json:"slowest_cell"`
 	// BarrierWaitFraction is total worker barrier wait over total worker
 	// (busy + wait) time — the fraction of the pool's wall clock lost to
-	// the lockstep, in [0, 1]. 0 when a single worker runs every cell.
+	// the lockstep, in [0, 1]. 0 when a single worker runs every cell. It
+	// counts only waits inside a batch, not the coordinator's serial work
+	// between batches; SerialFraction reports that.
 	BarrierWaitFraction float64 `json:"barrier_wait_fraction"`
+	// CoordinatorNs is the run loop's wall time outside the worker pool's
+	// batches: routing, folding, accounting, and heartbeats, during which
+	// every worker idles. SerialFraction is CoordinatorNs over the run
+	// loop's wall time, in [0, 1] — the Amdahl serial share that caps the
+	// pool's speedup at 1/SerialFraction.
+	CoordinatorNs  int64   `json:"coordinator_ns"`
+	SerialFraction float64 `json:"serial_fraction"`
 	// CellWaitFraction is the per-cell analogue (cell gap time over cell
 	// busy + gap). It charges sibling-cell serialization on a shared
 	// worker as waiting, so it approaches (cells-1)/cells on small
@@ -259,9 +267,10 @@ func (im *ShardImbalance) String() string {
 		workerWait += im.WorkerWaitNs[g]
 	}
 	return fmt.Sprintf(
-		"imbalance: %d cells x %d windows over %d barriers (%.1f windows/barrier, %d workers); busy %.1fms; worker wait %.1fms (%.1f%% of pool time); skew ratio %.2f; slowest cell %d (last at %d barriers, busy %.1fms)",
+		"imbalance: %d cells x %d windows over %d barriers (%.1f windows/barrier, %d workers); busy %.1fms; worker wait %.1fms (%.1f%% of pool time); coordinator serial %.1fms (%.1f%% of the run loop); skew ratio %.2f; slowest cell %d (last at %d barriers, busy %.1fms)",
 		im.Cells, im.Windows, im.Barriers, im.WindowsPerBarrier, im.Workers,
 		float64(totalBusy)/1e6, float64(workerWait)/1e6, 100*im.BarrierWaitFraction,
+		float64(im.CoordinatorNs)/1e6, 100*im.SerialFraction,
 		im.SkewRatio, im.SlowestCell, im.SlowestBarriers[im.SlowestCell], float64(slowBusy)/1e6)
 }
 
@@ -376,8 +385,10 @@ type shardMsg struct {
 
 // routedMsg is a shardMsg stamped with its delivery time and source
 // cell — the (time, shard id, seq) merge key that fixes the global
-// admission order (seq is the source outbox's FIFO order, preserved by
-// the stable sort in routeOutboxes).
+// admission order. seq is the message's position in its source outbox,
+// which routeOutboxes keeps: it appends each source's messages in outbox
+// order and orders each destination's inbox by a stable sort on the
+// delivery time alone.
 type routedMsg struct {
 	deliver float64
 	srcCell int
@@ -418,6 +429,9 @@ type localArrival struct {
 // instance, workload stream, metrics, and flow pool. Cells only ever
 // touch their own state inside a batch; all cross-cell traffic moves
 // through the outbox/inbox exchange at barriers on the main goroutine.
+// Both are plain slices: the outbox is a FIFO in delivery order (the
+// stream is drawn in time order and delivery = generation + lookahead),
+// and the inbox is delivery-sorted and consumed positionally.
 type shardCell struct {
 	rack    int
 	base    int // global id of the rack's first host
@@ -450,7 +464,7 @@ type shardCell struct {
 
 	inbox    []routedMsg
 	inboxPos int
-	outbox   eventq.Queue
+	outbox   []routedMsg
 
 	decision       []*flow.Flow
 	nextCompletion float64
@@ -517,10 +531,12 @@ func (c *shardCell) allocID() flow.ID {
 
 // prefetch pulls the cell's workload stream through time `to`: every
 // intra-rack arrival is queued on localQ (with its stream-order flow
-// ID) and every cross-rack arrival is diverted to the outbox at its
-// delivery time (generation time plus the lookahead; messages that
-// could not arrive before the horizon are dropped, mirroring the
+// ID) and every cross-rack arrival is appended to the outbox stamped
+// with its delivery time (generation time plus the lookahead; messages
+// that could not arrive before the horizon are dropped, mirroring the
 // centralized engine's refusal to admit arrivals at t >= Duration).
+// The stream is drawn in time order and adding the lookahead is
+// monotone, so appending keeps the outbox in delivery order.
 //
 // This is the sparse-barrier enabler: calling prefetch(batchEnd) before
 // a batch guarantees that any cross-rack message materialized LATER —
@@ -559,10 +575,10 @@ func (c *shardCell) prefetch(to float64) {
 		if deliver >= c.dur {
 			continue
 		}
-		c.outbox.Schedule(deliver, shardMsg{
+		c.outbox = append(c.outbox, routedMsg{deliver: deliver, srcCell: c.rack, msg: shardMsg{
 			src: a.Src, dst: a.Dst, size: a.Size, class: a.Class,
 			genTime: a.Time, id: id,
-		})
+		}})
 		c.cMsgsSent.Inc()
 	}
 }
@@ -863,11 +879,14 @@ func (wk *poolWorker) exec(cmd poolCmd, origin time.Time) {
 // shardPool is the decomposed engine's persistent worker pool. With one
 // worker the coordinator executes batches inline (no goroutines); with
 // more, each worker loops on its command channel until stop closes it.
+// batchNs accumulates the coordinator's wall time inside runBatch, from
+// dispatch to the last ack.
 type shardPool struct {
 	workers []*poolWorker
 	cells   []*shardCell
 	origin  time.Time
 	inline  bool
+	batchNs int64
 }
 
 // newShardPool partitions the cells into contiguous rack-order spans
@@ -905,17 +924,19 @@ func newShardPool(cells []*shardCell, workers int, origin time.Time) *shardPool 
 // runBatch dispatches one batch to every worker and blocks until all
 // have finished — the coordinator barrier.
 func (p *shardPool) runBatch(capTs []float64, prefetchTo float64) {
+	start := time.Now()
 	cmd := poolCmd{capTs: capTs, prefetchTo: prefetchTo}
 	if p.inline {
 		p.workers[0].exec(cmd, p.origin)
-		return
+	} else {
+		for _, wk := range p.workers {
+			wk.cmds <- cmd
+		}
+		for _, wk := range p.workers {
+			<-wk.ack
+		}
 	}
-	for _, wk := range p.workers {
-		wk.cmds <- cmd
-	}
-	for _, wk := range p.workers {
-		<-wk.ack
-	}
+	p.batchNs += time.Since(start).Nanoseconds()
 }
 
 // stop terminates the worker goroutines. Safe to call once, after the
@@ -1080,6 +1101,7 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 
 	capTs := make([]float64, 0, batch)
 	w, windows, barriers := 0, 0, 0
+	loopStart := time.Now()
 	for b := 0; ; b++ {
 		if repackEvery > 0 && b > 0 && b%repackEvery == 0 {
 			pool.repack()
@@ -1158,7 +1180,7 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 			break
 		}
 	}
-	return mergeCells(cells, res, cfg, windows, barriers, pool)
+	return mergeCells(cells, res, cfg, windows, barriers, pool, time.Since(loopStart).Nanoseconds())
 }
 
 // accountBatch folds one batch's wall-clock stamps into the per-cell
@@ -1217,7 +1239,16 @@ func accountBatch(cells []*shardCell, pool *shardPool, barrier, firstWindow int,
 // conservative-lookahead argument every such message already exists: a
 // message delivered inside a batch was generated at least one lookahead
 // earlier, inside the horizon the previous barrier's prefetch pulled
-// through. Later barriers only append later deliveries, so inboxes stay
+// through.
+//
+// There is no global sort. Each outbox is in delivery order, so the
+// messages to move are its prefix below the horizon. Sources are walked
+// in rack order and append that prefix to the destination inboxes, so
+// each inbox's new messages arrive grouped by (source cell, outbox
+// order); a stable sort on delivery time alone then yields the full
+// merge key. Everything an inbox kept from earlier routes delivers
+// before the previous horizon, and every message below that horizon was
+// routed then, so the sort only moves new messages and inboxes stay
 // sorted under positional consumption.
 func routeOutboxes(cells []*shardCell, horizon float64, hpr int) {
 	for _, c := range cells {
@@ -1227,26 +1258,37 @@ func routeOutboxes(cells []*shardCell, horizon float64, hpr int) {
 			c.inboxPos = 0
 		}
 	}
-	var routed []routedMsg
-	for ci, c := range cells {
-		for {
-			dt, ok := c.outbox.PeekTime()
-			if !ok || dt >= horizon {
-				break
-			}
-			ev, t, _ := c.outbox.Pop()
-			routed = append(routed, routedMsg{deliver: t, srcCell: ci, msg: ev.(shardMsg)})
+	for _, c := range cells {
+		n := 0
+		for ; n < len(c.outbox) && c.outbox[n].deliver < horizon; n++ {
+			dst := cells[c.outbox[n].msg.dst/hpr]
+			dst.inbox = append(dst.inbox, c.outbox[n])
 		}
+		// Compact in place, as inboxes are: the array is reused at a
+		// steady size instead of growing with every message ever sent.
+		c.outbox = c.outbox[:copy(c.outbox, c.outbox[n:])]
 	}
-	sort.SliceStable(routed, func(i, j int) bool {
-		if routed[i].deliver != routed[j].deliver {
-			return routed[i].deliver < routed[j].deliver
+	for _, c := range cells {
+		sortByDelivery(c.inbox)
+	}
+}
+
+// sortByDelivery stably sorts an inbox by delivery time: an insertion
+// sort that binary-searches each out-of-order message's slot and shifts
+// the tail with one copy. Only messages from different sources that land
+// in the same route can be out of order, so on the typical inbox (a
+// handful of new messages per barrier) it costs little more than one
+// pass, less than a general stable sort.
+func sortByDelivery(in []routedMsg) {
+	for i := 1; i < len(in); i++ {
+		m := in[i]
+		if m.deliver >= in[i-1].deliver {
+			continue
 		}
-		return routed[i].srcCell < routed[j].srcCell
-	})
-	for _, rm := range routed {
-		dst := cells[rm.msg.dst/hpr]
-		dst.inbox = append(dst.inbox, rm)
+		// After every message delivering no later than m: stable.
+		j := sort.Search(i, func(k int) bool { return in[k].deliver > m.deliver })
+		copy(in[j+1:i+1], in[j:i])
+		in[j] = m
 	}
 }
 
@@ -1347,7 +1389,7 @@ func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) erro
 // (FCT sums, sample order, throughput buckets) a pure function of the
 // per-cell streams — and seals the instrumentation registry the way
 // the centralized finish() does.
-func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barriers int, pool *shardPool) (*Result, error) {
+func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barriers int, pool *shardPool, loopNs int64) (*Result, error) {
 	reg := cfg.Obs.Registry()
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -1438,11 +1480,16 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	if totalBusy > 0 {
 		im.SkewRatio = float64(maxBusy) / (float64(totalBusy) / float64(len(cells)))
 	}
+	im.CoordinatorNs = loopNs - pool.batchNs
+	if loopNs > 0 {
+		im.SerialFraction = float64(im.CoordinatorNs) / float64(loopNs)
+	}
 	res.Imbalance = im
 	reg.Counter("wall.busy_ns").Add(totalBusy)
 	reg.Counter("wall.barrier_wait_ns").Add(totalWait)
 	reg.Counter("wall.worker_busy_ns").Add(workerBusy)
 	reg.Counter("wall.worker_wait_ns").Add(workerWait)
+	reg.Counter("wall.coordinator_ns").Add(im.CoordinatorNs)
 	reg.Gauge("wall.windows_per_barrier").Set(im.WindowsPerBarrier)
 	reg.Gauge("wall.workers").Set(float64(len(pool.workers)))
 

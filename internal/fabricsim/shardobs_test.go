@@ -189,7 +189,8 @@ func TestShardTimelineOrderingInvariance(t *testing.T) {
 
 // TestShardImbalanceReport checks the post-run attribution report's
 // invariants (not its timings, which are machine facts): shape, bounded
-// fraction, conserved slowest-window counts, and absence on the
+// fractions, conserved slowest-window counts, a digest the coordinator's
+// serial-share accounting does not touch, and absence on the
 // centralized path.
 func TestShardImbalanceReport(t *testing.T) {
 	res, err := RunShard(shardObsConfig(t, 2))
@@ -232,8 +233,26 @@ func TestShardImbalanceReport(t *testing.T) {
 	if im.SlowestCell < 0 || im.SlowestCell >= im.Cells {
 		t.Fatalf("slowest cell %d out of range", im.SlowestCell)
 	}
+	if im.CoordinatorNs <= 0 || im.SerialFraction <= 0 || im.SerialFraction >= 1 {
+		t.Fatalf("coordinator %d ns, serial fraction %g: want > 0 and a fraction in (0, 1)",
+			im.CoordinatorNs, im.SerialFraction)
+	}
+	if got := res.Obs.Counter("wall.coordinator_ns"); got != im.CoordinatorNs {
+		t.Fatalf("wall.coordinator_ns = %d, imbalance says %d", got, im.CoordinatorNs)
+	}
 	if im.String() == "" {
 		t.Fatal("empty imbalance rendering")
+	}
+	// The serial share is wall-clock plane: timing the coordinator's spans
+	// into a Timeline moves it, the digest must not move.
+	tcfg := shardObsConfig(t, 2)
+	tcfg.Timeline = obs.NewTimeline()
+	tres, err := RunShard(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tres.DeterministicDigest(), res.DeterministicDigest(); got != want {
+		t.Fatalf("digest with a Timeline %s, without %s", got, want)
 	}
 
 	// The centralized family reports neither per-cell snapshots nor an
