@@ -198,7 +198,7 @@ type (
 	// Wall-clock plane only — never part of deterministic digests.
 	ShardImbalance = fabricsim.ShardImbalance
 	// RunProgress is the centralized engine's sample-tick heartbeat
-	// payload (FabricConfig.OnProgress / ShardConfig.OnProgress).
+	// payload (FabricConfig.OnProgress).
 	RunProgress = fabricsim.RunProgress
 	// ShardProgress is the decomposed engine's per-window heartbeat
 	// payload (ShardConfig.OnWindow).

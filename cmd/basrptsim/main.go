@@ -87,7 +87,7 @@ func run(args []string, w io.Writer) error {
 		haltAfter = fs.Bool("halt-after-checkpoint", false, "stop cleanly right after the first persisted checkpoint (resume later with -resume)")
 		resumeIn  = fs.String("resume", "", "resume from this checkpoint file instead of starting at t=0 (flags must match the original run)")
 		window    = fs.Float64("window", 0, "streaming-results window in simulated seconds: emit window.* trace events and bound in-memory series/FCT reservoirs")
-		shards    = fs.Int("shards", 0, "run on the sharded fabric engine: 1 = centralized, >= 2 = rack-decomposed parallel cells (0 = legacy single-engine path; mixed workload only)")
+		shards    = fs.Int("shards", 0, "fabric engine: 0 = centralized (default), >= 2 = rack-decomposed parallel cells (mixed workload only)")
 		barrier   = fs.Int("barrier-every", 0, "with -shards >= 2: lookahead windows per coordinator barrier (0 = engine default; results are byte-identical at every value)")
 		workers   = fs.Int("workers", 0, "with -shards >= 2: persistent worker goroutines executing the cells (0 = GOMAXPROCS; wall-clock only)")
 		timeline  = fs.String("timeline", "", "with -shards >= 2: write a Chrome trace_event timeline of cell/coordinator wall-clock execution to this file (open in chrome://tracing or Perfetto)")
@@ -95,6 +95,9 @@ func run(args []string, w io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *shards == 1 || *shards < 0 {
+		return fmt.Errorf("-shards %d: use 0 (the default, centralized engine) or >= 2 (rack-decomposed engine)", *shards)
 	}
 
 	topo, err := basrpt.NewTopology(basrpt.ScaledTopology(*racks, *hosts))
@@ -112,7 +115,7 @@ func run(args []string, w io.Writer) error {
 	if *timeline != "" && *shards < 2 {
 		return fmt.Errorf("-timeline requires the decomposed engine (-shards >= 2)")
 	}
-	if *shards >= 1 {
+	if *shards >= 2 {
 		for flagName, set := range map[string]bool{
 			"-faults":     *inject,
 			"-checkpoint": *ckptPath != "",
@@ -120,7 +123,7 @@ func run(args []string, w io.Writer) error {
 			"-window":     *window != 0,
 		} {
 			if set {
-				return fmt.Errorf("%s is not supported with -shards (the sharded engine runs the mixed workload end to end)", flagName)
+				return fmt.Errorf("%s is not supported with -shards (the decomposed engine runs the mixed workload end to end)", flagName)
 			}
 		}
 		if *pattern != "mixed" {
@@ -136,8 +139,8 @@ func run(args []string, w io.Writer) error {
 		defer opsSrv.Close()
 		fmt.Fprintf(w, "[ops endpoint listening on %s]\n", opsSrv.URL())
 	}
-	if *shards >= 1 {
-		return runSharded(w, topo, scheduler, schedOpts, opsSrv, shardedOptions{
+	if *shards >= 2 {
+		return runSharded(w, topo, schedOpts, opsSrv, shardedOptions{
 			schedName: *schedName, load: *load, queryFrac: *queryFrac,
 			duration: *duration, seed: *seed, shards: *shards,
 			barrierEvery: *barrier, workers: *workers,
@@ -358,10 +361,10 @@ type shardedOptions struct {
 	jsonOut      bool
 }
 
-// runSharded is the -shards path: one run on the sharded fabric engine
-// (centralized at 1 shard, rack-decomposed at >= 2), with optional JSONL
-// trace, Chrome timeline export, and live ops publishing.
-func runSharded(w io.Writer, topo *basrpt.Topology, _ basrpt.Scheduler, schedOpts basrpt.SchedulerOptions, opsSrv *basrpt.OpsServer, opt shardedOptions) error {
+// runSharded is the -shards path: one run on the rack-decomposed engine,
+// with optional JSONL trace, Chrome timeline export, and live ops
+// publishing.
+func runSharded(w io.Writer, topo *basrpt.Topology, schedOpts basrpt.SchedulerOptions, opsSrv *basrpt.OpsServer, opt shardedOptions) error {
 	cfg := basrpt.ShardConfig{
 		Topology:          topo,
 		Scheduler:         opt.schedName,
@@ -402,28 +405,19 @@ func runSharded(w io.Writer, topo *basrpt.Topology, _ basrpt.Scheduler, schedOpt
 		cfg.Timeline = tl
 	}
 	if opsSrv != nil {
-		if opt.shards >= 2 {
-			cfg.OnWindow = func(p basrpt.ShardProgress) {
-				opsSrv.PublishRun(basrpt.OpsRunState{
-					SimTimeS: p.SimTime, DurationS: p.Duration, Windows: p.Window + 1,
-					Decisions: p.Decisions, ArrivedFlows: p.ArrivedFlows, CompletedFlows: p.CompletedFlows,
-				})
-				opsSrv.PublishShard(basrpt.OpsShardState{
-					Barriers:          p.Barrier + 1,
-					WindowsPerBarrier: p.WindowsPerBarrier,
-					Cells:             p.Cells,
-					Workers:           p.Workers,
-					CellBusyNs:        p.CellBusyNs,
-					CellWaitNs:        p.CellWaitNs,
-				})
-			}
-		} else {
-			cfg.OnProgress = func(p basrpt.RunProgress) {
-				opsSrv.PublishRun(basrpt.OpsRunState{
-					SimTimeS: p.SimTime, DurationS: p.Duration, Windows: p.Windows,
-					Decisions: p.Decisions, ArrivedFlows: p.ArrivedFlows, CompletedFlows: p.CompletedFlows,
-				})
-			}
+		cfg.OnWindow = func(p basrpt.ShardProgress) {
+			opsSrv.PublishRun(basrpt.OpsRunState{
+				SimTimeS: p.SimTime, DurationS: p.Duration, Windows: p.Window + 1,
+				Decisions: p.Decisions, ArrivedFlows: p.ArrivedFlows, CompletedFlows: p.CompletedFlows,
+			})
+			opsSrv.PublishShard(basrpt.OpsShardState{
+				Barriers:          p.Barrier + 1,
+				WindowsPerBarrier: p.WindowsPerBarrier,
+				Cells:             p.Cells,
+				Workers:           p.Workers,
+				CellBusyNs:        p.CellBusyNs,
+				CellWaitNs:        p.CellWaitNs,
+			})
 		}
 	}
 	res, err := basrpt.RunShardedFabric(cfg)

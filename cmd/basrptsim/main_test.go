@@ -64,6 +64,24 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// TestRunRejectsCentralizedShardSpelling: the centralized engine has one
+// spelling, the default -shards 0. -shards 1 and negative counts fail
+// with an error naming both valid forms.
+func TestRunRejectsCentralizedShardSpelling(t *testing.T) {
+	for _, n := range []string{"1", "-1"} {
+		var buf bytes.Buffer
+		err := run([]string{"-shards", n, "-racks", "2", "-hosts", "3", "-duration", "0.1"}, &buf)
+		if err == nil {
+			t.Fatalf("-shards %s accepted", n)
+		}
+		for _, want := range []string{"0", ">= 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("-shards %s error %q does not name %q", n, err, want)
+			}
+		}
+	}
+}
+
 func TestRunAllRegistrySchedulers(t *testing.T) {
 	for _, name := range []string{"srpt", "fast-basrpt", "maxweight", "fifo", "threshold", "random"} {
 		var buf bytes.Buffer

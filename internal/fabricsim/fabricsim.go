@@ -211,6 +211,8 @@ type Diagnosis struct {
 	CheckpointErr string
 }
 
+// String renders the diagnosis as a one-line summary, followed by the
+// captured flight-recorder events when Verbose is set.
 func (d *Diagnosis) String() string {
 	s := fmt.Sprintf("truncated (%s) at t=%.4gs: backlog %.4g bytes after %d decisions (seed %d, epoch %d)",
 		d.Reason, d.SimTime, d.BacklogBytes, d.Events, d.Seed, d.TableEpoch)
@@ -314,44 +316,18 @@ func (r *Result) AverageGbps() float64 {
 	return r.Throughput.AverageGbps(r.Duration)
 }
 
-// DecisionsPerSec returns the measured scheduling throughput: decisions
-// divided by the wall-clock time spent inside Scheduler.Schedule. Zero
-// when the run took no decisions (or none were timed).
-func (r *Result) DecisionsPerSec() float64 {
-	if r.SchedNanos <= 0 {
-		return 0
-	}
-	return float64(r.Decisions) / (float64(r.SchedNanos) * 1e-9)
-}
-
-// Sim is a single fabric simulation. Build with New, execute with Run.
+// Sim is a single fabric simulation. Build with New, execute with Run. It
+// drives one cell spanning every host and keeps what only the centralized
+// engine has: the generator feed, fault boundaries, checkpoints,
+// streaming windows, and the watchdog.
 type Sim struct {
+	cell
 	cfg    Config
-	table  *flow.Table
-	now    float64
 	nextID flow.ID
 
-	decision []*flow.Flow
-	byteRate float64 // bytes/s per selected flow at full link rate
-
-	// nextCompletion caches the absolute time the earliest transmitting
-	// flow finishes (+Inf: none will on its own). advanceTo refreshes it
-	// during its drain pass and reschedule after each new decision, so the
-	// event loop reads it instead of rescanning the decision every event.
-	nextCompletion float64
-
-	scheduler sched.Scheduler       // cfg.Scheduler, possibly wrapped
-	fallback  *sched.OutageFallback // non-nil iff faults are injected
-	// clearsDirty: the configured scheduler does not consume the table's
-	// dirty-VOQ feed, so the sim clears it after every decision to keep
-	// the dirty set from growing without bound.
-	clearsDirty bool
-
-	pendingArrival  workload.Arrival
-	hasPending      bool
-	nextSample      float64
-	res             *Result
-	drainAccumStart float64
+	pendingArrival workload.Arrival
+	hasPending     bool
+	nextSample     float64
 
 	// Checkpoint/streaming machinery. pendingTruncate defers a watchdog
 	// stop to the next event-loop top — the only place the state is
@@ -368,27 +344,11 @@ type Sim struct {
 	winCompleted0   int
 	winFCTSum0      float64
 
-	// Steady-state allocation avoidance: completed flows recycle through
-	// pool into the next arrivals, decisions are re-checked by a
-	// scratch-owning validator, and deepValidate keeps its per-port
-	// accumulators across calls. Recycling is invisible to the physics
-	// (TestFlowPoolEquivalence). poolOn is false when Faults is set: the
-	// outage fallback's held matching retains flow pointers across
-	// completions, which recycling would invalidate.
-	pool      flow.FreeList
-	poolOn    bool
-	validator sched.Validator
-	dvIngress []float64
-	dvEgress  []float64
-
-	// Instrumentation. reg is cfg.Obs's registry when tracing is on and a
-	// private registry otherwise, so the decision counters below are
-	// always live — Result.Decisions/SchedNanos are copied out of them at
-	// finish, keeping reported values identical with and without obs.
-	reg         *obs.Registry
-	cDecisions  *obs.Counter   // fabric.decisions
-	cSchedNanos *obs.Counter   // fabric.sched_nanos (wall clock)
-	hDecisionNs *obs.Histogram // fabric.decision_ns (wall clock)
+	// reg is cfg.Obs's registry when tracing is on and a private registry
+	// otherwise, so the cell's decision counters are always live —
+	// Result.Decisions/SchedNanos are copied out of them at finish,
+	// keeping reported values identical with and without obs.
+	reg *obs.Registry
 }
 
 // New validates the configuration and prepares a run.
@@ -455,34 +415,23 @@ func New(cfg Config) (*Sim, error) {
 		newFCT = func() *metrics.FCT { return metrics.NewBoundedFCT(cfg.StreamKeep) }
 	}
 	s := &Sim{
+		cell: newCell(cfg.Hosts, cfg.LinkBps/8, cfg.Scheduler, cfg.Faults, &Result{
+			FCT:        newFCT(),
+			Throughput: metrics.NewThroughput(cfg.ThroughputBucket),
+			Duration:   cfg.Duration,
+		}),
 		cfg:            cfg,
-		table:          flow.NewTable(cfg.Hosts),
 		nextID:         1,
-		byteRate:       cfg.LinkBps / 8,
-		nextCompletion: math.Inf(1),
-		scheduler:      cfg.Scheduler,
 		nextCheckpoint: cfg.CheckpointEvery,
 		nextWindow:     cfg.StreamWindow,
-		res: &Result{
-			FCT:           newFCT(),
-			Throughput:    metrics.NewThroughput(cfg.ThroughputBucket),
-			Duration:      cfg.Duration,
-			SchedulerName: cfg.Scheduler.Name(),
-		},
 	}
-	if cfg.Faults != nil {
-		// Degraded mode for scheduler outages: hold the last matching. The
-		// result carries the wrapped name ("...+hold") so fault runs are
-		// recognizable in reports.
-		s.fallback = sched.NewOutageFallback(cfg.Scheduler)
-		s.scheduler = s.fallback
-		s.res.SchedulerName = s.fallback.Name()
-	}
-	// Dirty-feed ownership (see the flow package's change-tracking
-	// contract): an index-maintaining scheduler consumes the feed itself;
-	// for everything else the sim is the consumer of record.
-	s.clearsDirty = !sched.IsDirtyConsumer(s.scheduler)
-	s.poolOn = cfg.Faults == nil
+	// Under faults the scheduler is wrapped in the outage fallback, so the
+	// result carries the wrapped name ("...+hold") and fault runs are
+	// recognizable in reports.
+	s.res.SchedulerName = s.scheduler.Name()
+	s.validate = cfg.ValidateDecisions
+	s.deepEvery = cfg.DeepValidateEvery
+	s.done = s.recordDone
 	s.reg = cfg.Obs.Registry()
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -549,8 +498,8 @@ func (s *Sim) Run() (*Result, error) {
 		if s.cfg.StreamWindow > 0 && s.nextWindow < t {
 			t = s.nextWindow
 		}
-		if ct, ok := s.nextCompletionTime(); ok && ct < t {
-			t = ct
+		if s.nextCompletion < t {
+			t = s.nextCompletion
 		}
 		faultBoundary := false
 		if s.cfg.Faults != nil {
@@ -639,7 +588,7 @@ func (s *Sim) Run() (*Result, error) {
 		}
 		if reschedule {
 			if err := s.reschedule(); err != nil {
-				return nil, err
+				return nil, s.errorf("%w", err)
 			}
 		}
 	}
@@ -735,254 +684,16 @@ func (s *Sim) admit(a workload.Arrival) error {
 	if a.Src < 0 || a.Src >= s.cfg.Hosts || a.Dst < 0 || a.Dst >= s.cfg.Hosts || a.Src == a.Dst || a.Size <= 0 {
 		return s.errorf("generator produced invalid arrival %+v", a)
 	}
-	var f *flow.Flow
-	if s.poolOn {
-		f = s.pool.Get(s.nextID, a.Src, a.Dst, a.Class, a.Size, a.Time)
-	} else {
-		f = flow.NewFlow(s.nextID, a.Src, a.Dst, a.Class, a.Size, a.Time)
-	}
+	s.add(s.nextID, a.Src, a.Dst, a.Class, a.Size, a.Time)
 	s.nextID++
-	s.table.Add(f)
-	s.res.ArrivedFlows++
-	s.res.ArrivedBytes += a.Size
 	return nil
 }
 
-// flowRate returns f's current transmission rate in bytes/s: the access-
-// link rate scaled by the worse of its two ports' surviving link
-// fractions. Rates only change at fault boundaries, which are events, so
-// a rate sampled at s.now is valid until the next event.
-func (s *Sim) flowRate(f *flow.Flow) float64 {
-	if s.cfg.Faults == nil {
-		return s.byteRate
-	}
-	frac := s.cfg.Faults.LinkRateFraction(f.Src, s.now)
-	if d := s.cfg.Faults.LinkRateFraction(f.Dst, s.now); d < frac {
-		frac = d
-	}
-	return s.byteRate * frac
-}
-
-// nextCompletionTime returns when the earliest currently transmitting flow
-// finishes, assuming the decision and fault state stay fixed. Flows on a
-// fully failed link never complete on their own; a fault boundary or a
-// new decision unblocks them. The value is the cache advanceTo and
-// reschedule maintain — the decision is never rescanned here.
-func (s *Sim) nextCompletionTime() (float64, bool) {
-	if math.IsInf(s.nextCompletion, 1) {
-		return 0, false
-	}
-	return s.nextCompletion, true
-}
-
-// advanceTo drains the transmitting flows up to time t, each at its
-// current (possibly degraded) link rate, and refreshes the next-completion
-// cache from the post-drain residuals in the same pass. Rates only change
-// at fault boundaries, and every boundary forces a reschedule (which
-// recomputes the cache), so the rates read here stay valid until the cache
-// is next consulted.
-func (s *Sim) advanceTo(t float64) {
-	if t < s.now {
-		t = s.now
-	}
-	dt := t - s.now
-	if dt > 0 && len(s.decision) > 0 {
-		var drained float64
-		minTime := math.Inf(1)
-		for _, f := range s.decision {
-			if rate := s.flowRate(f); rate > 0 {
-				drained += s.table.Drain(f, dt*rate)
-				if left := f.Remaining / rate; left < minTime {
-					minTime = left
-				}
-			}
-		}
-		if drained > 0 {
-			s.res.Throughput.AddRange(s.now, t, drained)
-			s.res.DepartedBytes += drained
-		}
-		s.nextCompletion = t + minTime
-	}
-	s.now = t
-}
-
-// completionThreshold returns the residual below which a flow counts as
-// finished. The absolute floor handles normal completions; the adaptive
-// term covers sub-byte residues whose drain time rounds to zero at large
-// timestamps (float64 has ~1e-16 relative resolution, so any remainder
-// that would take less than ~100 ULPs of `now` to drain is already
-// indistinguishable from done and would otherwise stall the event loop).
-func (s *Sim) completionThreshold() float64 {
-	adaptive := s.byteRate * s.now * 1e-14
-	if adaptive > completionEps {
-		return adaptive
-	}
-	return completionEps
-}
-
-// collectCompletions removes flows that finished by now and records FCTs.
-func (s *Sim) collectCompletions() bool {
-	if len(s.decision) == 0 {
-		return false
-	}
-	threshold := s.completionThreshold()
-	kept := s.decision[:0]
-	completed := false
-	for _, f := range s.decision {
-		if f.Remaining <= threshold {
-			// Flush the sub-threshold residue so byte conservation
-			// (arrived = departed + backlog) holds exactly.
-			if residue := s.table.Drain(f, f.Remaining); residue > 0 {
-				s.res.Throughput.AddBytes(s.now, residue)
-				s.res.DepartedBytes += residue
-			}
-			s.table.Remove(f)
-			s.res.CompletedFlows++
-			s.res.FCT.Add(f.Class, s.now-f.Arrival)
-			s.fctSum += s.now - f.Arrival
-			s.cfg.Obs.Emit(s.now, "flow.done", f.Src, s.now-f.Arrival, f.Class.String())
-			if s.poolOn {
-				// The flow is detached and dropped from the compacted
-				// decision; the scheduler's candidate index may still hold
-				// its pointer but never dereferences entries of a dirtied
-				// VOQ (Remove just dirtied this one), so recycling is safe.
-				s.pool.Put(f)
-			}
-			completed = true
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	s.decision = kept
-	return completed
-}
-
-// reschedule recomputes the scheduling decision. During an injected
-// scheduler outage the fallback wrapper serves the held matching instead
-// of consulting the unreachable scheduler (the dirty-VOQ feed then simply
-// accumulates until the scheduler's index is reachable again).
-func (s *Sim) reschedule() error {
-	if s.fallback != nil {
-		s.fallback.SetOutage(s.cfg.Faults.SchedulerDown(s.now))
-	}
-	span := obs.StartSpan(s.hDecisionNs)
-	s.decision = s.scheduler.Schedule(s.table)
-	s.cSchedNanos.Add(span.End())
-	s.cDecisions.Inc()
-	if s.clearsDirty {
-		s.table.ClearDirty()
-	}
-	// Fresh decision, fresh completion horizon, at the rates in force now.
-	minTime := math.Inf(1)
-	for _, f := range s.decision {
-		if rate := s.flowRate(f); rate > 0 {
-			if left := f.Remaining / rate; left < minTime {
-				minTime = left
-			}
-		}
-	}
-	s.nextCompletion = s.now + minTime
-	if s.cfg.ValidateDecisions {
-		if err := s.validator.ValidateDecision(s.cfg.Hosts, s.decision); err != nil {
-			return s.errorf("%w", err)
-		}
-	}
-	if k := s.cfg.DeepValidateEvery; k > 0 && s.cDecisions.Value()%k == 0 {
-		if err := s.deepValidate(); err != nil {
-			return s.errorf("%w", err)
-		}
-	}
-	return nil
-}
-
-// deepValidate recomputes every backlog aggregate from the live flows,
-// compares against the table's incremental accounting, and cross-checks
-// the scheduler's incremental candidate index (when it maintains one)
-// against a from-scratch view of the table.
-func (s *Sim) deepValidate() error {
-	n := s.cfg.Hosts
-	if cap(s.dvIngress) < n {
-		s.dvIngress = make([]float64, n)
-		s.dvEgress = make([]float64, n)
-	}
-	ingress := s.dvIngress[:n]
-	egress := s.dvEgress[:n]
-	for i := range ingress {
-		ingress[i] = 0
-		egress[i] = 0
-	}
-	var total float64
-	flows := 0
-	var err error
-	s.table.ForEachVOQ(func(q *flow.VOQ) {
-		if err != nil {
-			return
-		}
-		i, j := q.Src, q.Dst
-		var qSum float64
-		top := q.Top()
-		q.ForEachFlow(func(f *flow.Flow) {
-			if err != nil {
-				return
-			}
-			switch {
-			case !f.Attached():
-				err = fmt.Errorf("deep validate: VOQ (%d,%d) holds detached flow %d (remaining %g)",
-					i, j, f.ID, f.Remaining)
-			case f.Src != i || f.Dst != j:
-				err = fmt.Errorf("deep validate: VOQ (%d,%d) holds misfiled flow %d addressed %d->%d",
-					i, j, f.ID, f.Src, f.Dst)
-			case f.Remaining < 0:
-				err = fmt.Errorf("deep validate: VOQ (%d,%d) flow %d has negative remaining %g",
-					i, j, f.ID, f.Remaining)
-			case f.Remaining < top.Remaining:
-				err = fmt.Errorf("deep validate: VOQ (%d,%d) top is flow %d (remaining %g) but flow %d has %g",
-					i, j, top.ID, top.Remaining, f.ID, f.Remaining)
-			default:
-				qSum += f.Remaining
-				flows++
-			}
-		})
-		if err == nil && !closeEnough(qSum, q.Backlog()) {
-			err = fmt.Errorf("deep validate: VOQ (%d,%d) backlog %g, recomputed %g", i, j, q.Backlog(), qSum)
-		}
-		ingress[i] += qSum
-		egress[j] += qSum
-		total += qSum
-	})
-	if err != nil {
-		return err
-	}
-	for p := 0; p < n; p++ {
-		if !closeEnough(ingress[p], s.table.IngressBacklog(p)) {
-			return fmt.Errorf("deep validate: ingress %d backlog %g, recomputed %g", p, s.table.IngressBacklog(p), ingress[p])
-		}
-		if !closeEnough(egress[p], s.table.EgressBacklog(p)) {
-			return fmt.Errorf("deep validate: egress %d backlog %g, recomputed %g", p, s.table.EgressBacklog(p), egress[p])
-		}
-	}
-	if !closeEnough(total, s.table.TotalBacklog()) {
-		return fmt.Errorf("deep validate: total backlog %g, recomputed %g", s.table.TotalBacklog(), total)
-	}
-	if flows != s.table.NumFlows() {
-		return fmt.Errorf("deep validate: %d flows counted, table reports %d", flows, s.table.NumFlows())
-	}
-	if !closeEnough(s.res.ArrivedBytes, s.res.DepartedBytes+total) {
-		return fmt.Errorf("deep validate: conservation broken (arrived %g, departed %g, backlog %g)",
-			s.res.ArrivedBytes, s.res.DepartedBytes, total)
-	}
-	if err := sched.CheckIndex(s.scheduler, s.table); err != nil {
-		return fmt.Errorf("deep validate: %w", err)
-	}
-	return nil
-}
-
-// closeEnough compares accumulated float quantities with a relative
-// tolerance sized for long runs of incremental adds/subtracts.
-func closeEnough(a, b float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return diff <= 1e-6*scale
+// recordDone is the centralized cell's completion hook: it feeds the
+// streaming windows' FCT sum and emits flow.done as the flow leaves.
+func (s *Sim) recordDone(f *flow.Flow, fct float64) {
+	s.fctSum += fct
+	s.cfg.Obs.Emit(s.now, "flow.done", f.Src, fct, f.Class.String())
 }
 
 // sample records the queue-length series and the matching trace events.

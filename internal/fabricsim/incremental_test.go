@@ -133,8 +133,8 @@ func TestIncrementalSimEquivalenceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestSchedulingThroughputExported: runs report the wall-clock scheduling
-// cost and decision rate for the benchmark harness.
+// TestSchedulingThroughputExported: runs report the decision count and
+// the wall-clock scheduling cost the benchmark divides by.
 func TestSchedulingThroughputExported(t *testing.T) {
 	topo := topology.MustNew(topology.Scaled(2, 2))
 	res := mustRun(t, Config{
@@ -148,12 +148,6 @@ func TestSchedulingThroughputExported(t *testing.T) {
 	}
 	if res.SchedNanos <= 0 {
 		t.Fatalf("SchedNanos = %d, want > 0", res.SchedNanos)
-	}
-	if res.DecisionsPerSec() <= 0 {
-		t.Fatalf("DecisionsPerSec = %g, want > 0", res.DecisionsPerSec())
-	}
-	if (&Result{}).DecisionsPerSec() != 0 {
-		t.Fatal("empty result should report zero decision rate")
 	}
 }
 

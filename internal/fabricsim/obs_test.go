@@ -108,9 +108,6 @@ func TestCounterMigrationPreservesReportedValues(t *testing.T) {
 		if got := res.Obs.Counter("fabric.completed_flows"); got != int64(res.CompletedFlows) {
 			t.Fatalf("snapshot completed %d != result %d", got, res.CompletedFlows)
 		}
-		if res.SchedNanos > 0 && res.DecisionsPerSec() <= 0 {
-			t.Fatal("DecisionsPerSec not positive with timed decisions")
-		}
 	}
 	if sn := traced.Obs.Counter("sched.index_repairs"); sn == 0 {
 		t.Fatal("index repair count missing from snapshot")

@@ -3,7 +3,6 @@ package fabricsim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -36,13 +35,6 @@ var ErrShardUnsupported = errors.New("fabricsim: unsupported in decomposed mode"
 // clock — see the prefetch contract on shardCell.prefetch).
 const DefaultBarrierEvery = 8
 
-// DefaultRepackEvery is the default imbalance-repack period in barriers:
-// how often the worker pool re-packs cells onto workers by measured busy
-// time when ShardConfig.RepackEvery is zero. The schedule is keyed on
-// the barrier index — never on wall clock — so repacking changes which
-// goroutine runs a cell but never what the cell computes.
-const DefaultRepackEvery = 16
-
 // timeEps is the simulated-clock slack used when matching event times:
 // arrivals within timeEps of `now` are admitted at `now` (identical to
 // the centralized engine's admission slack).
@@ -63,10 +55,10 @@ const timeEps = 1e-12
 //   - Shards >= 2 runs the decomposed conservative-PDES engine: one
 //     cell per rack, cross-rack arrivals delivered after the topology's
 //     CoreHopLatency lookahead. Results are byte-identical across ALL
-//     shard counts >= 2, ALL BarrierEvery batch sizes, ALL Workers
-//     counts, and ALL RepackEvery schedules — those knobs only choose
-//     how rack cells are grouped onto worker goroutines and how often
-//     the goroutines synchronize, never the physics.
+//     shard counts >= 2, ALL BarrierEvery batch sizes, and ALL Workers
+//     counts — those knobs only choose how rack cells are grouped onto
+//     worker goroutines and how often the goroutines synchronize, never
+//     the physics.
 //
 // The two families are not byte-identical to each other: decomposition
 // replaces the fabric-global crossbar matching with per-rack matchings
@@ -117,13 +109,6 @@ type ShardConfig struct {
 	// min(Shards, racks, Workers). Wall-clock plane only. Ignored at
 	// Shards == 1.
 	Workers int
-	// RepackEvery is the imbalance-repack period in barriers: every
-	// RepackEvery barriers the pool re-packs cells onto workers by
-	// cumulative measured busy time (greedy longest-processing-time).
-	// 0 selects DefaultRepackEvery; negative disables repacking. The
-	// schedule is keyed on the barrier index, so physics are untouched.
-	// Ignored at Shards == 1.
-	RepackEvery int
 	// Obs, when non-nil, receives the run's trace. In decomposed mode
 	// per-cell events are buffered during each batch and replayed
 	// window-by-window in deterministic (time, cell, sequence) merge
@@ -152,13 +137,9 @@ type ShardConfig struct {
 	// after every decomposed barrier with the run's live position — the
 	// sharded engine's heartbeat for ops endpoints. Wall-clock plane
 	// only: results are byte-identical whether or not it is set. Ignored
-	// at Shards == 1 (use Config.OnProgress through the centralized path
-	// instead).
+	// at Shards == 1 (the centralized engine's heartbeat is
+	// Config.OnProgress, through New and Run).
 	OnWindow func(ShardProgress)
-	// OnProgress, when non-nil, is forwarded to the centralized engine's
-	// sample-tick heartbeat (Config.OnProgress). Wall-clock plane only.
-	// Ignored at Shards >= 2 (use OnWindow there).
-	OnProgress func(RunProgress)
 }
 
 // ShardProgress is the live heartbeat handed to ShardConfig.OnWindow
@@ -238,12 +219,6 @@ type ShardImbalance struct {
 	// pool's speedup at 1/SerialFraction.
 	CoordinatorNs  int64   `json:"coordinator_ns"`
 	SerialFraction float64 `json:"serial_fraction"`
-	// CellWaitFraction is the per-cell analogue (cell gap time over cell
-	// busy + gap). It charges sibling-cell serialization on a shared
-	// worker as waiting, so it approaches (cells-1)/cells on small
-	// machines regardless of scheduling efficiency — kept for continuity
-	// with the pre-batching reports (EXPERIMENTS.md E17).
-	CellWaitFraction float64 `json:"cell_wait_fraction"`
 	// SkewRatio is the maximum per-cell busy time over the mean — 1.0
 	// for a perfectly balanced fabric.
 	SkewRatio float64 `json:"skew_ratio"`
@@ -364,7 +339,6 @@ func runCentralized(cfg ShardConfig) (*Result, error) {
 		Obs:               cfg.Obs,
 		CheckpointEvery:   cfg.CheckpointEvery,
 		CheckpointSink:    cfg.CheckpointSink,
-		OnProgress:        cfg.OnProgress,
 	})
 	if err != nil {
 		return nil, err
@@ -424,32 +398,29 @@ type localArrival struct {
 	id flow.ID
 }
 
-// shardCell is one rack's private simulator: its own VOQ table (rack
-// hosts plus one core-proxy ingress port per core switch), scheduler
-// instance, workload stream, metrics, and flow pool. Cells only ever
-// touch their own state inside a batch; all cross-cell traffic moves
-// through the outbox/inbox exchange at barriers on the main goroutine.
-// Both are plain slices: the outbox is a FIFO in delivery order (the
-// stream is drawn in time order and delivery = generation + lookahead),
-// and the inbox is delivery-sorted and consumed positionally.
+// shardCell is one rack's private simulator: a cell over the rack's
+// hosts plus one core-proxy ingress port per core switch, with its own
+// scheduler instance, workload stream, metrics, and flow pool. The cell
+// is the same physics the centralized engine runs; shardCell adds the
+// rack's calendar — prefetched local arrivals, delivered cross-rack
+// messages, lookahead windows — and the buffers the barrier folds. Cells
+// only ever touch their own state inside a batch; all cross-cell traffic
+// moves through the outbox/inbox exchange at barriers on the main
+// goroutine. Both are plain slices: the outbox is a FIFO in delivery
+// order (the stream is drawn in time order and delivery = generation +
+// lookahead), and the inbox is delivery-sorted and consumed positionally.
 type shardCell struct {
+	cell
+
 	rack    int
 	base    int // global id of the rack's first host
 	hpr     int // local host ports [0, hpr)
 	uplinks int // core-proxy ingress ports [hpr, hpr+uplinks)
-	ports   int
 
-	byteRate float64
 	dur      float64
 	look     float64
 	interval float64
 	monitor  int // local monitor port, -1 unless this cell owns it
-
-	table       *flow.Table
-	scheduler   sched.Scheduler
-	clearsDirty bool
-	validator   sched.Validator
-	validate    bool
 
 	// Workload prefetch state: the cell pulls its stream eagerly up to
 	// each batch's horizon (see prefetch), queueing intra-rack arrivals
@@ -466,26 +437,13 @@ type shardCell struct {
 	inboxPos int
 	outbox   []routedMsg
 
-	decision       []*flow.Flow
-	nextCompletion float64
-	now            float64
-	nextSample     float64
+	nextSample float64
+	nextSeq    uint64 // per-rack flow counter; see cellIDShift
 
-	fct  *metrics.FCT
-	thr  *metrics.Throughput
-	pool flow.FreeList
-
-	nextSeq uint64 // per-rack flow counter; see cellIDShift
-
-	arrivedFlows   int
-	completedFlows int
-	arrivedBytes   float64
-	departedBytes  float64
-	decisions      int64
-	schedNanos     int64
-
-	traced    bool
-	remoteSrc map[flow.ID]int // proxy-admitted flow -> global source
+	// Barrier buffers: samples feed the series on every run; dones and
+	// remoteSrc (a proxy-admitted flow's global source) only on traced
+	// runs, where remoteSrc is non-nil and bufferDone is the done hook.
+	remoteSrc map[flow.ID]int
 	samples   []cellSample
 	dones     []cellDone
 	// sampleMarks/doneMarks record the cumulative samples/dones length at
@@ -496,10 +454,10 @@ type shardCell struct {
 	doneMarks   []int
 
 	// reg is the cell's private deterministic-plane registry; its
-	// snapshot survives into Result.ShardObs. The resolved instruments
-	// below keep the hot paths at one pointer-indirected add.
+	// snapshot survives into Result.ShardObs. The cell's decision
+	// counters are its cell.decisions and wall.sched_nanos; the resolved
+	// instruments below keep the hot paths at one pointer-indirected add.
 	reg            *obs.Registry
-	cDecisions     *obs.Counter
 	cMsgsSent      *obs.Counter
 	cMsgsDelivered *obs.Counter
 	cWindows       *obs.Counter
@@ -520,7 +478,7 @@ type shardCell struct {
 // errorf wraps a cell failure with replay context.
 func (c *shardCell) errorf(format string, args ...any) error {
 	return fmt.Errorf("fabricsim shard [cell=%d t=%gs decisions=%d]: %w",
-		c.rack, c.now, c.decisions, fmt.Errorf(format, args...))
+		c.rack, c.now, c.cDecisions.Value(), fmt.Errorf(format, args...))
 }
 
 // allocID mints the next flow ID for traffic generated by this rack.
@@ -587,11 +545,8 @@ func (c *shardCell) prefetch(to float64) {
 // indices; globalSrc is remembered for traced proxy flows so their
 // completion events can name the true source port.
 func (c *shardCell) addFlow(id flow.ID, src, dst int, class flow.Class, size, arrival float64, globalSrc int) {
-	f := c.pool.Get(id, src, dst, class, size, arrival)
-	c.table.Add(f)
-	c.arrivedFlows++
-	c.arrivedBytes += size
-	if c.traced && src >= c.hpr {
+	c.add(id, src, dst, class, size, arrival)
+	if c.remoteSrc != nil && src >= c.hpr {
 		c.remoteSrc[id] = globalSrc
 	}
 }
@@ -624,96 +579,16 @@ func (c *shardCell) admitRemote(rm routedMsg) {
 	c.cMsgsDelivered.Inc()
 }
 
-// advanceTo drains the transmitting flows to time t at the access-link
-// rate and refreshes the next-completion cache, exactly as the
-// centralized engine does for fault-free runs.
-func (c *shardCell) advanceTo(t float64) {
-	if t < c.now {
-		t = c.now
+// bufferDone is a traced cell's completion hook: it buffers the flow.done
+// event for the barrier replay, naming a proxy-admitted flow by its true
+// source host.
+func (c *shardCell) bufferDone(f *flow.Flow, fct float64) {
+	src := c.base + f.Src
+	if f.Src >= c.hpr {
+		src = c.remoteSrc[f.ID]
+		delete(c.remoteSrc, f.ID)
 	}
-	dt := t - c.now
-	if dt > 0 && len(c.decision) > 0 {
-		var drained float64
-		minTime := math.Inf(1)
-		for _, f := range c.decision {
-			drained += c.table.Drain(f, dt*c.byteRate)
-			if left := f.Remaining / c.byteRate; left < minTime {
-				minTime = left
-			}
-		}
-		if drained > 0 {
-			c.thr.AddRange(c.now, t, drained)
-			c.departedBytes += drained
-		}
-		c.nextCompletion = t + minTime
-	}
-	c.now = t
-}
-
-// collectCompletions removes finished flows, records FCTs, and buffers
-// trace events for barrier replay.
-func (c *shardCell) collectCompletions() bool {
-	if len(c.decision) == 0 {
-		return false
-	}
-	threshold := completionEps
-	if adaptive := c.byteRate * c.now * 1e-14; adaptive > threshold {
-		threshold = adaptive
-	}
-	kept := c.decision[:0]
-	completed := false
-	for _, f := range c.decision {
-		if f.Remaining <= threshold {
-			if residue := c.table.Drain(f, f.Remaining); residue > 0 {
-				c.thr.AddBytes(c.now, residue)
-				c.departedBytes += residue
-			}
-			c.table.Remove(f)
-			c.completedFlows++
-			fct := c.now - f.Arrival
-			c.fct.Add(f.Class, fct)
-			if c.traced {
-				src := c.base + f.Src
-				if f.Src >= c.hpr {
-					src = c.remoteSrc[f.ID]
-					delete(c.remoteSrc, f.ID)
-				}
-				c.dones = append(c.dones, cellDone{t: c.now, src: src, fct: fct, class: f.Class.String()})
-			}
-			c.pool.Put(f)
-			completed = true
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	c.decision = kept
-	return completed
-}
-
-// reschedule recomputes the cell's matching. Scheduling wall time is
-// accumulated per cell (no shared histogram: cells run concurrently,
-// and the per-decision latency histogram is machine-dependent anyway).
-func (c *shardCell) reschedule() {
-	start := time.Now()
-	c.decision = c.scheduler.Schedule(c.table)
-	c.schedNanos += time.Since(start).Nanoseconds()
-	c.decisions++
-	c.cDecisions.Inc()
-	if c.clearsDirty {
-		c.table.ClearDirty()
-	}
-	minTime := math.Inf(1)
-	for _, f := range c.decision {
-		if left := f.Remaining / c.byteRate; left < minTime {
-			minTime = left
-		}
-	}
-	c.nextCompletion = c.now + minTime
-	if c.validate {
-		if err := c.validator.ValidateDecision(c.ports, c.decision); err != nil {
-			c.err = c.errorf("%w", err)
-		}
-	}
+	c.dones = append(c.dones, cellDone{t: c.now, src: src, fct: fct, class: f.Class.String()})
 }
 
 // sample records one queue tick into the cell's window buffer. The
@@ -759,7 +634,7 @@ func (c *shardCell) runWindow(capT float64) {
 		if c.nextSample < t {
 			t = c.nextSample
 		}
-		if !math.IsInf(c.nextCompletion, 1) && c.nextCompletion < t {
+		if c.nextCompletion < t {
 			t = c.nextCompletion
 		}
 
@@ -802,8 +677,8 @@ func (c *shardCell) runWindow(capT float64) {
 			return
 		}
 		if reschedule {
-			c.reschedule()
-			if c.err != nil {
+			if err := c.reschedule(); err != nil {
+				c.err = c.errorf("%w", err)
 				return
 			}
 		}
@@ -850,13 +725,12 @@ type poolCmd struct {
 }
 
 // poolWorker is one persistent worker goroutine of the decomposed
-// engine: it owns a (repackable) set of cells and executes batch
-// commands from the coordinator. Lifetime spans the whole run — no
+// engine: it owns a contiguous rack-order span of cells and executes
+// batch commands from the coordinator. Lifetime spans the whole run — no
 // per-window goroutine churn. The stamps and accumulators are
 // wall-clock plane; the coordinator reads them between the ack and the
 // next command, which the channel handoffs order.
 type poolWorker struct {
-	id    int
 	cells []*shardCell
 	cmds  chan poolCmd
 	ack   chan struct{}
@@ -883,7 +757,6 @@ func (wk *poolWorker) exec(cmd poolCmd, origin time.Time) {
 // dispatch to the last ack.
 type shardPool struct {
 	workers []*poolWorker
-	cells   []*shardCell
 	origin  time.Time
 	inline  bool
 	batchNs int64
@@ -893,7 +766,7 @@ type shardPool struct {
 // across `workers` persistent goroutines and starts them. The grouping
 // affects wall clock only, never results.
 func newShardPool(cells []*shardCell, workers int, origin time.Time) *shardPool {
-	p := &shardPool{origin: origin, cells: cells, inline: workers <= 1}
+	p := &shardPool{origin: origin, inline: workers <= 1}
 	per := (len(cells) + workers - 1) / workers
 	for lo := 0; lo < len(cells); lo += per {
 		hi := lo + per
@@ -901,7 +774,6 @@ func newShardPool(cells []*shardCell, workers int, origin time.Time) *shardPool 
 			hi = len(cells)
 		}
 		wk := &poolWorker{
-			id:    len(p.workers),
 			cells: cells[lo:hi:hi],
 			cmds:  make(chan poolCmd),
 			ack:   make(chan struct{}),
@@ -950,51 +822,13 @@ func (p *shardPool) stop() {
 	}
 }
 
-// repack reassigns cells to workers by cumulative measured busy time:
-// greedy longest-processing-time packing (heaviest cell first onto the
-// least-loaded worker). Called between barriers on a schedule keyed on
-// the barrier index; the assignment feeds wall-clock placement only, so
-// using measured (machine-dependent) busy time is sound — results are
-// byte-identical under every packing.
-func (p *shardPool) repack() {
-	if len(p.workers) <= 1 {
-		return
-	}
-	order := make([]int, len(p.cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return p.cells[order[a]].busyNs > p.cells[order[b]].busyNs
-	})
-	loads := make([]int64, len(p.workers))
-	assign := make([][]*shardCell, len(p.workers))
-	for _, ci := range order {
-		g := 0
-		for h := 1; h < len(loads); h++ {
-			if loads[h] < loads[g] {
-				g = h
-			}
-		}
-		assign[g] = append(assign[g], p.cells[ci])
-		loads[g] += p.cells[ci].busyNs
-	}
-	for g, wk := range p.workers {
-		// Keep each worker's cells in rack order for cache-friendly
-		// iteration; membership, not order, carries the balance.
-		sort.Slice(assign[g], func(a, b int) bool { return assign[g][a].rack < assign[g][b].rack })
-		wk.cells = assign[g]
-	}
-}
-
 // runDecomposed is the Shards >= 2 family: one cell per rack advancing
 // in lockstep lookahead windows, batched BarrierEvery windows per
 // coordinator barrier, executed by a persistent worker pool. Every
 // barrier-side fold (message routing, window-by-window trace replay,
 // series and metric merges) runs on the calling goroutine in rack
 // order, so results are a pure function of the configuration —
-// independent of shard count, batch size, worker count, repack
-// schedule, and GOMAXPROCS.
+// independent of shard count, batch size, worker count, and GOMAXPROCS.
 func runDecomposed(cfg ShardConfig) (*Result, error) {
 	topo := cfg.Topology
 	tc := topo.Config()
@@ -1005,10 +839,6 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 	batch := cfg.BarrierEvery
 	if batch == 0 {
 		batch = DefaultBarrierEvery
-	}
-	repackEvery := cfg.RepackEvery
-	if repackEvery == 0 {
-		repackEvery = DefaultRepackEvery
 	}
 	workers := cfg.Workers
 	if workers == 0 {
@@ -1050,34 +880,31 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 			return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
 		}
 		c := &shardCell{
-			rack:           r,
-			base:           r * hpr,
-			hpr:            hpr,
-			uplinks:        tc.Cores,
-			ports:          hpr + tc.Cores,
-			byteRate:       topo.HostLinkBps() / 8,
-			dur:            cfg.Duration,
-			look:           look,
-			interval:       cfg.SampleInterval,
-			monitor:        -1,
-			table:          flow.NewTable(hpr + tc.Cores),
-			scheduler:      scheduler,
-			clearsDirty:    !sched.IsDirtyConsumer(scheduler),
-			validate:       cfg.ValidateDecisions,
-			gen:            gen,
-			nextCompletion: math.Inf(1),
-			fct:            metrics.NewFCT(),
-			thr:            metrics.NewThroughput(cfg.ThroughputBucket),
-			traced:         cfg.Obs != nil,
+			cell: newCell(hpr+tc.Cores, topo.HostLinkBps()/8, scheduler, nil, &Result{
+				FCT:        metrics.NewFCT(),
+				Throughput: metrics.NewThroughput(cfg.ThroughputBucket),
+			}),
+			rack:     r,
+			base:     r * hpr,
+			hpr:      hpr,
+			uplinks:  tc.Cores,
+			dur:      cfg.Duration,
+			look:     look,
+			interval: cfg.SampleInterval,
+			monitor:  -1,
+			gen:      gen,
 		}
+		c.validate = cfg.ValidateDecisions
 		if cfg.MonitorPort/hpr == r {
 			c.monitor = cfg.MonitorPort % hpr
 		}
-		if c.traced {
+		if cfg.Obs != nil {
 			c.remoteSrc = make(map[flow.ID]int)
+			c.done = c.bufferDone
 		}
 		c.reg = obs.NewRegistry()
 		c.cDecisions = c.reg.Counter("cell.decisions")
+		c.cSchedNanos = c.reg.Counter("wall.sched_nanos")
 		c.cMsgsSent = c.reg.Counter("cell.msgs_sent")
 		c.cMsgsDelivered = c.reg.Counter("cell.msgs_delivered")
 		c.cWindows = c.reg.Counter("cell.windows")
@@ -1103,9 +930,6 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 	w, windows, barriers := 0, 0, 0
 	loopStart := time.Now()
 	for b := 0; ; b++ {
-		if repackEvery > 0 && b > 0 && b%repackEvery == 0 {
-			pool.repack()
-		}
 		capTs = capTs[:0]
 		for j := 0; j < batch; j++ {
 			capT := float64(w+j+1) * look
@@ -1167,9 +991,9 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 				CellWaitNs: make([]int64, numCells),
 			}
 			for i, c := range cells {
-				p.Decisions += c.decisions
-				p.ArrivedFlows += c.arrivedFlows
-				p.CompletedFlows += c.completedFlows
+				p.Decisions += c.cDecisions.Value()
+				p.ArrivedFlows += c.res.ArrivedFlows
+				p.CompletedFlows += c.res.CompletedFlows
 				p.CellBusyNs[i] = c.busyNs
 				p.CellWaitNs[i] = c.barrierWaitNs
 			}
@@ -1397,16 +1221,16 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	var repairs, rebuilds, poolReuses int64
 	var poolSize, highWater int
 	for _, c := range cells {
-		res.FCT.Merge(c.fct)
-		res.Throughput.Merge(c.thr)
-		res.ArrivedFlows += c.arrivedFlows
-		res.CompletedFlows += c.completedFlows
-		res.ArrivedBytes += c.arrivedBytes
-		res.DepartedBytes += c.departedBytes
+		res.FCT.Merge(c.res.FCT)
+		res.Throughput.Merge(c.res.Throughput)
+		res.ArrivedFlows += c.res.ArrivedFlows
+		res.CompletedFlows += c.res.CompletedFlows
+		res.ArrivedBytes += c.res.ArrivedBytes
+		res.DepartedBytes += c.res.DepartedBytes
 		res.LeftoverBytes += c.table.TotalBacklog()
 		res.LeftoverFlows += c.table.NumFlows()
-		res.Decisions += c.decisions
-		res.SchedNanos += c.schedNanos
+		res.Decisions += c.cDecisions.Value()
+		res.SchedNanos += c.cSchedNanos.Value()
 		ist := sched.IndexStatsOf(c.scheduler)
 		repairs += ist.Repairs
 		rebuilds += ist.Rebuilds
@@ -1450,7 +1274,6 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 		c.reg.Gauge("cell.eventq_high_water").Set(float64(c.gen.QueueHighWater()))
 		c.reg.Counter("wall.busy_ns").Add(c.busyNs)
 		c.reg.Counter("wall.barrier_wait_ns").Add(c.barrierWaitNs)
-		c.reg.Counter("wall.sched_nanos").Add(c.schedNanos)
 		res.ShardObs = append(res.ShardObs, c.reg.Snapshot())
 		im.BusyNs[i] = c.busyNs
 		im.BarrierWaitNs[i] = c.barrierWaitNs
@@ -1473,9 +1296,6 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	}
 	if workerBusy+workerWait > 0 {
 		im.BarrierWaitFraction = float64(workerWait) / float64(workerBusy+workerWait)
-	}
-	if totalBusy+totalWait > 0 {
-		im.CellWaitFraction = float64(totalWait) / float64(totalBusy+totalWait)
 	}
 	if totalBusy > 0 {
 		im.SkewRatio = float64(maxBusy) / (float64(totalBusy) / float64(len(cells)))

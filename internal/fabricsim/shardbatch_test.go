@@ -110,10 +110,9 @@ func TestRunShardBatchInvarianceDegraded(t *testing.T) {
 	}
 }
 
-// TestRunShardWorkerPoolDeterminism pins the pool and repack knobs as
-// pure wall-clock controls: every worker count and every repack
-// schedule (dense, sparse, disabled) produces the identical digest, and
-// the pool shape lands in the imbalance report.
+// TestRunShardWorkerPoolDeterminism pins the worker count as a pure
+// wall-clock control: every worker count produces the identical digest,
+// and the pool shape lands in the imbalance report.
 func TestRunShardWorkerPoolDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
@@ -124,39 +123,36 @@ func TestRunShardWorkerPoolDeterminism(t *testing.T) {
 		Duration:  0.003,
 		Seed:      19,
 		Shards:    6,
-		// BarrierEvery 1 maximizes barrier count so repack schedules with
-		// different periods genuinely fire different numbers of times.
+		// BarrierEvery 1 maximizes the barrier count, so every pool shape
+		// synchronizes as often as the engine allows.
 		BarrierEvery: 1,
 	}
 	var want string
-	type arm struct{ workers, repack int }
-	arms := []arm{{1, 1}, {2, 1}, {3, 2}, {6, 1}, {2, -1}, {0, 0}}
-	for i, a := range arms {
+	for i, workers := range []int{1, 2, 3, 6, 0} {
 		cfg := base
-		cfg.Workers = a.workers
-		cfg.RepackEvery = a.repack
+		cfg.Workers = workers
 		res, err := RunShard(cfg)
 		if err != nil {
-			t.Fatalf("workers=%d repack=%d: %v", a.workers, a.repack, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		// The pool partitions the 6 cells into contiguous ceil-sized spans,
 		// so the realized worker count is ceil(cells/ceil(cells/requested)).
-		requested := a.workers
+		requested := workers
 		if requested == 0 {
 			requested = 4 // GOMAXPROCS
 		}
 		per := (6 + requested - 1) / requested
 		wantWorkers := (6 + per - 1) / per
 		if res.Imbalance.Workers != wantWorkers {
-			t.Fatalf("workers=%d repack=%d: pool size %d, want %d",
-				a.workers, a.repack, res.Imbalance.Workers, wantWorkers)
+			t.Fatalf("workers=%d: pool size %d, want %d",
+				workers, res.Imbalance.Workers, wantWorkers)
 		}
 		if i == 0 {
 			want = res.DeterministicDigest()
 			continue
 		}
 		if got := res.DeterministicDigest(); got != want {
-			t.Fatalf("workers=%d repack=%d digest %s, want %s", a.workers, a.repack, got, want)
+			t.Fatalf("workers=%d digest %s, want %s", workers, got, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"basrpt/internal/obs"
+	"basrpt/internal/sched"
 	"basrpt/internal/topology"
 )
 
@@ -217,9 +218,6 @@ func TestShardImbalanceReport(t *testing.T) {
 	if im.BarrierWaitFraction < 0 || im.BarrierWaitFraction > 1 {
 		t.Fatalf("barrier-wait fraction %g outside [0,1]", im.BarrierWaitFraction)
 	}
-	if im.CellWaitFraction < 0 || im.CellWaitFraction > 1 {
-		t.Fatalf("cell-wait fraction %g outside [0,1]", im.CellWaitFraction)
-	}
 	sumSlowest := 0
 	for i := range im.SlowestBarriers {
 		sumSlowest += im.SlowestBarriers[i]
@@ -315,36 +313,33 @@ func TestShardOnWindowHeartbeat(t *testing.T) {
 }
 
 // TestCentralizedOnProgressHeartbeat checks the centralized engine's
-// sample-tick heartbeat and that enabling it changes nothing
-// deterministic.
+// sample-tick heartbeat (Config.OnProgress through New and Run) and that
+// enabling it changes nothing deterministic.
 func TestCentralizedOnProgressHeartbeat(t *testing.T) {
 	topo, err := topology.New(topology.Scaled(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ShardConfig{
-		Topology: topo, Scheduler: "fast-basrpt", Load: 0.7,
-		Duration: 0.05, Seed: 7, Shards: 1,
+	const dur = 0.05
+	run := func(onProgress func(RunProgress)) *Result {
+		scheduler, err := sched.New("fast-basrpt", sched.Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustRun(t, Config{
+			Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(), Scheduler: scheduler,
+			Generator: mixedGen(t, topo, 0.7, dur, 7),
+			Duration:  dur, Seed: 7, OnProgress: onProgress,
+		})
 	}
-	plain, err := RunShard(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The heartbeat rides ShardConfig.OnProgress through the centralized
-	// construction path.
+	plain := run(nil)
 	var beats []RunProgress
-	cfg := base
-	cfg.OnProgress = func(p RunProgress) { beats = append(beats, p) }
-	res2, err := RunShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := run(func(p RunProgress) { beats = append(beats, p) })
 	if len(beats) == 0 {
 		t.Fatal("no heartbeats at sample ticks")
 	}
 	for i, b := range beats {
-		if b.Duration != base.Duration {
+		if b.Duration != dur {
 			t.Fatalf("beat %d duration %g", i, b.Duration)
 		}
 		if i > 0 && b.SimTime < beats[i-1].SimTime {
