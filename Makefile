@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke trace-smoke ops-smoke soak cover experiments stability fuzz scenarios doccheck clean
+.PHONY: all build test race vet bench trace-smoke ops-smoke soak cover experiments stability fuzz scenarios doccheck clean
 
 all: build test
 
@@ -25,13 +25,6 @@ vet:
 # `go test -bench . -benchmem ./...`.
 bench:
 	bash bench/run.sh
-
-# Quick regression check of the multi-seed worker pool: a small Table I
-# aggregate plus a serial rerun, emitting runs/sec and speedup to
-# BENCH_runner.json (uploaded as a CI artifact).
-bench-smoke:
-	$(GO) run ./cmd/basrptbench -exp table1 -scale small -duration 0.5 \
-		-seeds 4 -parallel 4 -benchjson BENCH_runner.json
 
 # Trace-export smoke check: two fixed-seed traced runs must produce
 # byte-identical JSONL (the determinism contract CI also enforces).
@@ -60,13 +53,22 @@ soak:
 cover:
 	$(GO) test -cover ./...
 
-# Regenerate every paper table/figure at the default (medium) scale.
+# Print the theory experiments (Figure 1, Theorem 1, DTMC, the exact-vs-
+# fast ablation, the distributed emulation). The fabric experiments are
+# the scenario specs: `make scenarios`.
 experiments:
-	$(GO) run ./cmd/basrptbench -exp all -scale medium
+	$(GO) run ./cmd/basrptbench -exp all
 
-# The long-horizon stability showcase (several minutes of wall time).
+# The long-horizon stability showcase behind Figures 2 and 5(b): SRPT vs
+# fast BASRPT at 92% load with a 30% query share for 120 simulated
+# seconds (about 4 minutes of wall time per arm). Each arm writes its
+# time series to stability_out/<arm>_{queue,maxport,total_backlog,throughput}.csv.
 stability:
-	$(GO) run ./cmd/basrptbench -exp stability -racks 2 -hosts 6 -duration 120 -csvdir results
+	mkdir -p stability_out
+	$(GO) run ./cmd/basrptsim -scheduler srpt -load 0.92 -queryfrac 0.3 -racks 2 -hosts 6 \
+		-duration 120 -series stability_out/srpt
+	$(GO) run ./cmd/basrptsim -scheduler fast-basrpt -load 0.92 -queryfrac 0.3 -racks 2 -hosts 6 \
+		-duration 120 -series stability_out/fast
 
 # Scenario-library regression gate: rerun every spec under scenarios/ and
 # byte-compare the regenerated findings.json + FINDINGS.md against the
@@ -98,5 +100,5 @@ clean:
 	rm -rf internal/matching/testdata internal/stats/testdata internal/faults/testdata \
 		internal/trace/testdata internal/checkpoint/testdata internal/scenario/testdata \
 		internal/fabricsim/testdata \
-		soak_out scenario_out ops_smoke_out
-	rm -f BENCH_runner.json trace_smoke_a.jsonl trace_smoke_b.jsonl
+		soak_out scenario_out ops_smoke_out stability_out
+	rm -f trace_smoke_a.jsonl trace_smoke_b.jsonl

@@ -3,8 +3,9 @@
 // BASRPT and fast BASRPT scheduling disciplines, the SRPT/MaxWeight/FIFO
 // baselines, a continuous-time flow-level data-center fabric simulator, a
 // slotted input-queued switch model, the paper's query+background traffic
-// generator, and runners that regenerate every table and figure of the
-// paper's evaluation.
+// generator, and the theory-experiment runners. The fabric experiments of
+// the paper's evaluation are scenario specs under scenarios/, run by
+// cmd/basrptexp.
 //
 // This root package is the public API: it re-exports the curated surface
 // of the internal packages. Quick start:
@@ -41,7 +42,6 @@ import (
 	"basrpt/internal/metrics"
 	"basrpt/internal/obs"
 	"basrpt/internal/ops"
-	"basrpt/internal/runner"
 	"basrpt/internal/sched"
 	"basrpt/internal/stats"
 	"basrpt/internal/switchsim"
@@ -290,20 +290,11 @@ type (
 	Series = metrics.Series
 )
 
-// Experiments (the paper's tables and figures; see DESIGN.md §3).
+// Theory experiments (the slotted-switch, DTMC and decision-level results;
+// the fabric experiments are scenario specs — see DESIGN.md §3).
 type (
-	// Scale selects experiment fidelity (paper scale vs reduced).
-	Scale = core.Scale
 	// Fig1Result is the 3-flow instability example.
 	Fig1Result = core.Fig1Result
-	// Fig2Result is the queue-length motivation experiment.
-	Fig2Result = core.Fig2Result
-	// SaturationResult backs Table I and Figure 5.
-	SaturationResult = core.SaturationResult
-	// Fig6Result is the load sweep.
-	Fig6Result = core.Fig6Result
-	// VSweepResult backs Figures 7 and 8.
-	VSweepResult = core.VSweepResult
 	// TheoremResult validates Theorem 1 on the slotted switch.
 	TheoremResult = core.TheoremResult
 	// DTMCResult is the tiny-switch stationary analysis.
@@ -313,15 +304,13 @@ type (
 	// DistributedResult measures the request/grant emulation of fast
 	// BASRPT against the centralized decisions.
 	DistributedResult = core.DistributedResult
-	// NoiseResult sweeps flow-size estimation error.
-	NoiseResult = core.NoiseResult
-	// IncastResult compares schedulers under the partition/aggregate
-	// pattern.
-	IncastResult = core.IncastResult
-	// FaultsResult compares SRPT and fast BASRPT under identical injected
-	// fault schedules.
-	FaultsResult = core.FaultsResult
+	// Run is the run context the theory experiment entry points take:
+	// the seed of the experiment's primary random stream.
+	Run = core.Run
 )
+
+// SeedRun wraps a bare primary seed in a Run context.
+func SeedRun(seed uint64) Run { return core.SeedRun(seed) }
 
 // Observability (see internal/obs): a deterministic instrumentation
 // registry plus a sim-time event tracer with a flight-recorder ring. A nil
@@ -395,52 +384,6 @@ func NewTraceContinuationWriter(w io.Writer) *TraceWriter {
 // line alongside the error.
 func ReadTrace(r io.Reader) (TraceHeader, []ObsEvent, error) { return trace.ReadTrace(r) }
 
-// Multi-seed experiment running (see internal/runner).
-type (
-	// Run is the run context the non-fabric experiment entry points take:
-	// the primary seed plus auxiliary seeds derived from it.
-	Run = core.Run
-	// MultiConfig shapes a multi-seed run: replicate count, worker count,
-	// and the root seed the per-replicate seeds derive from.
-	MultiConfig = runner.Config
-	// MultiAggregate carries per-metric mean, stddev, and 95% confidence
-	// intervals across the replicates.
-	MultiAggregate = runner.Aggregate
-	// MultiTask is one independently repeatable simulation unit.
-	MultiTask = runner.Task
-	// MultiSample is the named metric values one task run produced.
-	MultiSample = runner.Sample
-	// MultiProgress is one lifecycle notification from the multi-seed
-	// runner (MultiConfig.OnProgress): unit identity, phase, and overall
-	// completion count.
-	MultiProgress = runner.Progress
-	// MultiPhase labels where a unit is in its lifecycle (start, resume,
-	// done, failed).
-	MultiPhase = runner.Phase
-)
-
-// SeedRun wraps a bare primary seed in a Run context.
-func SeedRun(seed uint64) Run { return core.SeedRun(seed) }
-
-// RunMulti executes the named experiment (any -exp id except the
-// long-horizon stability showcase) across cfg.Seeds independent seeds on
-// up to cfg.Parallel workers, aggregating every headline metric with a
-// 95% confidence interval. The aggregate is byte-identical regardless of
-// worker count.
-func RunMulti(exp string, scale Scale, v float64, cfg MultiConfig) (*MultiAggregate, error) {
-	return core.RunMulti(exp, scale, v, cfg)
-}
-
-// RunTasks fans caller-supplied tasks across the worker pool — the
-// generic form of RunMulti for custom experiments.
-func RunTasks(cfg MultiConfig, tasks []MultiTask) (*MultiAggregate, error) {
-	return runner.Run(cfg, tasks)
-}
-
-// DeriveSeed maps (root, stream) to the deterministic per-replicate seed
-// the multi-seed runner uses.
-func DeriveSeed(root uint64, stream int) uint64 { return runner.DeriveSeed(root, stream) }
-
 // Live ops endpoint (see internal/ops): the wall-clock plane's network
 // face — Prometheus /metrics, /progress JSON, and pprof over a plain
 // HTTP listener. Publish-only: the simulation pushes copies in, nothing
@@ -466,13 +409,6 @@ type (
 // it when the run finishes.
 func NewOpsServer(addr string) (*OpsServer, error) { return ops.NewServer(addr) }
 
-// Predefined experiment scales.
-var (
-	ScaleSmall  = core.ScaleSmall
-	ScaleMedium = core.ScaleMedium
-	ScalePaper  = core.ScalePaper
-)
-
 // DefaultV is the paper's demonstration tradeoff weight (2500).
 const DefaultV = core.DefaultV
 
@@ -483,65 +419,11 @@ const GrowthThreshold = core.GrowthThreshold
 // RunFig1 reproduces Figure 1.
 func RunFig1() (*Fig1Result, error) { return core.RunFig1() }
 
-// RunFig2 reproduces Figure 2 (threshold <= 0 selects the default).
-func RunFig2(scale Scale, threshold float64) (*Fig2Result, error) {
-	return core.RunFig2(scale, threshold)
-}
-
-// RunSaturation reproduces the near-capacity run behind Table I and
-// Figure 5 (v <= 0 selects DefaultV).
-func RunSaturation(scale Scale, v float64) (*SaturationResult, error) {
-	return core.RunSaturation(scale, v)
-}
-
-// RunLoadPair runs SRPT and fast BASRPT head-to-head on an identical
-// arrival stream at an arbitrary load.
-func RunLoadPair(scale Scale, v, load float64) (*SaturationResult, error) {
-	return core.RunLoadPair(scale, v, load)
-}
-
-// RunStability is the reduced-scale stability showcase behind Figures 2
-// and 5(b): SRPT's queue grows while fast BASRPT's stabilizes. Use
-// horizons of 40+ simulated seconds.
-func RunStability(scale Scale, v float64) (*SaturationResult, error) {
-	return core.RunStability(scale, v)
-}
-
 // RunDistributed measures how closely the request/grant distributed
 // emulation of fast BASRPT tracks the centralized decisions per
 // arbitration-round budget.
 func RunDistributed(n, trials int, v float64, rounds []int, run Run) (*DistributedResult, error) {
 	return core.RunDistributed(n, trials, v, rounds, run)
-}
-
-// RunNoise sweeps flow-size estimation error levels for fast BASRPT.
-func RunNoise(scale Scale, v, load float64, levels []float64) (*NoiseResult, error) {
-	return core.RunNoise(scale, v, load, levels)
-}
-
-// RunIncast compares SRPT and fast BASRPT under the partition/aggregate
-// (incast) pattern.
-func RunIncast(scale Scale, v float64, fanout int, jobsPerSecond, backgroundLoad float64) (*IncastResult, error) {
-	return core.RunIncast(scale, v, fanout, jobsPerSecond, backgroundLoad)
-}
-
-// RunFaults compares SRPT and fast BASRPT under byte-identical workloads
-// and fault schedules (link faults plus a scheduler outage), reporting
-// per-class FCTs and backlog recovery time. Deterministic per
-// run.FaultSeed.
-func RunFaults(scale Scale, v float64, run Run) (*FaultsResult, error) {
-	return core.RunFaults(scale, v, run)
-}
-
-// RunFig6 reproduces the Figure 6 load sweep (nil loads selects the
-// paper's 10%–80%).
-func RunFig6(scale Scale, v float64, loads []float64) (*Fig6Result, error) {
-	return core.RunFig6(scale, v, loads)
-}
-
-// RunVSweep reproduces Figures 7 and 8 (nil selects the paper's V range).
-func RunVSweep(scale Scale, vs []float64) (*VSweepResult, error) {
-	return core.RunVSweep(scale, vs)
 }
 
 // RunTheorem1 validates Theorem 1 on an n-port slotted switch.

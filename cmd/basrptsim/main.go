@@ -4,6 +4,7 @@
 //	basrptsim -scheduler fast-basrpt -v 2500 -load 0.95 -racks 4 -hosts 6 -duration 5
 //	basrptsim -scheduler srpt -load 0.6 -json
 //	basrptsim -scheduler srpt -load 0.8 -faults -faultseed 7   # inject link faults + a scheduler outage
+//	basrptsim -scheduler srpt -load 0.95 -series /tmp/srpt      # also write /tmp/srpt_{queue,maxport,total_backlog,throughput}.csv
 //	basrptsim -shards 4 -racks 344 -hosts 12 -duration 0.002 -timeline tl.json -ops 127.0.0.1:9090
 package main
 
@@ -80,6 +81,7 @@ func run(args []string, w io.Writer) error {
 		inject    = fs.Bool("faults", false, "inject a deterministic fault schedule (link faults + a scheduler outage)")
 		faultSeed = fs.Uint64("faultseed", 1, "seed of the injected fault schedule")
 		jsonOut   = fs.Bool("json", false, "emit a JSON summary instead of text")
+		series    = fs.String("series", "", "also write the run's time series as PREFIX_{queue,maxport,total_backlog,throughput}.csv (centralized engine only)")
 		tracePath = fs.String("trace", "", "write a schema-versioned JSONL event trace to this file (byte-identical across fixed-seed runs)")
 		traceWall = fs.Bool("tracewall", false, "stamp wall-clock nanos into trace events (breaks byte-identity across runs)")
 		ckptPath  = fs.String("checkpoint", "", "persist periodic checkpoints to this file (atomic replace; also receives the watchdog's truncation checkpoint)")
@@ -121,6 +123,7 @@ func run(args []string, w io.Writer) error {
 			"-checkpoint": *ckptPath != "",
 			"-resume":     *resumeIn != "",
 			"-window":     *window != 0,
+			"-series":     *series != "",
 		} {
 			if set {
 				return fmt.Errorf("%s is not supported with -shards (the decomposed engine runs the mixed workload end to end)", flagName)
@@ -280,6 +283,11 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("close trace: %w", err)
 		}
 	}
+	if *series != "" {
+		if err := writeSeries(*series, res); err != nil {
+			return err
+		}
+	}
 
 	q := res.FCT.Stats(basrpt.ClassQuery)
 	bg := res.FCT.Stats(basrpt.ClassBackground)
@@ -335,6 +343,9 @@ func run(args []string, w io.Writer) error {
 	if traceWriter != nil {
 		tbl.AddRow("trace", fmt.Sprintf("%d events -> %s", traceWriter.Events(), *tracePath))
 	}
+	if *series != "" {
+		tbl.AddRow("series", *series+"_{queue,maxport,total_backlog,throughput}.csv")
+	}
 	if d := out.Diagnosis; d != nil && len(d.Checkpoint) > 0 && *ckptPath != "" {
 		tbl.AddRow("checkpoint", fmt.Sprintf("%d bytes -> %s (resume with -resume %s)", len(d.Checkpoint), *ckptPath, *ckptPath))
 	}
@@ -342,6 +353,37 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprint(w, tbl.Render())
 	fmt.Fprintln(w)
 	fmt.Fprint(w, trace.Chart("max-port backlog (bytes)", &res.MaxPortSeries, 60, 8))
+	return nil
+}
+
+// writeSeries writes the run's time series as PREFIX_<name>.csv, one
+// (time, value) file each: the monitored port's backlog, the max-port
+// backlog behind the Figure 2/5(b) queue charts, the fabric's total
+// backlog, and the global throughput.
+func writeSeries(prefix string, res *basrpt.FabricResult) error {
+	tput := res.Throughput.SeriesGbps()
+	for _, e := range []struct {
+		name, header string
+		series       *basrpt.Series
+	}{
+		{"queue", "monitored_port_backlog_bytes", &res.QueueSeries},
+		{"maxport", "maxport_backlog_bytes", &res.MaxPortSeries},
+		{"total_backlog", "total_backlog_bytes", &res.TotalBacklogSeries},
+		{"throughput", "throughput_gbps", &tput},
+	} {
+		path := prefix + "_" + e.name + ".csv"
+		f, err := os.Create(path)
+		if err != nil {
+			return fmt.Errorf("series: %w", err)
+		}
+		writeErr := trace.WriteSeriesCSV(f, e.header, e.series)
+		if err := f.Close(); writeErr == nil {
+			writeErr = err
+		}
+		if writeErr != nil {
+			return fmt.Errorf("series: write %s: %w", path, writeErr)
+		}
+	}
 	return nil
 }
 

@@ -64,6 +64,21 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// TestRunSeriesRejectsBadArgs: -series fails on a prefix it cannot write
+// and, like -faults, with the decomposed engine.
+func TestRunSeriesRejectsBadArgs(t *testing.T) {
+	cases := [][]string{
+		{"-series", "/nonexistent-dir/xx", "-racks", "2", "-hosts", "2", "-load", "0.4"},
+		{"-series", "out", "-shards", "2", "-racks", "2", "-hosts", "2"},
+	}
+	for _, args := range cases {
+		var buf bytes.Buffer
+		if err := run(append(args, "-duration", "0.1"), &buf); err == nil {
+			t.Fatalf("args %v accepted", args)
+		}
+	}
+}
+
 // TestRunRejectsCentralizedShardSpelling: the centralized engine has one
 // spelling, the default -shards 0. -shards 1 and negative counts fail
 // with an error naming both valid forms.
@@ -82,6 +97,33 @@ func TestRunRejectsCentralizedShardSpelling(t *testing.T) {
 	}
 }
 
+// TestRunToFiles: -series writes the four time series, each a CSV with a
+// time column, next to the normal text output.
+func TestRunToFiles(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "run")
+	var buf bytes.Buffer
+	err := run([]string{
+		"-scheduler", "fast-basrpt", "-racks", "2", "-hosts", "3",
+		"-duration", "0.3", "-load", "0.6", "-series", prefix,
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, suffix := range []string{"queue", "maxport", "total_backlog", "throughput"} {
+		path := prefix + "_" + suffix + ".csv"
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing export %s: %v", path, err)
+		}
+		if lines := strings.Count(string(data), "\n"); !strings.HasPrefix(string(data), "time,") || lines < 2 {
+			t.Fatalf("%s: want a time header and samples, got %d lines", path, lines)
+		}
+	}
+	if !strings.Contains(buf.String(), prefix+"_{queue,maxport,total_backlog,throughput}.csv") {
+		t.Fatalf("text output does not name the series files:\n%s", buf.String())
+	}
+}
+
 func TestRunAllRegistrySchedulers(t *testing.T) {
 	for _, name := range []string{"srpt", "fast-basrpt", "maxweight", "fifo", "threshold", "random"} {
 		var buf bytes.Buffer
@@ -95,7 +137,7 @@ func TestRunAllRegistrySchedulers(t *testing.T) {
 	}
 }
 
-func TestRunIncastWorkload(t *testing.T) {
+func TestRunWithIncastWorkload(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
 		"-workload", "incast", "-racks", "2", "-hosts", "3",

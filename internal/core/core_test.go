@@ -17,65 +17,20 @@ func TestScaleDefaults(t *testing.T) {
 	if s.WarmupFraction <= 0 || s.WarmupFraction >= 1 {
 		t.Fatalf("warmup fraction = %g", s.WarmupFraction)
 	}
-	if got := ScaleSmall.String(); !strings.Contains(got, "8 hosts") {
-		t.Fatalf("ScaleSmall.String() = %q", got)
-	}
-}
-
-func TestScaleValidate(t *testing.T) {
-	good := Scale{Racks: 2, HostsPerRack: 4, Duration: 1}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid scale rejected: %v", err)
-	}
-	bad := []Scale{
-		{Racks: 0, HostsPerRack: 4, Duration: 1},
-		{Racks: -4, HostsPerRack: 4, Duration: 1},
-		{Racks: 2, HostsPerRack: 0, Duration: 1},
-		{Racks: 2, HostsPerRack: -1, Duration: 1},
-		{Racks: 2, HostsPerRack: 4, Duration: 0},
-		{Racks: 2, HostsPerRack: 4, Duration: 1, WarmupFraction: 1},
-		{Racks: 2, HostsPerRack: 4, Duration: 1, WarmupFraction: -0.1},
-	}
-	for i, s := range bad {
-		err := s.Validate()
-		if err == nil {
-			t.Fatalf("scale %d accepted: %+v", i, s)
-		}
-		if !errors.Is(err, ErrScale) {
-			t.Fatalf("scale %d: error %v is not ErrScale", i, err)
-		}
-	}
-}
-
-func TestScaleHosts(t *testing.T) {
-	if got := ScalePaper.Hosts(); got != 144 {
-		t.Fatalf("ScalePaper.Hosts() = %d, want 144", got)
-	}
-	// Zero dimensions resolve through withDefaults, matching what the
-	// runners simulate for a zero-value Scale.
-	var zero Scale
-	want := ScaleMedium.Racks * ScaleMedium.HostsPerRack
-	if got := zero.Hosts(); got != want {
-		t.Fatalf("zero Scale.Hosts() = %d, want %d", got, want)
-	}
-	if got := (Scale{Racks: 344, HostsPerRack: 12}).Hosts(); got != 4128 {
-		t.Fatalf("Hosts() = %d, want 4128", got)
-	}
 }
 
 func TestScaleTopologyTypedErrors(t *testing.T) {
-	if _, err := (Scale{Racks: -1, HostsPerRack: 4}).Topology(); !errors.Is(err, ErrScale) {
-		t.Fatalf("negative racks: %v, want ErrScale", err)
-	}
-	// Zero dims reach the topology layer and fail there with its typed
-	// dimension error rather than silently defaulting.
-	if _, err := (Scale{}).Topology(); !errors.Is(err, topology.ErrDimension) {
-		t.Fatalf("zero dims: %v, want topology.ErrDimension", err)
+	// Negative and zero dims reach the topology layer and fail there with
+	// its typed dimension error rather than silently defaulting.
+	for _, s := range []Scale{{Racks: -1, HostsPerRack: 4}, {Racks: 2, HostsPerRack: -3}, {}} {
+		if _, err := s.Topology(); !errors.Is(err, topology.ErrDimension) {
+			t.Fatalf("%+v: %v, want topology.ErrDimension", s, err)
+		}
 	}
 }
 
 func TestScaleTopology(t *testing.T) {
-	topo, err := ScalePaper.Topology()
+	topo, err := Scale{Racks: 12, HostsPerRack: 12}.Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,104 +68,6 @@ func TestRunFig1MatchesPaper(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRunFig2SmallScale(t *testing.T) {
-	res, err := RunFig2(ScaleSmall, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Threshold != 5e6 {
-		t.Fatalf("default threshold = %g", res.Threshold)
-	}
-	if res.SRPT.CompletedFlows == 0 || res.Backlog.CompletedFlows == 0 {
-		t.Fatal("no completions")
-	}
-	out := res.Render()
-	if !strings.Contains(out, "Figure 2") || !strings.Contains(out, "verdict") {
-		t.Fatalf("render = %q", out)
-	}
-}
-
-func TestRunSaturationSmallScale(t *testing.T) {
-	res, err := RunSaturation(ScaleSmall, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.V != DefaultV {
-		t.Fatalf("default V = %g", res.V)
-	}
-	// The headline effect at any scale: fast BASRPT leaves no more backlog
-	// and moves at least as many bytes.
-	if res.Fast.LeftoverBytes > res.SRPT.LeftoverBytes {
-		t.Fatalf("fast leftover %g > srpt %g", res.Fast.LeftoverBytes, res.SRPT.LeftoverBytes)
-	}
-	if res.Fast.DepartedBytes < res.SRPT.DepartedBytes {
-		t.Fatalf("fast departed %g < srpt %g", res.Fast.DepartedBytes, res.SRPT.DepartedBytes)
-	}
-	t1 := res.RenderTable1()
-	if !strings.Contains(t1, "TABLE I") || !strings.Contains(t1, "fast-basrpt") {
-		t.Fatalf("table1 render = %q", t1)
-	}
-	f5 := res.RenderFig5()
-	if !strings.Contains(f5, "Figure 5") || !strings.Contains(f5, "throughput") {
-		t.Fatalf("fig5 render = %q", f5)
-	}
-}
-
-func TestRunFig6SmallSweep(t *testing.T) {
-	res, err := RunFig6(ScaleSmall, 0, []float64{0.2, 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.SRPTQueryAvgMs <= 0 || row.FastQueryAvgMs <= 0 {
-			t.Fatalf("missing FCT data: %+v", row)
-		}
-		if row.SRPTGbps <= 0 || row.FastGbps <= 0 {
-			t.Fatalf("missing throughput: %+v", row)
-		}
-	}
-	// Throughput grows with load.
-	if res.Rows[1].SRPTGbps <= res.Rows[0].SRPTGbps {
-		t.Fatalf("throughput did not grow with load: %+v", res.Rows)
-	}
-	out := res.Render()
-	if !strings.Contains(out, "Figure 6") || !strings.Contains(out, "20%") {
-		t.Fatalf("render = %q", out)
-	}
-	if _, err := RunFig6(ScaleSmall, 0, []float64{1.5}); err == nil {
-		t.Fatal("overload accepted")
-	}
-}
-
-func TestRunVSweepSmall(t *testing.T) {
-	res, err := RunVSweep(ScaleSmall, []float64{100, 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for i, row := range res.Rows {
-		if row.Gbps <= 0 {
-			t.Fatalf("row %d missing throughput", i)
-		}
-		if res.Result(i) == nil {
-			t.Fatalf("row %d missing raw result", i)
-		}
-	}
-	f7 := res.RenderFig7()
-	f8 := res.RenderFig8()
-	if !strings.Contains(f7, "Figure 7") || !strings.Contains(f8, "Figure 8") {
-		t.Fatalf("renders = %q / %q", f7, f8)
-	}
-	if _, err := RunVSweep(ScaleSmall, []float64{-1}); err == nil {
-		t.Fatal("negative V accepted")
 	}
 }
 

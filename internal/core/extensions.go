@@ -95,80 +95,6 @@ func (r *DistributedResult) Render() string {
 		"deferred-acceptance arbitration converges to the exact centralized decision\n"
 }
 
-// NoiseRow is one estimation-error point of the noisy-size ablation (E12).
-type NoiseRow struct {
-	NoiseLevel float64
-
-	QueryAvgMs float64
-	QueryP99Ms float64
-	BgAvgMs    float64
-	Gbps       float64
-	Leftover   float64
-}
-
-// NoiseResult is experiment E12: fast BASRPT under multiplicative flow-
-// size estimation error. The paper (like pFabric/PDQ/PASE) assumes exact
-// sizes; this measures how gracefully the discipline degrades when that
-// assumption is relaxed.
-type NoiseResult struct {
-	Scale Scale
-	Load  float64
-	V     float64
-	Rows  []NoiseRow
-}
-
-// RunNoise sweeps size-estimation error levels (nil selects
-// {0, 0.25, 0.5, 1, 2}) at the given load.
-func RunNoise(scale Scale, v, load float64, levels []float64) (*NoiseResult, error) {
-	scale = scale.withDefaults()
-	if v <= 0 {
-		v = DefaultV
-	}
-	if load <= 0 || load >= 1 {
-		return nil, fmt.Errorf("noise ablation: load %g outside (0, 1)", load)
-	}
-	if len(levels) == 0 {
-		levels = []float64{0, 0.25, 0.5, 1, 2}
-	}
-	res := &NoiseResult{Scale: scale, Load: load, V: v}
-	for _, level := range levels {
-		if level < 0 {
-			return nil, fmt.Errorf("noise ablation: negative level %g", level)
-		}
-		run, err := runFabric(scale, sched.NewNoisyFastBASRPT(v, level), load)
-		if err != nil {
-			return nil, fmt.Errorf("noise ablation at %g: %w", level, err)
-		}
-		row := NoiseRow{NoiseLevel: level}
-		row.QueryAvgMs, row.QueryP99Ms = fctRow(run, flow.ClassQuery)
-		row.BgAvgMs, _ = fctRow(run, flow.ClassBackground)
-		row.Gbps = run.AverageGbps()
-		row.Leftover = run.LeftoverBytes
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Render prints the noise-level table.
-func (r *NoiseResult) Render() string {
-	tbl := trace.Table{
-		Title: fmt.Sprintf("Size-estimation noise — fast BASRPT V=%g at %.0f%% load, %s",
-			r.V, r.Load*100, r.Scale),
-		Headers: []string{"noise level", "query avg ms", "query 99 ms", "bg avg ms", "Gbps", "leftover"},
-	}
-	for _, row := range r.Rows {
-		tbl.AddRow(
-			fmt.Sprintf("±%.0f%%", row.NoiseLevel*100),
-			trace.Ms(row.QueryAvgMs), trace.Ms(row.QueryP99Ms), trace.Ms(row.BgAvgMs),
-			trace.Gbps(row.Gbps), trace.Bytes(row.Leftover),
-		)
-	}
-	return tbl.Render() +
-		"\nextension: the paper assumes exact flow sizes; bounded multiplicative error on each\n" +
-		"head flow's priority should perturb FCTs modestly while stability is unaffected\n" +
-		"(the backlog term of the key is measured, not estimated)\n"
-}
-
 // randomStates builds deterministic random backlogged tables for the
 // decision-level ablations.
 func randomStates(n, count int, seed uint64) []*flow.Table {

@@ -3,11 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"basrpt/internal/flow"
 )
-
-func flowClassQuery() flow.Class { return flow.ClassQuery }
 
 func TestRunDistributed(t *testing.T) {
 	res, err := RunDistributed(5, 60, DefaultV, nil, SeedRun(1))
@@ -49,72 +45,5 @@ func TestRunDistributedValidation(t *testing.T) {
 	}
 	if _, err := RunDistributed(4, 5, 1, []int{-2}, SeedRun(1)); err == nil {
 		t.Fatal("negative rounds accepted")
-	}
-}
-
-func TestRunNoise(t *testing.T) {
-	res, err := RunNoise(ScaleSmall, 0, 0.7, []float64{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	base := res.Rows[0]
-	noisy := res.Rows[1]
-	if base.QueryAvgMs <= 0 || noisy.QueryAvgMs <= 0 {
-		t.Fatalf("missing FCTs: %+v", res.Rows)
-	}
-	// Throughput must not collapse under ±100% estimation error: the
-	// stability machinery (backlog term) is exact.
-	if noisy.Gbps < 0.9*base.Gbps {
-		t.Fatalf("throughput collapsed under noise: %g vs %g", noisy.Gbps, base.Gbps)
-	}
-	out := res.Render()
-	if !strings.Contains(out, "Size-estimation noise") || !strings.Contains(out, "±100%") {
-		t.Fatalf("render = %q", out)
-	}
-}
-
-func TestRunNoiseValidation(t *testing.T) {
-	if _, err := RunNoise(ScaleSmall, 0, 1.5, nil); err == nil {
-		t.Fatal("overload accepted")
-	}
-	if _, err := RunNoise(ScaleSmall, 0, 0.5, []float64{-1}); err == nil {
-		t.Fatal("negative noise accepted")
-	}
-}
-
-func TestRunIncast(t *testing.T) {
-	res, err := RunIncast(ScaleSmall, 0, 4, 300, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq := res.SRPT.FCT.Stats(flowClassQuery())
-	fq := res.Fast.FCT.Stats(flowClassQuery())
-	if sq.Count == 0 || fq.Count == 0 {
-		t.Fatal("no incast responses completed")
-	}
-	out := res.Render()
-	if !strings.Contains(out, "Incast") || !strings.Contains(out, "fast-basrpt") {
-		t.Fatalf("render = %q", out)
-	}
-	// Defaults applied.
-	if res.Fanout != 4 || res.JobsPerSecond != 300 {
-		t.Fatalf("params = %+v", res)
-	}
-	d, err := RunIncast(ScaleSmall, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Fanout != 7 || d.JobsPerSecond != 400 || d.BackgroundLoad != 0.6 {
-		// ScaleSmall has 8 hosts, so the default fanout shrinks to 7.
-		t.Fatalf("defaults = %+v", d)
-	}
-}
-
-func TestRunIncastValidation(t *testing.T) {
-	if _, err := RunIncast(ScaleSmall, 0, 100, 10, 0.5); err == nil {
-		t.Fatal("oversized fanout accepted")
 	}
 }

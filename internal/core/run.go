@@ -1,18 +1,12 @@
 package core
 
-// Run is the run context threaded through the experiment entry points that
-// are not parameterized by a Scale: the primary random seed plus the
-// auxiliary seeds subsystems derive from it. Entry points take a Run
-// instead of bare seed integers so the multi-seed runner can thread one
-// value through every experiment uniformly, and so new per-subsystem seeds
-// can be added without touching every signature again.
+// Run is the run context threaded through the theory experiment entry
+// points: the random seed of the experiment's primary stream. It is a
+// struct rather than a bare integer so per-subsystem seeds can be added
+// without touching every signature again.
 type Run struct {
 	// Seed drives the experiment's primary random stream (0 selects 1).
 	Seed uint64
-	// FaultSeed drives the fault-schedule stream of resilience runs;
-	// 0 derives it from Seed, so a multi-seed sweep varies the fault
-	// schedule together with the workload unless told otherwise.
-	FaultSeed uint64
 }
 
 // SeedRun is the Run for a bare primary seed — the common case.
@@ -21,9 +15,6 @@ func SeedRun(seed uint64) Run { return Run{Seed: seed} }
 func (r Run) withDefaults() Run {
 	if r.Seed == 0 {
 		r.Seed = 1
-	}
-	if r.FaultSeed == 0 {
-		r.FaultSeed = r.Seed
 	}
 	return r
 }

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Sample is the named metric values one run of one task produced.
@@ -169,7 +168,6 @@ func Run(cfg Config, tasks []Task) (*Aggregate, error) {
 		workers = nUnits
 	}
 
-	start := time.Now()
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	var progressMu sync.Mutex
@@ -233,7 +231,6 @@ func Run(cfg Config, tasks []Task) (*Aggregate, error) {
 	}
 	close(idx)
 	wg.Wait()
-	elapsed := time.Since(start)
 
 	var errs []error
 	for _, u := range units {
@@ -248,9 +245,7 @@ func Run(cfg Config, tasks []Task) (*Aggregate, error) {
 	agg := &Aggregate{
 		RootSeed: cfg.RootSeed,
 		Seeds:    seeds,
-		Parallel: cfg.Parallel,
 		Units:    nUnits,
-		Elapsed:  elapsed,
 	}
 	// Aggregate in (task, metric-name, replicate) order: deterministic
 	// regardless of how the pool interleaved, including the float64

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -37,21 +36,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial.Metrics, par.Metrics) {
-			t.Fatalf("parallel=%d metrics differ from serial", workers)
-		}
-		if serial.Render("t") != par.Render("t") {
-			t.Fatalf("parallel=%d render differs from serial", workers)
-		}
-		var sb, pb bytes.Buffer
-		if err := serial.WriteCSV(&sb); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.WriteCSV(&pb); err != nil {
-			t.Fatal(err)
-		}
-		if sb.String() != pb.String() {
-			t.Fatalf("parallel=%d csv differs from serial", workers)
+		if !reflect.DeepEqual(serial, par) {
+			t.Fatalf("parallel=%d aggregate differs from serial", workers)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"basrpt/internal/core"
 	"basrpt/internal/runner"
 	"basrpt/internal/trace"
 	"basrpt/internal/workload"
@@ -180,16 +181,25 @@ func (f *Findings) RenderMarkdown(spec *Spec) string {
 	fmt.Fprintf(&b, "- topology: %d racks × %d hosts (%d hosts), non-blocking\n",
 		spec.Topology.Racks, spec.Topology.HostsPerRack, spec.Topology.Racks*spec.Topology.HostsPerRack)
 	fmt.Fprintf(&b, "- horizon: %g simulated seconds\n", spec.DurationS)
-	qf := spec.Workload.QueryByteFraction
-	qfNote := ""
-	if qf == 0 {
-		qfNote = " (harness default)"
+	loadLabel := "offered load"
+	if spec.Workload.incast() {
+		loadLabel = "background load"
+		fmt.Fprintf(&b, "- workload: partition/aggregate incast, %d 20KB responses per job converging on one aggregator\n"+
+			"  (fanout %d capped at hosts − 1) at %d jobs/s fabric-wide, over rack-local background traffic;\n",
+			min(core.IncastFanout, spec.Topology.Racks*spec.Topology.HostsPerRack-1),
+			core.IncastFanout, core.IncastJobsPerSecond)
+	} else {
+		qf := spec.Workload.QueryByteFraction
+		qfNote := ""
+		if qf == 0 {
+			qfNote = " (harness default)"
+		}
+		fmt.Fprintf(&b, "- workload: mixed query/background Poisson arrivals, query byte fraction %s%s;\n",
+			qfValue(qf), qfNote)
 	}
-	fmt.Fprintf(&b, "- workload: mixed query/background Poisson arrivals, query byte fraction %s%s;\n"+
-		"  identical arrival stream per replicate seed across all cells (paired comparison)\n",
-		qfValue(qf), qfNote)
+	b.WriteString("  identical arrival stream per replicate seed across all cells (paired comparison)\n")
 	if len(spec.Loads) == 1 {
-		fmt.Fprintf(&b, "- offered load: %g%% of each access link\n", spec.Loads[0]*100)
+		fmt.Fprintf(&b, "- %s: %g%% of each access link\n", loadLabel, spec.Loads[0]*100)
 	}
 	if fs := spec.Faults; fs != nil {
 		pin := "drawn from each replicate seed (varies with the workload)"
@@ -211,7 +221,7 @@ func (f *Findings) RenderMarkdown(spec *Spec) string {
 		for _, l := range spec.Loads {
 			loads = append(loads, fmt.Sprintf("%g%%", l*100))
 		}
-		fmt.Fprintf(&b, "- offered load: %s\n", strings.Join(loads, ", "))
+		fmt.Fprintf(&b, "- %s: %s\n", loadLabel, strings.Join(loads, ", "))
 	}
 	fmt.Fprintf(&b, "- replicate seed: %d independent replicates (splitmix64-derived; see runner.DeriveSeed)\n", len(f.Seeds))
 
@@ -232,6 +242,11 @@ func (f *Findings) RenderMarkdown(spec *Spec) string {
 		"checks, so pass/fail is only declared when the gap is decisive against\n" +
 		"seed-to-seed dispersion.\n")
 
+	b.WriteString("\n## Summary\n\n")
+	b.WriteString(codeBlock(f.summaryTable(spec).Render()))
+	b.WriteString("\nOne row per grid cell: the replicate mean of every metric all cells\n" +
+		"report. The Results table below adds the dispersion.\n")
+
 	b.WriteString("\n## Results\n\n")
 	mtbl := trace.Table{Headers: []string{"metric", "n", "mean", "±ci95", "stddev", "min", "max"}}
 	for _, m := range f.Metrics {
@@ -243,6 +258,42 @@ func (f *Findings) RenderMarkdown(spec *Spec) string {
 		"next to this file. Both are byte-deterministic at any `-parallel` value and\n" +
 		"diffed byte-for-byte by `make scenarios` in CI.\n")
 	return b.String()
+}
+
+// summaryTable lays the replicate means out as a cells × metrics grid:
+// one row per grid cell in execution order, one column per metric that
+// every cell reports, in the findings' metric-name order.
+func (f *Findings) summaryTable(spec *Spec) *trace.Table {
+	cells := spec.CellNames()
+	means := map[string]map[string]float64{} // metric -> cell -> mean
+	var metrics []string
+	for _, m := range f.Metrics {
+		cell, metric, ok := splitMetricRef(m.Name)
+		if !ok {
+			continue
+		}
+		if means[metric] == nil {
+			means[metric] = map[string]float64{}
+			metrics = append(metrics, metric)
+		}
+		means[metric][cell] = m.Mean
+	}
+	tbl := &trace.Table{Headers: []string{"cell"}}
+	var cols []string
+	for _, metric := range metrics {
+		if len(means[metric]) == len(cells) {
+			cols = append(cols, metric)
+			tbl.Headers = append(tbl.Headers, metric)
+		}
+	}
+	for _, cell := range cells {
+		row := []string{cell}
+		for _, metric := range cols {
+			row = append(row, fmtG5(means[metric][cell]))
+		}
+		tbl.AddRow(row...)
+	}
+	return tbl
 }
 
 // schedDescr renders one scheduler axis entry with its non-default knobs.

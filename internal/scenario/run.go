@@ -52,6 +52,7 @@ func (s *Spec) Tasks() []runner.Task {
 						},
 						Load:          load,
 						QueryFraction: s.Workload.QueryByteFraction,
+						Incast:        s.Workload.incast(),
 					}
 					if s.Faults != nil {
 						cell.Faults = &core.CellFaults{

@@ -99,12 +99,27 @@ type TopologySpec struct {
 	HostsPerRack int `json:"hosts_per_rack"`
 }
 
-// WorkloadSpec parameterizes the mixed query/background arrival process.
+// WorkloadSpec parameterizes the arrival process.
 type WorkloadSpec struct {
+	// Pattern selects the traffic: "" or "mixed" is the paper's Section
+	// V-A query/background mix; "incast" is the partition/aggregate
+	// pattern of the E14 extension (core.IncastFanout responses per job
+	// at core.IncastJobsPerSecond jobs), with Loads setting the
+	// rack-local background load under it.
+	Pattern string `json:"pattern,omitempty"`
 	// QueryByteFraction is the share of offered bytes carried by 20KB
-	// queries; 0 selects the harness default.
+	// queries; 0 selects the harness default. Mixed pattern only.
 	QueryByteFraction float64 `json:"query_byte_fraction,omitempty"`
 }
+
+// Workload patterns (WorkloadSpec.Pattern).
+const (
+	PatternMixed  = "mixed"
+	PatternIncast = "incast"
+)
+
+// incast reports whether the spec runs the partition/aggregate pattern.
+func (w WorkloadSpec) incast() bool { return w.Pattern == PatternIncast }
 
 // SchedulerSpec selects one discipline from the sched registry with its
 // parameters.
@@ -241,8 +256,18 @@ func (s *Spec) Validate() error {
 	if s.DurationS <= 0 {
 		return specErrf("duration_s", "%g <= 0", s.DurationS)
 	}
+	switch s.Workload.Pattern {
+	case "", PatternMixed, PatternIncast:
+	default:
+		return specErrf("workload.pattern", "unknown pattern %q (valid: %s, %s)",
+			s.Workload.Pattern, PatternMixed, PatternIncast)
+	}
 	if s.Workload.QueryByteFraction < 0 || s.Workload.QueryByteFraction >= 1 {
 		return specErrf("workload.query_byte_fraction", "%g outside [0, 1)", s.Workload.QueryByteFraction)
+	}
+	if s.Workload.incast() && s.Workload.QueryByteFraction != 0 {
+		return specErrf("workload.query_byte_fraction",
+			"the incast pattern has no query share (its responses are the query class)")
 	}
 	if len(s.Loads) == 0 {
 		return specErrf("loads", "empty")
@@ -326,16 +351,16 @@ func (s *Spec) Validate() error {
 		if c.Paired && c.Right == "" {
 			return specErrf(field("paired"), "paired checks compare two metrics, not a metric against a constant")
 		}
-		for _, ref := range []string{c.Left, c.Right} {
-			if ref == "" {
+		for _, side := range []struct{ field, ref string }{{"left", c.Left}, {"right", c.Right}} {
+			if side.ref == "" {
 				continue
 			}
-			cell, _, ok := splitMetricRef(ref)
+			cell, _, ok := splitMetricRef(side.ref)
 			if !ok {
-				return specErrf(field("left"), "metric reference %q is not \"cell/metric\"", ref)
+				return specErrf(field(side.field), "metric reference %q is not \"cell/metric\"", side.ref)
 			}
 			if !metricCells[cell] {
-				return specErrf(field("left"), "reference %q names no grid cell (cells: %v)", ref, s.CellNames())
+				return specErrf(field(side.field), "reference %q names no grid cell (cells: %v)", side.ref, s.CellNames())
 			}
 		}
 	}

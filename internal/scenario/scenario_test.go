@@ -154,6 +154,18 @@ func TestValidateRejections(t *testing.T) {
 		{"ref to unknown cell", func(m map[string]any) {
 			m["checks"] = []any{map[string]any{"name": "c", "left": "fifo/gbps", "op": "ge", "value": 0}}
 		}, "checks[0].left"},
+		{"right ref without slash", func(m map[string]any) {
+			m["checks"] = []any{map[string]any{"name": "c", "left": "srpt/gbps", "op": "ge", "right": "gbps"}}
+		}, "checks[0].right"},
+		{"right ref to unknown cell", func(m map[string]any) {
+			m["checks"] = []any{map[string]any{"name": "c", "left": "srpt/gbps", "op": "ge", "right": "nosuchcell/gbps"}}
+		}, "checks[0].right"},
+		{"unknown workload pattern", func(m map[string]any) {
+			m["workload"] = map[string]any{"pattern": "all-to-all"}
+		}, "workload.pattern"},
+		{"incast with query share", func(m map[string]any) {
+			m["workload"] = map[string]any{"pattern": "incast", "query_byte_fraction": 0.3}
+		}, "workload.query_byte_fraction"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,7 +15,8 @@ import (
 	"basrpt/internal/metrics"
 )
 
-// ErrShape reports mismatched column lengths.
+// ErrShape reports malformed structure: a JSONL trace with a missing or
+// bad header, an unparsable line, or out-of-order sequence numbers.
 var ErrShape = errors.New("trace: mismatched column shapes")
 
 // WriteSeriesCSV writes a (time, value) series with the given value-column
@@ -32,37 +33,6 @@ func WriteSeriesCSV(w io.Writer, header string, s *metrics.Series) error {
 		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("write csv row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteColumnsCSV writes aligned columns with headers. All columns must
-// have equal length.
-func WriteColumnsCSV(w io.Writer, headers []string, cols [][]float64) error {
-	if len(headers) != len(cols) {
-		return fmt.Errorf("%w: %d headers, %d columns", ErrShape, len(headers), len(cols))
-	}
-	var n int
-	for i, col := range cols {
-		if i == 0 {
-			n = len(col)
-		} else if len(col) != n {
-			return fmt.Errorf("%w: column %d has %d rows, want %d", ErrShape, i, len(col), n)
-		}
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(headers); err != nil {
-		return fmt.Errorf("write csv header: %w", err)
-	}
-	rec := make([]string, len(cols))
-	for r := 0; r < n; r++ {
-		for c := range cols {
-			rec[c] = strconv.FormatFloat(cols[c][r], 'g', -1, 64)
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("write csv row %d: %w", r, err)
 		}
 	}
 	cw.Flush()

@@ -38,41 +38,11 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestWriteColumnsCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteColumnsCSV(&buf, []string{"load", "fct"}, [][]float64{{0.1, 0.2}, {5, 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 3 || records[1][0] != "0.1" || records[2][1] != "7" {
-		t.Fatalf("records = %v", records)
-	}
-}
-
-func TestWriteColumnsCSVShapeErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteColumnsCSV(&buf, []string{"a"}, nil); !errors.Is(err, ErrShape) {
-		t.Fatalf("header mismatch: %v", err)
-	}
-	err := WriteColumnsCSV(&buf, []string{"a", "b"}, [][]float64{{1, 2}, {1}})
-	if !errors.Is(err, ErrShape) {
-		t.Fatalf("ragged columns: %v", err)
-	}
-}
-
 func TestWriteFailuresPropagate(t *testing.T) {
 	// A failing destination must surface from every writer, not vanish into
 	// the csv/json buffering.
 	if err := WriteSeriesCSV(&failWriter{}, "v", sampleSeries()); !errors.Is(err, errDiskFull) {
 		t.Fatalf("WriteSeriesCSV error = %v", err)
-	}
-	err := WriteColumnsCSV(&failWriter{}, []string{"a"}, [][]float64{{1, 2}})
-	if !errors.Is(err, errDiskFull) {
-		t.Fatalf("WriteColumnsCSV error = %v", err)
 	}
 	if err := WriteJSON(&failWriter{}, map[string]int{"x": 1}); !errors.Is(err, errDiskFull) {
 		t.Fatalf("WriteJSON error = %v", err)
