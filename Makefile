@@ -36,10 +36,11 @@ trace-smoke:
 	cmp trace_smoke_a.jsonl trace_smoke_b.jsonl
 	@echo "trace determinism OK: $$(wc -c < trace_smoke_a.jsonl) bytes, byte-identical across runs"
 
-# Live-ops smoke: start a sharded run with -ops, poll /metrics and
-# /progress mid-flight and assert they are well-formed, then validate the
-# -timeline Chrome trace_event export. Artifacts land in ops_smoke_out/
-# (kept on failure for the CI upload).
+# Live-ops smoke: start a sharded and a centralized run with -ops, poll
+# /metrics and /progress mid-flight and assert they are well-formed (each
+# engine feeds its own heartbeat), then validate the -timeline Chrome
+# trace_event export. Artifacts land in ops_smoke_out/ (kept on failure
+# for the CI upload).
 ops-smoke:
 	bash scripts/ops_smoke.sh
 

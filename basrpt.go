@@ -188,9 +188,9 @@ type (
 	FabricWatchdog = fabricsim.Watchdog
 	// FabricDiagnosis explains a watchdog-truncated run.
 	FabricDiagnosis = fabricsim.Diagnosis
-	// ShardConfig parameterizes a sharded fabric run (RunShardedFabric):
-	// one cell per rack, conservative-lookahead windows, two determinism
-	// families keyed on Shards (see ARCHITECTURE.md "Sharded fabric").
+	// ShardConfig parameterizes a rack-decomposed fabric run
+	// (RunShardedFabric): one cell per rack, conservative-lookahead
+	// windows (see ARCHITECTURE.md "Sharded fabric").
 	ShardConfig = fabricsim.ShardConfig
 	// ShardImbalance is the decomposed engine's post-run wall-clock
 	// attribution report (FabricResult.Imbalance): per-cell busy and
@@ -221,23 +221,18 @@ func ResumeFabricSim(cfg FabricConfig, data []byte) (*FabricSim, error) {
 // returns a "checkpoint-stop" diagnosis instead of an error.
 var ErrStopAfterCheckpoint = fabricsim.ErrStopAfterCheckpoint
 
-// RunShardedFabric executes one fabric run on the sharded engine.
-// Shards == 1 selects the centralized simulator (byte-identical to
-// NewFabricSim + Run); Shards >= 2 selects the rack-decomposed engine,
-// whose result is byte-identical across every shard count >= 2 and any
-// GOMAXPROCS. At 4k+ hosts the decomposed engine's per-rack matchings
-// beat the centralized fabric-global matching by orders of magnitude
-// (see the rack4128 workloads of `bash bench/run.sh`).
+// RunShardedFabric executes one fabric run on the rack-decomposed
+// engine, whose result is byte-identical across every shard count >= 2
+// and any GOMAXPROCS; Shards < 2 is a configuration error. The
+// centralized engine is NewFabricSim + Run. At 4k+ hosts the decomposed
+// engine's per-rack matchings beat the centralized fabric-global matching
+// by orders of magnitude (see the rack4128 workloads of
+// `bash bench/run.sh`).
 func RunShardedFabric(cfg ShardConfig) (*FabricResult, error) { return fabricsim.RunShard(cfg) }
 
 // ErrShardConfig is the sentinel wrapped by every ShardConfig
 // validation failure.
 var ErrShardConfig = fabricsim.ErrShardConfig
-
-// ErrShardUnsupported marks features the decomposed (Shards >= 2)
-// engine rejects — checkpointing runs sharded state through the
-// centralized engine instead (see ARCHITECTURE.md "Sharded fabric").
-var ErrShardUnsupported = fabricsim.ErrShardUnsupported
 
 // Fault injection (deterministic, seed-driven; see internal/faults).
 type (

@@ -55,6 +55,12 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{"-load", "1.5", "-racks", "2", "-hosts", "3"},
 		{"-racks", "0"},
 		{"-unknownflag"},
+		// Each engine rejects the flags only the other one reads.
+		{"-checkpoint", "ck.bin", "-shards", "2", "-racks", "2", "-hosts", "3"},
+		{"-halt-after-checkpoint", "-shards", "2", "-racks", "2", "-hosts", "3"},
+		{"-halt-after-checkpoint", "-racks", "2", "-hosts", "3"},
+		{"-workers", "3", "-racks", "2", "-hosts", "3"},
+		{"-timeline", "tl.json", "-racks", "2", "-hosts", "3"},
 	}
 	for _, args := range cases {
 		var buf bytes.Buffer
@@ -94,6 +100,56 @@ func TestRunRejectsCentralizedShardSpelling(t *testing.T) {
 				t.Fatalf("-shards %s error %q does not name %q", n, err, want)
 			}
 		}
+	}
+}
+
+// TestRunBothEngines pins basrptsim's digests for both engines and checks
+// the decomposed engine's report: its JSON names the shard count and
+// carries a per-cell imbalance report, its text has the shard-count title
+// and the imbalance line, and -timeline writes a file.
+func TestRunBothEngines(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		shards int
+		digest string
+	}{
+		{[]string{"-shards", "2", "-racks", "2", "-hosts", "3", "-duration", "0.002", "-load", "0.5"}, 2, "8c950606034dcabf"},
+		{[]string{"-racks", "2", "-hosts", "3", "-duration", "0.3", "-load", "0.5"}, 0, "e9096672dfe30f4f"},
+	} {
+		var buf bytes.Buffer
+		if err := run(append(tc.args, "-json"), &buf); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		var got summary
+		if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+			t.Fatalf("%v: invalid JSON: %v\n%s", tc.args, err, buf.String())
+		}
+		if got.Digest != tc.digest || got.Shards != tc.shards {
+			t.Fatalf("%v: digest %s shards %d, want %s and %d", tc.args, got.Digest, got.Shards, tc.digest, tc.shards)
+		}
+		switch im := got.Imbalance; {
+		case tc.shards == 0 && im != nil:
+			t.Fatalf("%v: centralized run has an imbalance report", tc.args)
+		case tc.shards > 0 && (im == nil || im.Cells != 2 || len(im.BusyNs) != 2):
+			t.Fatalf("%v: imbalance report %+v, want 2 cells", tc.args, im)
+		}
+	}
+
+	tl := filepath.Join(t.TempDir(), "tl.json")
+	var buf bytes.Buffer
+	err := run([]string{
+		"-shards", "2", "-racks", "2", "-hosts", "3", "-duration", "0.002", "-load", "0.5", "-timeline", tl,
+	}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"for 0.002s (2 shards)", "\nimbalance: 2 cells", "timeline", "8c950606034dcabf"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("text output missing %q:\n%s", want, buf.String())
+		}
+	}
+	if data, err := os.ReadFile(tl); err != nil || len(data) == 0 {
+		t.Fatalf("timeline not written: %v (%d bytes)", err, len(data))
 	}
 }
 

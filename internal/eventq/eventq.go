@@ -1,7 +1,6 @@
 // Package eventq implements the discrete-event calendar used by the
 // flow-level fabric simulator: a binary min-heap of timestamped events with
-// deterministic FIFO tie-breaking and O(log n) cancellation via handle
-// indices.
+// deterministic FIFO tie-breaking.
 //
 // Determinism matters here: two events at the same timestamp must always pop
 // in the order they were scheduled, or simulation runs stop being
@@ -12,11 +11,11 @@ package eventq
 // event; it only orders and returns it.
 type Event interface{}
 
-// Handle identifies a scheduled event so it can be cancelled. A Handle is
-// valid until the event pops or is cancelled. Entries are recycled after
-// they leave the heap, so each handle carries the generation of the entry
-// it was issued against; a handle to a popped event stays invalid even
-// after its entry is reused for a later Schedule.
+// Handle identifies a scheduled event. A Handle is valid until the event
+// pops or the queue is cleared. Entries are recycled after they leave the
+// heap, so each handle carries the generation of the entry it was issued
+// against; a handle to a popped event stays invalid even after its entry
+// is reused for a later Schedule.
 type Handle struct {
 	entry *entry
 	gen   uint64
@@ -39,7 +38,7 @@ type entry struct {
 // It is not safe for concurrent use; the simulator is single-threaded by
 // design (parallelism comes from running independent simulations).
 //
-// Entries removed from the heap (popped or cancelled) go to an internal
+// Entries removed from the heap (popped or cleared) go to an internal
 // free list and are reused by later Schedules, so in steady state —
 // arrivals balancing departures — the calendar performs no allocations.
 // Reserve pre-sizes both the heap and the free list for a known event
@@ -73,8 +72,8 @@ func (q *Queue) Reserve(n int) {
 	}
 }
 
-// Schedule adds an event at the given time and returns a handle for
-// cancellation. Times may be in any order; equal times pop FIFO.
+// Schedule adds an event at the given time and returns its handle. Times
+// may be in any order; equal times pop FIFO.
 func (q *Queue) Schedule(time float64, ev Event) Handle {
 	q.seq++
 	var e *entry
@@ -97,18 +96,6 @@ func (q *Queue) Schedule(time float64, ev Event) Handle {
 	return Handle{entry: e, gen: e.gen}
 }
 
-// Cancel removes a pending event. It reports whether the event was still
-// pending (false if it already popped or was cancelled — including when
-// the entry has since been recycled for an unrelated event, which the
-// handle's generation detects).
-func (q *Queue) Cancel(h Handle) bool {
-	if !h.Valid() {
-		return false
-	}
-	q.removeAt(h.entry.index)
-	return true
-}
-
 // PeekTime returns the timestamp of the earliest event. The second return
 // is false when the queue is empty.
 func (q *Queue) PeekTime() (float64, bool) {
@@ -125,9 +112,17 @@ func (q *Queue) Pop() (Event, float64, bool) {
 		return nil, 0, false
 	}
 	e := q.heap[0]
-	// Capture before removeAt recycles the entry and drops its event.
+	// Capture before recycle drops the event.
 	ev, t := e.event, e.time
-	q.removeAt(0)
+	last := len(q.heap) - 1
+	if last > 0 {
+		q.swap(0, last)
+	}
+	q.heap = q.heap[:last]
+	q.recycle(e)
+	if last > 0 {
+		q.down(0)
+	}
 	return ev, t, true
 }
 
@@ -191,20 +186,5 @@ func (q *Queue) down(i int) {
 		}
 		q.swap(i, smallest)
 		i = smallest
-	}
-}
-
-func (q *Queue) removeAt(i int) {
-	e := q.heap[i]
-	last := len(q.heap) - 1
-	if i != last {
-		q.swap(i, last)
-	}
-	q.heap = q.heap[:last]
-	q.recycle(e)
-	if i < last {
-		// The element moved into position i may need to travel either way.
-		q.down(i)
-		q.up(i)
 	}
 }

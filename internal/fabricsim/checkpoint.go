@@ -357,7 +357,7 @@ func restoreSeries(name string, st metrics.Series) (metrics.Series, error) {
 func (s *Sim) configDigest() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "hosts=%d|link=%g|dur=%g|sample=%g|monitor=%d|bucket=%g|seed=%d|sched=%s|pool=%t|window=%g|keep=%d|",
-		s.cfg.Hosts, s.cfg.LinkBps, s.cfg.Duration, s.cfg.SampleInterval, s.cfg.MonitorPort,
+		s.cfg.Hosts, s.cfg.LinkBps, s.cfg.Duration, s.cfg.SampleInterval, monitorPort,
 		s.cfg.ThroughputBucket, s.cfg.Seed, s.res.SchedulerName, s.poolOn, s.cfg.StreamWindow, s.cfg.StreamKeep)
 	if s.cfg.Faults != nil {
 		fmt.Fprintf(h, "faults=%s|", s.cfg.Faults.Schedule().String())

@@ -57,9 +57,6 @@ type Config struct {
 	// SampleInterval is the spacing of queue-length samples in seconds
 	// (default: Duration/500).
 	SampleInterval float64
-	// MonitorPort is the ingress port whose backlog becomes QueueSeries —
-	// the "queue length at a port" of Figures 2 and 5(b). Default 0.
-	MonitorPort int
 	// ThroughputBucket is the width (seconds) of the throughput series
 	// buckets for Figure 5(a). Default: Duration/50.
 	ThroughputBucket float64
@@ -153,7 +150,9 @@ type RunProgress struct {
 // cleanly right after the checkpoint is taken. See Config.CheckpointSink.
 var ErrStopAfterCheckpoint = errors.New("fabricsim: stop after checkpoint")
 
-// Watchdog bounds a run. Zero-valued limits are disabled.
+// Watchdog bounds a run. Zero-valued limits are disabled. A truncation
+// Diagnosis captures the last 16 flight-recorder events when the run has
+// a Config.Obs.
 type Watchdog struct {
 	// MaxBacklogBytes trips when the fabric's total backlog exceeds it —
 	// the divergence detector for runs past the stability boundary. It is
@@ -163,15 +162,6 @@ type Watchdog struct {
 	// events; truncation at this limit is inherently machine-dependent, so
 	// deterministic experiments should rely on MaxBacklogBytes.
 	MaxWallClock time.Duration
-	// DiagnosisEvents is how many flight-recorder events a truncation
-	// Diagnosis captures (default 16, capped by the recorder's ring;
-	// negative disables the capture). Only meaningful when the run has a
-	// Config.Obs.
-	DiagnosisEvents int
-	// VerboseDiagnosis makes Diagnosis.String() print the captured
-	// flight-recorder events after the one-line summary, so a truncated
-	// run explains the event sequence that led to the stop.
-	VerboseDiagnosis bool
 }
 
 // Diagnosis explains a watchdog truncation. A nil Result.Diagnosis means
@@ -192,13 +182,10 @@ type Diagnosis struct {
 	// flow.Table change tracking) — together with Seed it pins the exact
 	// table state for replaying incremental-index divergences.
 	TableEpoch uint64
-	// LastEvents is the tail of the flight recorder at the stop — the
-	// event sequence that led to the truncation, oldest first. Empty when
-	// the run had no Config.Obs or Watchdog.DiagnosisEvents is negative.
+	// LastEvents is the tail of the flight recorder at the stop — up to
+	// the last 16 events that led to the truncation, oldest first. Empty
+	// when the run had no Config.Obs.
 	LastEvents []obs.Event
-	// Verbose mirrors Watchdog.VerboseDiagnosis: String() appends
-	// LastEvents after the summary line.
-	Verbose bool
 	// Checkpoint is the encoded simulator state at the stop, captured
 	// before the truncation event was emitted, so the truncated run is
 	// resumable (see Resume) instead of merely explained. Populated for
@@ -212,11 +199,12 @@ type Diagnosis struct {
 }
 
 // String renders the diagnosis as a one-line summary, followed by the
-// captured flight-recorder events when Verbose is set.
+// captured flight-recorder events when there are any, so a truncated run
+// explains the event sequence that led to the stop.
 func (d *Diagnosis) String() string {
 	s := fmt.Sprintf("truncated (%s) at t=%.4gs: backlog %.4g bytes after %d decisions (seed %d, epoch %d)",
 		d.Reason, d.SimTime, d.BacklogBytes, d.Events, d.Seed, d.TableEpoch)
-	if !d.Verbose || len(d.LastEvents) == 0 {
+	if len(d.LastEvents) == 0 {
 		return s
 	}
 	var b strings.Builder
@@ -235,9 +223,21 @@ func (d *Diagnosis) String() string {
 // wall-clock watchdog checks.
 const wallClockCheckEvery = 4096
 
-// defaultDiagnosisEvents is how many flight-recorder events a truncation
-// Diagnosis captures when Watchdog.DiagnosisEvents is zero.
-const defaultDiagnosisEvents = 16
+// diagnosisEvents is how many flight-recorder events a truncation
+// Diagnosis captures (capped by the recorder's ring).
+const diagnosisEvents = 16
+
+// samplesPerRun and bucketsPerRun set the default queue-sample spacing
+// (Duration/samplesPerRun) and throughput bucket width
+// (Duration/bucketsPerRun). The decomposed engine always uses them.
+const (
+	samplesPerRun = 500
+	bucketsPerRun = 50
+)
+
+// monitorPort is the ingress port whose backlog becomes
+// Result.QueueSeries — the "queue length at a port" of Figures 2 and 5(b).
+const monitorPort = 0
 
 // defaultStreamKeep is the streaming-mode retention bound when
 // Config.StreamKeep is zero: per-class FCT samples and per-series points
@@ -250,7 +250,7 @@ type Result struct {
 	FCT *metrics.FCT
 	// Throughput accounts bytes leaving the fabric over time.
 	Throughput *metrics.Throughput
-	// QueueSeries samples the monitored ingress port's backlog (bytes).
+	// QueueSeries samples ingress port 0's backlog (bytes).
 	QueueSeries metrics.Series
 	// TotalBacklogSeries samples the whole fabric's backlog (bytes).
 	TotalBacklogSeries metrics.Series
@@ -283,7 +283,7 @@ type Result struct {
 	Diagnosis *Diagnosis
 
 	// ShardObs holds one deterministic-plane registry snapshot per PDES
-	// cell, in rack order, for decomposed (Shards >= 2) runs — per-cell
+	// cell, in rack order, for decomposed (RunShard) runs — per-cell
 	// decisions, windows advanced, inter-shard messages sent/delivered,
 	// eventq high-water — plus each cell's wall-clock busy/barrier-wait
 	// counters ("wall." names, excluded from digests via obs.IsWallClock).
@@ -368,14 +368,11 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("fabricsim: invalid duration %g", cfg.Duration)
 	}
-	if cfg.MonitorPort < 0 || cfg.MonitorPort >= cfg.Hosts {
-		return nil, fmt.Errorf("fabricsim: monitor port %d out of range", cfg.MonitorPort)
-	}
 	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = cfg.Duration / 500
+		cfg.SampleInterval = cfg.Duration / samplesPerRun
 	}
 	if cfg.ThroughputBucket <= 0 {
-		cfg.ThroughputBucket = cfg.Duration / 50
+		cfg.ThroughputBucket = cfg.Duration / bucketsPerRun
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Schedule().Validate(); err != nil {
@@ -659,14 +656,7 @@ func (s *Sim) truncate(reason string) *Result {
 		TableEpoch:    s.table.Epoch(),
 		Checkpoint:    ckpt,
 		CheckpointErr: ckptErr,
-	}
-	if wd := s.cfg.Watchdog; wd != nil && wd.DiagnosisEvents >= 0 {
-		k := wd.DiagnosisEvents
-		if k == 0 {
-			k = defaultDiagnosisEvents
-		}
-		res.Diagnosis.LastEvents = s.cfg.Obs.LastEvents(k)
-		res.Diagnosis.Verbose = wd.VerboseDiagnosis
+		LastEvents:    s.cfg.Obs.LastEvents(diagnosisEvents),
 	}
 	return res
 }
@@ -704,13 +694,13 @@ func (s *Sim) recordDone(f *flow.Flow, fct float64) {
 // determinism the trace contract guarantees) and only when the caller
 // opted into observability.
 func (s *Sim) sample() {
-	queue := s.table.IngressBacklog(s.cfg.MonitorPort)
+	queue := s.table.IngressBacklog(monitorPort)
 	total := s.table.TotalBacklog()
 	maxPort, maxB := s.table.MaxIngressBacklog()
 	s.res.QueueSeries.Add(s.now, queue)
 	s.res.TotalBacklogSeries.Add(s.now, total)
 	s.res.MaxPortSeries.Add(s.now, maxB)
-	s.cfg.Obs.Emit(s.now, "sample.queue", s.cfg.MonitorPort, queue, "")
+	s.cfg.Obs.Emit(s.now, "sample.queue", monitorPort, queue, "")
 	s.cfg.Obs.Emit(s.now, "sample.total", -1, total, "")
 	s.cfg.Obs.Emit(s.now, "sample.maxport", maxPort, maxB, "")
 	if s.cfg.Obs != nil {

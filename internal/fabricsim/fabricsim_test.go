@@ -40,8 +40,6 @@ func TestNewValidation(t *testing.T) {
 		func(c Config) Config { c.Scheduler = nil; return c },
 		func(c Config) Config { c.Generator = nil; return c },
 		func(c Config) Config { c.Duration = 0; return c },
-		func(c Config) Config { c.MonitorPort = 5; return c },
-		func(c Config) Config { c.MonitorPort = -1; return c },
 	}
 	for i, mutate := range cases {
 		if _, err := New(mutate(good)); err == nil {
@@ -178,16 +176,17 @@ func TestThroughputSeries(t *testing.T) {
 
 func TestQueueSeriesMonitorsPort(t *testing.T) {
 	gen := workload.NewSliceGenerator([]workload.Arrival{
-		{Time: 0, Src: 1, Dst: 0, Size: 5000, Class: flow.ClassOther},
+		{Time: 0, Src: 0, Dst: 1, Size: 5000, Class: flow.ClassOther},
 	})
 	res := mustRun(t, Config{
 		Hosts: 2, LinkBps: link, Scheduler: sched.NewSRPT(), Generator: gen,
-		Duration: 4, SampleInterval: 1, MonitorPort: 1,
+		Duration: 4, SampleInterval: 1,
 	})
 	if res.QueueSeries.Len() < 4 {
 		t.Fatalf("queue series too short: %d", res.QueueSeries.Len())
 	}
-	// At t=1 (sample 1) about 4000 bytes remain at ingress port 1.
+	// At t=1 (sample 1) about 4000 bytes remain at ingress port 0, the
+	// monitored port.
 	if got := res.QueueSeries.Values[1]; math.Abs(got-4000) > 1 {
 		t.Fatalf("queue sample at t=1 = %g, want ~4000", got)
 	}

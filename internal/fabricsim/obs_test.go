@@ -117,10 +117,9 @@ func TestCounterMigrationPreservesReportedValues(t *testing.T) {
 	}
 }
 
-// TestTruncatedFaultedRunPrintsLastEventsInOrder is the satellite-2
-// regression: a watchdog-truncated faulted run's Diagnosis carries the
-// flight recorder's tail, in order, and String() prints it behind the
-// verbosity knob.
+// TestTruncatedFaultedRunPrintsLastEventsInOrder: a watchdog-truncated
+// faulted run's Diagnosis carries at most the last 16 flight-recorder
+// events, in order, and String() prints them after the summary line.
 func TestTruncatedFaultedRunPrintsLastEventsInOrder(t *testing.T) {
 	// An unfinishable flow plus a link fault: the t=1 sample trips the
 	// 1000-byte watchdog after the fault boundary events fired.
@@ -139,7 +138,7 @@ func TestTruncatedFaultedRunPrintsLastEventsInOrder(t *testing.T) {
 		Hosts: 2, LinkBps: link, Scheduler: sched.NewSRPT(), Generator: gen,
 		Duration: 10, SampleInterval: 1, Seed: 5,
 		Faults:   faults.NewInjector(schedule),
-		Watchdog: &Watchdog{MaxBacklogBytes: 1000, VerboseDiagnosis: true},
+		Watchdog: &Watchdog{MaxBacklogBytes: 1000},
 		Obs:      o,
 	})
 	if !res.Truncated() {
@@ -148,6 +147,9 @@ func TestTruncatedFaultedRunPrintsLastEventsInOrder(t *testing.T) {
 	d := res.Diagnosis
 	if len(d.LastEvents) == 0 {
 		t.Fatal("diagnosis captured no flight-recorder events")
+	}
+	if len(d.LastEvents) > 16 {
+		t.Fatalf("diagnosis captured %d events, want at most 16", len(d.LastEvents))
 	}
 	for i := 1; i < len(d.LastEvents); i++ {
 		if d.LastEvents[i].Seq <= d.LastEvents[i-1].Seq {
@@ -171,43 +173,11 @@ func TestTruncatedFaultedRunPrintsLastEventsInOrder(t *testing.T) {
 
 	out := d.String()
 	if !strings.Contains(out, "last ") || !strings.Contains(out, "watchdog.truncate") {
-		t.Fatalf("verbose diagnosis missing events:\n%s", out)
+		t.Fatalf("diagnosis missing events:\n%s", out)
 	}
 	// Printed order matches capture order.
 	if strings.Index(out, "fault.link.start") > strings.Index(out, "watchdog.truncate") {
-		t.Fatalf("verbose diagnosis prints events out of order:\n%s", out)
-	}
-
-	// The knob: without verbosity the summary stays one line.
-	d.Verbose = false
-	if quiet := d.String(); strings.Contains(quiet, "\n") {
-		t.Fatalf("non-verbose diagnosis spans lines:\n%s", quiet)
-	}
-}
-
-// TestDiagnosisEventsKnob: DiagnosisEvents bounds the capture and a
-// negative value disables it.
-func TestDiagnosisEventsKnob(t *testing.T) {
-	run := func(k int) *Diagnosis {
-		gen := workload.NewSliceGenerator([]workload.Arrival{
-			{Time: 0.1, Src: 0, Dst: 1, Size: 1e6, Class: flow.ClassOther},
-		})
-		res := mustRun(t, Config{
-			Hosts: 2, LinkBps: link, Scheduler: sched.NewSRPT(), Generator: gen,
-			Duration: 10, SampleInterval: 1,
-			Watchdog: &Watchdog{MaxBacklogBytes: 1000, DiagnosisEvents: k},
-			Obs:      obs.New(obs.Options{}),
-		})
-		if !res.Truncated() {
-			t.Fatal("watchdog did not truncate")
-		}
-		return res.Diagnosis
-	}
-	if d := run(2); len(d.LastEvents) != 2 {
-		t.Fatalf("capture of 2 got %d events", len(d.LastEvents))
-	}
-	if d := run(-1); d.LastEvents != nil {
-		t.Fatalf("negative knob still captured %d events", len(d.LastEvents))
+		t.Fatalf("diagnosis prints events out of order:\n%s", out)
 	}
 }
 

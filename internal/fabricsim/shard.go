@@ -19,52 +19,38 @@ import (
 // ErrShardConfig reports an invalid sharded-run configuration.
 var ErrShardConfig = errors.New("fabricsim: invalid shard configuration")
 
-// ErrShardUnsupported reports a ShardConfig feature the decomposed
-// (Shards >= 2) executor does not implement. Checkpointing is the one
-// such feature: its documented path is to run the same configuration at
-// Shards == 1, where the centralized engine's full checkpoint/restore
-// machinery (Checkpoint, Resume, CheckpointSink) applies unchanged.
-var ErrShardUnsupported = errors.New("fabricsim: unsupported in decomposed mode")
-
-// DefaultBarrierEvery is the decomposed engine's default window batch:
-// how many consecutive lookahead windows every cell advances through
-// between coordinator barriers when ShardConfig.BarrierEvery is zero.
-// Results are byte-identical for every batch size; the knob trades
-// barrier-synchronization overhead against cross-rack routing latency
-// tolerance (messages are still delivered on the exact same simulated
-// clock — see the prefetch contract on shardCell.prefetch).
-const DefaultBarrierEvery = 8
+// barrierEvery is the decomposed engine's window batch: how many
+// consecutive lookahead windows every cell advances through between
+// coordinator barriers. Results are byte-identical for every batch size
+// (runDecomposed takes it as a parameter so tests can sweep it); the batch
+// trades barrier-synchronization overhead against cross-rack routing
+// latency tolerance (messages are still delivered on the exact same
+// simulated clock — see the prefetch contract on shardCell.prefetch). 8
+// was the fastest of {1, 8, 32} in EXPERIMENTS E18.
+const barrierEvery = 8
 
 // timeEps is the simulated-clock slack used when matching event times:
 // arrivals within timeEps of `now` are admitted at `now` (identical to
 // the centralized engine's admission slack).
 const timeEps = 1e-12
 
-// ShardConfig parameterizes a sharded fabric run. It is the topology-
-// aware sibling of Config: instead of receiving pre-built scheduler and
-// generator instances, it receives the recipe (registry name, options,
-// workload parameters) so the executor can instantiate one copy per
-// shard cell.
+// ShardConfig parameterizes a run of the rack-decomposed engine
+// (RunShard): one conservative-PDES cell per rack, cross-rack arrivals
+// delivered after the topology's CoreHopLatency lookahead. Unlike Config
+// it receives the recipe (registry name, options, workload parameters)
+// instead of built scheduler and generator instances, so the engine can
+// instantiate one copy per cell. Queue samples are Duration/500 apart,
+// throughput buckets Duration/50 wide, and QueueSeries monitors host 0 —
+// the centralized engine's defaults.
 //
-// Determinism comes in two families, both byte-stable across machines
-// and GOMAXPROCS settings:
-//
-//   - Shards == 1 runs the centralized engine — one global event loop,
-//     one fabric-wide workload stream — and is byte-identical to
-//     building the same Sim by hand (the pre-refactor behavior).
-//   - Shards >= 2 runs the decomposed conservative-PDES engine: one
-//     cell per rack, cross-rack arrivals delivered after the topology's
-//     CoreHopLatency lookahead. Results are byte-identical across ALL
-//     shard counts >= 2, ALL BarrierEvery batch sizes, and ALL Workers
-//     counts — those knobs only choose how rack cells are grouped onto
-//     worker goroutines and how often the goroutines synchronize, never
-//     the physics.
-//
-// The two families are not byte-identical to each other: decomposition
+// Results are byte-identical across every Shards >= 2, every Workers
+// count, and every GOMAXPROCS: those only choose how rack cells are
+// grouped onto worker goroutines, never the physics. They are not
+// byte-identical to the centralized engine (New + Run): decomposition
 // replaces the fabric-global crossbar matching with per-rack matchings
-// (uplink traffic enters the destination rack through core-proxy
-// ingress ports), which is the modeling change that makes 4k+ host
-// fabrics tractable.
+// (uplink traffic enters the destination rack through core-proxy ingress
+// ports), which is the modeling change that makes 4k+ host fabrics
+// tractable.
 type ShardConfig struct {
 	// Topology shapes the fabric: rack boundaries are the decomposition
 	// units and CoreHopLatency is the conservative lookahead.
@@ -72,8 +58,8 @@ type ShardConfig struct {
 	// Scheduler is the sched registry name (see sched.Names).
 	Scheduler string
 	// SchedOpts carries the discipline parameters. A zero Seed inherits
-	// the run Seed; in decomposed mode each cell's scheduler derives a
-	// private seed from it so RNG disciplines stay grouping-invariant.
+	// the run Seed; each cell's scheduler derives a private seed from it
+	// so RNG disciplines stay grouping-invariant.
 	SchedOpts sched.Options
 	// Load is the per-port offered load in (0, 1).
 	Load float64
@@ -82,63 +68,37 @@ type ShardConfig struct {
 	QueryByteFraction float64
 	// Duration is the simulated horizon in seconds.
 	Duration float64
-	// SampleInterval is the queue-sample spacing (default Duration/500).
-	SampleInterval float64
-	// ThroughputBucket is the throughput series bucket width (default
-	// Duration/50).
-	ThroughputBucket float64
-	// MonitorPort is the global host id whose ingress backlog becomes
-	// QueueSeries.
-	MonitorPort int
 	// Seed drives the workload (and, via derivation, every per-cell
 	// stream). Must be nonzero.
 	Seed uint64
-	// Shards selects the engine family: 1 is the centralized engine,
-	// >= 2 the decomposed engine. In decomposed mode it also bounds the
-	// worker pool: the engine runs min(Shards, racks, Workers) persistent
-	// worker goroutines (Workers defaulting to GOMAXPROCS).
+	// Shards must be at least 2 (the centralized engine is New + Run). It
+	// caps the worker pool: the engine runs min(Shards, racks, Workers)
+	// persistent worker goroutines (Workers defaulting to GOMAXPROCS).
 	Shards int
-	// BarrierEvery is the decomposed engine's window batch: cells advance
-	// through this many consecutive lookahead windows between coordinator
-	// barriers. 0 selects DefaultBarrierEvery; 1 reproduces the dense
-	// per-window barrier schedule. Results are byte-identical for every
-	// value >= 1 (wall clock only). Ignored at Shards == 1.
-	BarrierEvery int
-	// Workers caps the decomposed engine's persistent worker goroutines;
-	// 0 defaults to GOMAXPROCS. The effective pool size is
-	// min(Shards, racks, Workers). Wall-clock plane only. Ignored at
-	// Shards == 1.
+	// Workers caps the persistent worker goroutines; 0 defaults to
+	// GOMAXPROCS. The effective pool size is min(Shards, racks, Workers).
+	// Wall-clock plane only.
 	Workers int
-	// Obs, when non-nil, receives the run's trace. In decomposed mode
-	// per-cell events are buffered during each batch and replayed
-	// window-by-window in deterministic (time, cell, sequence) merge
-	// order at the barrier, so traced runs stay byte-identical across
-	// shard counts and batch sizes.
+	// Obs, when non-nil, receives the run's trace. Per-cell events are
+	// buffered during each batch and replayed window-by-window in
+	// deterministic (time, cell, sequence) merge order at the barrier, so
+	// traced runs stay byte-identical across shard counts.
 	Obs *obs.Obs
 	// ValidateDecisions re-checks the crossbar constraint on every
-	// decision (per cell in decomposed mode).
+	// decision of every cell.
 	ValidateDecisions bool
-	// CheckpointEvery / CheckpointSink configure periodic checkpoints.
-	// Supported only at Shards == 1; the decomposed engine returns
-	// ErrShardUnsupported (see that error for the merge-to-1-shard
-	// path).
-	CheckpointEvery float64
-	// CheckpointSink receives each checkpoint; see Config.CheckpointSink.
-	CheckpointSink func(data []byte, simTime float64) error
-	// Timeline, when non-nil, records wall-clock spans for the decomposed
-	// engine — per cell one "window" span per lookahead window plus one
-	// "batch" and one "barrier" span per barrier, and coordinator
-	// "fold"/"route" spans per barrier — for Chrome trace_event export
+	// Timeline, when non-nil, records wall-clock spans — per cell one
+	// "window" span per lookahead window plus one "batch" and one
+	// "barrier" span per barrier, and coordinator "fold"/"route" spans per
+	// barrier — for Chrome trace_event export
 	// (obs.Timeline.WriteChromeTrace). Span ORDER is deterministic (rack
 	// order within each barrier); span times are wall-clock measurements.
-	// Ignored at Shards == 1.
 	Timeline *obs.Timeline
 	// OnWindow, when non-nil, is called on the coordinating goroutine
-	// after every decomposed barrier with the run's live position — the
-	// sharded engine's heartbeat for ops endpoints. Wall-clock plane
-	// only: results are byte-identical whether or not it is set. Ignored
-	// at Shards == 1 (the centralized engine's heartbeat is
-	// Config.OnProgress, through New and Run).
+	// after every barrier with the run's live position — the decomposed
+	// engine's heartbeat for ops endpoints (the centralized engine's is
+	// Config.OnProgress). Wall-clock plane only: results are
+	// byte-identical whether or not it is set.
 	OnWindow func(ShardProgress)
 }
 
@@ -152,7 +112,7 @@ type ShardProgress struct {
 	// Window is the zero-based index of the last lookahead window the
 	// barrier completed; Barrier the zero-based barrier index. With
 	// window batching one barrier completes several windows, so Window
-	// advances by BarrierEvery per beat.
+	// advances by the batch (8 windows) per beat.
 	Window  int
 	Barrier int
 	// WindowsPerBarrier is the cumulative mean batch width so far.
@@ -181,8 +141,8 @@ type ShardProgress struct {
 type ShardImbalance struct {
 	// Cells is the number of PDES cells (racks); Windows the number of
 	// lookahead windows the run advanced through; Barriers the number of
-	// coordinator barriers that synchronized them (Windows/BarrierEvery,
-	// up to rounding); WindowsPerBarrier their ratio; Workers the
+	// coordinator barriers that synchronized them (Windows/8, up to
+	// rounding); WindowsPerBarrier their ratio; Workers the
 	// persistent worker-goroutine count.
 	Cells             int     `json:"cells"`
 	Windows           int     `json:"windows"`
@@ -257,93 +217,11 @@ func (im *ShardImbalance) String() string {
 // them is grouping-invariant.
 const cellIDShift = 40
 
-// RunShard executes one sharded fabric run. See ShardConfig for the
-// engine families and their determinism contract.
+// RunShard executes one fabric run on the rack-decomposed engine. See
+// ShardConfig for its determinism contract. The centralized engine's
+// entry point is New + Run.
 func RunShard(cfg ShardConfig) (*Result, error) {
-	if cfg.Topology == nil {
-		return nil, fmt.Errorf("%w: nil topology", ErrShardConfig)
-	}
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("%w: shards %d < 1", ErrShardConfig, cfg.Shards)
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("%w: duration %g <= 0", ErrShardConfig, cfg.Duration)
-	}
-	if cfg.Load <= 0 || cfg.Load >= 1 {
-		return nil, fmt.Errorf("%w: load %g outside (0, 1)", ErrShardConfig, cfg.Load)
-	}
-	if cfg.Seed == 0 {
-		return nil, fmt.Errorf("%w: seed must be nonzero", ErrShardConfig)
-	}
-	if cfg.BarrierEvery < 0 {
-		return nil, fmt.Errorf("%w: barrier-every %d < 0", ErrShardConfig, cfg.BarrierEvery)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("%w: workers %d < 0", ErrShardConfig, cfg.Workers)
-	}
-	hosts := cfg.Topology.NumHosts()
-	if cfg.MonitorPort < 0 || cfg.MonitorPort >= hosts {
-		return nil, fmt.Errorf("%w: monitor port %d outside [0, %d)", ErrShardConfig, cfg.MonitorPort, hosts)
-	}
-	if cfg.QueryByteFraction == 0 {
-		cfg.QueryByteFraction = workload.DefaultQueryByteFraction
-	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = cfg.Duration / 500
-	}
-	if cfg.ThroughputBucket <= 0 {
-		cfg.ThroughputBucket = cfg.Duration / 50
-	}
-	if cfg.Shards == 1 {
-		return runCentralized(cfg)
-	}
-	if cfg.CheckpointEvery > 0 || cfg.CheckpointSink != nil {
-		return nil, fmt.Errorf("%w: checkpointing requires Shards == 1", ErrShardUnsupported)
-	}
-	return runDecomposed(cfg)
-}
-
-// runCentralized is the Shards == 1 family: the same construction a
-// direct fabricsim.New caller performs, so results (digest and trace
-// alike) are byte-identical to the pre-refactor engine.
-func runCentralized(cfg ShardConfig) (*Result, error) {
-	opts := cfg.SchedOpts
-	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed
-	}
-	scheduler, err := sched.New(cfg.Scheduler, opts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
-	}
-	gen, err := workload.NewMixed(workload.MixedConfig{
-		Topology:          cfg.Topology,
-		Load:              cfg.Load,
-		QueryByteFraction: cfg.QueryByteFraction,
-		Duration:          cfg.Duration,
-		Seed:              cfg.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
-	}
-	sim, err := New(Config{
-		Hosts:             cfg.Topology.NumHosts(),
-		LinkBps:           cfg.Topology.HostLinkBps(),
-		Scheduler:         scheduler,
-		Generator:         gen,
-		Duration:          cfg.Duration,
-		SampleInterval:    cfg.SampleInterval,
-		MonitorPort:       cfg.MonitorPort,
-		ThroughputBucket:  cfg.ThroughputBucket,
-		ValidateDecisions: cfg.ValidateDecisions,
-		Seed:              cfg.Seed,
-		Obs:               cfg.Obs,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		CheckpointSink:    cfg.CheckpointSink,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
+	return runDecomposed(cfg, barrierEvery)
 }
 
 // shardMsg is a cross-rack flow arrival in flight between cells. Ports
@@ -822,24 +700,41 @@ func (p *shardPool) stop() {
 	}
 }
 
-// runDecomposed is the Shards >= 2 family: one cell per rack advancing
-// in lockstep lookahead windows, batched BarrierEvery windows per
-// coordinator barrier, executed by a persistent worker pool. Every
-// barrier-side fold (message routing, window-by-window trace replay,
-// series and metric merges) runs on the calling goroutine in rack
+// runDecomposed is RunShard with the window batch as a parameter: one
+// cell per rack advancing in lockstep lookahead windows, batched `batch`
+// windows per coordinator barrier, executed by a persistent worker pool.
+// Every barrier-side fold (message routing, window-by-window trace
+// replay, series and metric merges) runs on the calling goroutine in rack
 // order, so results are a pure function of the configuration —
 // independent of shard count, batch size, worker count, and GOMAXPROCS.
-func runDecomposed(cfg ShardConfig) (*Result, error) {
+func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
+	if cfg.Topology == nil {
+		return nil, fmt.Errorf("%w: nil topology", ErrShardConfig)
+	}
+	if cfg.Shards < 2 {
+		return nil, fmt.Errorf("%w: shards %d < 2 (the centralized engine is New + Run)", ErrShardConfig, cfg.Shards)
+	}
+	if cfg.Duration <= 0 {
+		return nil, fmt.Errorf("%w: duration %g <= 0", ErrShardConfig, cfg.Duration)
+	}
+	if cfg.Load <= 0 || cfg.Load >= 1 {
+		return nil, fmt.Errorf("%w: load %g outside (0, 1)", ErrShardConfig, cfg.Load)
+	}
+	if cfg.Seed == 0 {
+		return nil, fmt.Errorf("%w: seed must be nonzero", ErrShardConfig)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("%w: workers %d < 0", ErrShardConfig, cfg.Workers)
+	}
+	if cfg.QueryByteFraction == 0 {
+		cfg.QueryByteFraction = workload.DefaultQueryByteFraction
+	}
 	topo := cfg.Topology
 	tc := topo.Config()
 	look := topo.CoreHopLatency()
 	numCells := tc.Racks
 	hpr := tc.HostsPerRack
 
-	batch := cfg.BarrierEvery
-	if batch == 0 {
-		batch = DefaultBarrierEvery
-	}
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -882,7 +777,7 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 		c := &shardCell{
 			cell: newCell(hpr+tc.Cores, topo.HostLinkBps()/8, scheduler, nil, &Result{
 				FCT:        metrics.NewFCT(),
-				Throughput: metrics.NewThroughput(cfg.ThroughputBucket),
+				Throughput: metrics.NewThroughput(cfg.Duration / bucketsPerRun),
 			}),
 			rack:     r,
 			base:     r * hpr,
@@ -890,13 +785,13 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 			uplinks:  tc.Cores,
 			dur:      cfg.Duration,
 			look:     look,
-			interval: cfg.SampleInterval,
+			interval: cfg.Duration / samplesPerRun,
 			monitor:  -1,
 			gen:      gen,
 		}
 		c.validate = cfg.ValidateDecisions
-		if cfg.MonitorPort/hpr == r {
-			c.monitor = cfg.MonitorPort % hpr
+		if monitorPort/hpr == r {
+			c.monitor = monitorPort % hpr
 		}
 		if cfg.Obs != nil {
 			c.remoteSrc = make(map[flow.ID]int)
@@ -914,7 +809,7 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 
 	res := &Result{
 		FCT:           metrics.NewFCT(),
-		Throughput:    metrics.NewThroughput(cfg.ThroughputBucket),
+		Throughput:    metrics.NewThroughput(cfg.Duration / bucketsPerRun),
 		Duration:      cfg.Duration,
 		SchedulerName: cells[0].scheduler.Name(),
 	}
@@ -1197,7 +1092,7 @@ func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) erro
 		res.QueueSeries.Add(t, queue)
 		res.TotalBacklogSeries.Add(t, total)
 		res.MaxPortSeries.Add(t, maxB)
-		cfg.Obs.Emit(t, "sample.queue", cfg.MonitorPort, queue, "")
+		cfg.Obs.Emit(t, "sample.queue", monitorPort, queue, "")
 		cfg.Obs.Emit(t, "sample.total", -1, total, "")
 		cfg.Obs.Emit(t, "sample.maxport", maxPort, maxB, "")
 	}

@@ -12,7 +12,6 @@ import (
 	"basrpt/internal/sched"
 	"basrpt/internal/topology"
 	"basrpt/internal/trace"
-	"basrpt/internal/workload"
 )
 
 func shardTopo(t *testing.T, racks, hpr int) *topology.Topology {
@@ -24,9 +23,10 @@ func shardTopo(t *testing.T, racks, hpr int) *topology.Topology {
 	return topo
 }
 
-// runShardTraced executes RunShard with a JSONL trace sink attached and
-// returns the result plus the full trace bytes.
-func runShardTraced(t *testing.T, cfg ShardConfig) (*Result, string) {
+// runShardTraced executes the decomposed engine at the given window batch
+// with a JSONL trace sink attached and returns the result plus the full
+// trace bytes.
+func runShardTraced(t *testing.T, cfg ShardConfig, batch int) (*Result, string) {
 	t.Helper()
 	var buf bytes.Buffer
 	ew, err := trace.NewEventWriter(&buf, trace.TraceHeader{
@@ -40,9 +40,9 @@ func runShardTraced(t *testing.T, cfg ShardConfig) (*Result, string) {
 		t.Fatal(err)
 	}
 	cfg.Obs = obs.New(obs.Options{Sink: ew})
-	res, err := RunShard(cfg)
+	res, err := runDecomposed(cfg, batch)
 	if err != nil {
-		t.Fatalf("RunShard(shards=%d): %v", cfg.Shards, err)
+		t.Fatalf("shards=%d batch=%d: %v", cfg.Shards, batch, err)
 	}
 	if err := ew.Flush(); err != nil {
 		t.Fatal(err)
@@ -50,77 +50,10 @@ func runShardTraced(t *testing.T, cfg ShardConfig) (*Result, string) {
 	return res, buf.String()
 }
 
-// TestRunShardOneShardMatchesDirectSim is the refactor's equivalence
-// proof: the Shards == 1 facade must be byte-identical — digest and
-// JSONL trace alike — to building the centralized Sim by hand exactly
-// as pre-refactor callers did.
-func TestRunShardOneShardMatchesDirectSim(t *testing.T) {
-	topo := shardTopo(t, 3, 4)
-	const (
-		load = 0.8
-		dur  = 0.05
-		seed = 7
-	)
-
-	// The pre-refactor construction: explicit scheduler, fabric-wide
-	// generator, direct fabricsim.New.
-	var directBuf bytes.Buffer
-	ew, err := trace.NewEventWriter(&directBuf, trace.TraceHeader{
-		Seed: seed, Scheduler: "fast-basrpt", Hosts: topo.NumHosts(),
-		Load: load, DurationSec: dur,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheduler, err := sched.New("fast-basrpt", sched.Options{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewMixed(workload.MixedConfig{
-		Topology: topo, Load: load,
-		QueryByteFraction: workload.DefaultQueryByteFraction,
-		Duration:          dur, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := New(Config{
-		Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(),
-		Scheduler: scheduler, Generator: gen, Duration: dur, Seed: seed,
-		Obs: obs.New(obs.Options{Sink: ew}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ew.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	sharded, shardedTrace := runShardTraced(t, ShardConfig{
-		Topology: topo, Scheduler: "fast-basrpt", Load: load,
-		Duration: dur, Seed: seed, Shards: 1,
-	})
-
-	if direct.CompletedFlows == 0 {
-		t.Fatal("direct run completed no flows; equivalence check is vacuous")
-	}
-	if d, s := direct.DeterministicDigest(), sharded.DeterministicDigest(); d != s {
-		t.Fatalf("one-shard digest diverged from direct sim:\n direct  %s\n sharded %s", d, s)
-	}
-	if directBuf.String() != shardedTrace {
-		t.Fatalf("one-shard trace diverged from direct sim (%d vs %d bytes)",
-			directBuf.Len(), len(shardedTrace))
-	}
-}
-
-// TestRunShardDecomposedDeterminism pins the second determinism family:
-// every shard count >= 2, at every GOMAXPROCS, produces byte-identical
-// digests and traces — the shard count only groups rack cells onto
-// goroutines.
+// TestRunShardDecomposedDeterminism pins the decomposed engine's
+// determinism contract: every shard count >= 2, at every GOMAXPROCS,
+// produces byte-identical digests and traces — the shard count only
+// groups rack cells onto goroutines.
 func TestRunShardDecomposedDeterminism(t *testing.T) {
 	topo := shardTopo(t, 4, 4)
 	base := ShardConfig{
@@ -139,7 +72,7 @@ func TestRunShardDecomposedDeterminism(t *testing.T) {
 		runtime.GOMAXPROCS(a.procs)
 		cfg := base
 		cfg.Shards = a.shards
-		res, tr := runShardTraced(t, cfg)
+		res, tr := runShardTraced(t, cfg, barrierEvery)
 		if i == 0 {
 			wantDigest, wantTrace, wantCompleted = res.DeterministicDigest(), tr, res.CompletedFlows
 			if wantCompleted == 0 {
@@ -194,100 +127,23 @@ func TestRunShardDecomposedConservation(t *testing.T) {
 	}
 }
 
-// TestRunShardDecomposedCheckpointUnsupported pins the documented
-// checkpoint story: the decomposed engine rejects checkpointing with
-// ErrShardUnsupported, directing callers to the Shards == 1 path.
-func TestRunShardDecomposedCheckpointUnsupported(t *testing.T) {
-	topo := shardTopo(t, 2, 4)
-	_, err := RunShard(ShardConfig{
-		Topology: topo, Scheduler: "srpt", Load: 0.5, Duration: 0.01,
-		Seed: 1, Shards: 2, CheckpointEvery: 0.001,
-		CheckpointSink: func([]byte, float64) error { return nil },
-	})
-	if !errors.Is(err, ErrShardUnsupported) {
-		t.Fatalf("decomposed checkpointing accepted or wrong error: %v", err)
-	}
-}
-
-// TestRunShardOneShardCheckpointRoundTrip proves sharded runs
-// checkpoint through the merge-to-1-shard path: a RunShard(Shards=1)
-// run halted at a checkpoint resumes — via the centralized engine's
-// Resume — to the same digest as the uninterrupted run.
-func TestRunShardOneShardCheckpointRoundTrip(t *testing.T) {
-	topo := shardTopo(t, 3, 4)
-	base := ShardConfig{
-		Topology: topo, Scheduler: "srpt", Load: 0.7,
-		Duration: 0.04, Seed: 9, Shards: 1,
-	}
-	full, err := RunShard(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var ckpt []byte
-	halted := base
-	halted.CheckpointEvery = 0.01
-	halted.CheckpointSink = func(data []byte, simTime float64) error {
-		ckpt = data
-		return ErrStopAfterCheckpoint
-	}
-	partial, err := RunShard(halted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if partial.Diagnosis == nil || partial.Diagnosis.Reason != "checkpoint-stop" {
-		t.Fatalf("halted run diagnosis = %+v", partial.Diagnosis)
-	}
-	if len(ckpt) == 0 {
-		t.Fatal("checkpoint sink captured nothing")
-	}
-
-	// Rebuild the identical centralized configuration and resume.
-	scheduler, err := sched.New("srpt", sched.Options{Seed: base.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewMixed(workload.MixedConfig{
-		Topology: topo, Load: base.Load,
-		QueryByteFraction: workload.DefaultQueryByteFraction,
-		Duration:          base.Duration, Seed: base.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := Resume(Config{
-		Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(),
-		Scheduler: scheduler, Generator: gen,
-		Duration: base.Duration, Seed: base.Seed,
-	}, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, f := resumed.DeterministicDigest(), full.DeterministicDigest(); r != f {
-		t.Fatalf("resumed digest %s != uninterrupted digest %s", r, f)
-	}
-}
-
 // TestRunShardConfigValidation exercises the typed rejection of every
-// malformed ShardConfig dimension.
+// malformed ShardConfig dimension. A shard count below 2 is one: the
+// centralized engine is New + Run, not a RunShard family.
 func TestRunShardConfigValidation(t *testing.T) {
 	topo := shardTopo(t, 2, 4)
-	ok := ShardConfig{Topology: topo, Scheduler: "srpt", Load: 0.5, Duration: 0.01, Seed: 1, Shards: 1}
+	ok := ShardConfig{Topology: topo, Scheduler: "srpt", Load: 0.5, Duration: 0.01, Seed: 1, Shards: 2}
 	cases := []struct {
 		name   string
 		mutate func(*ShardConfig)
 	}{
 		{"nil topology", func(c *ShardConfig) { c.Topology = nil }},
 		{"zero shards", func(c *ShardConfig) { c.Shards = 0 }},
+		{"one shard", func(c *ShardConfig) { c.Shards = 1 }},
 		{"negative shards", func(c *ShardConfig) { c.Shards = -2 }},
 		{"zero duration", func(c *ShardConfig) { c.Duration = 0 }},
 		{"bad load", func(c *ShardConfig) { c.Load = 1.5 }},
 		{"zero seed", func(c *ShardConfig) { c.Seed = 0 }},
-		{"bad monitor", func(c *ShardConfig) { c.MonitorPort = topo.NumHosts() }},
 		{"unknown scheduler", func(c *ShardConfig) { c.Scheduler = "nope" }},
 	}
 	for _, tc := range cases {
@@ -295,13 +151,6 @@ func TestRunShardConfigValidation(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := RunShard(cfg); !errors.Is(err, ErrShardConfig) {
 			t.Errorf("%s: accepted or wrong error: %v", tc.name, err)
-		}
-		// The decomposed engine applies the same validation.
-		if cfg.Shards == 1 {
-			cfg.Shards = 2
-			if _, err := RunShard(cfg); !errors.Is(err, ErrShardConfig) {
-				t.Errorf("%s (decomposed): accepted or wrong error: %v", tc.name, err)
-			}
 		}
 	}
 	if _, err := RunShard(ok); err != nil {

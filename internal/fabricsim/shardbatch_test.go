@@ -31,8 +31,7 @@ func TestRunShardBatchInvariance(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
 				cfg := base
 				cfg.Shards = shards
-				cfg.BarrierEvery = batch
-				res, tr := runShardTraced(t, cfg)
+				res, tr := runShardTraced(t, cfg, batch)
 				gotObs := maskWall(t, res.ShardObs)
 				if first {
 					first = false
@@ -90,8 +89,7 @@ func TestRunShardBatchInvarianceDegraded(t *testing.T) {
 		for _, shards := range []int{2, 4} {
 			cfg := base
 			cfg.Shards = shards
-			cfg.BarrierEvery = batch
-			res, tr := runShardTraced(t, cfg)
+			res, tr := runShardTraced(t, cfg, batch)
 			if first {
 				first = false
 				wantDigest, wantTrace = res.DeterministicDigest(), tr
@@ -123,15 +121,14 @@ func TestRunShardWorkerPoolDeterminism(t *testing.T) {
 		Duration:  0.003,
 		Seed:      19,
 		Shards:    6,
-		// BarrierEvery 1 maximizes the barrier count, so every pool shape
-		// synchronizes as often as the engine allows.
-		BarrierEvery: 1,
 	}
 	var want string
 	for i, workers := range []int{1, 2, 3, 6, 0} {
 		cfg := base
 		cfg.Workers = workers
-		res, err := RunShard(cfg)
+		// Batch 1 maximizes the barrier count, so every pool shape
+		// synchronizes as often as the engine allows.
+		res, err := runDecomposed(cfg, 1)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -157,49 +154,40 @@ func TestRunShardWorkerPoolDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunShardBatchKnobValidation exercises the new knobs' validation
-// and defaulting: negative batch and worker counts are typed config
-// errors, zero selects the documented defaults, and BarrierEvery=1
-// reproduces the dense one-barrier-per-window schedule.
+// TestRunShardBatchKnobValidation exercises the pool and batch
+// defaulting: a negative worker count is a typed config error, batch 1
+// reproduces the dense one-barrier-per-window schedule, and RunShard's
+// batch of barrierEvery thins the barriers without moving the window grid
+// or the digest.
 func TestRunShardBatchKnobValidation(t *testing.T) {
 	topo := shardTopo(t, 2, 3)
 	base := ShardConfig{
 		Topology: topo, Scheduler: "srpt", Load: 0.5,
 		Duration: 0.002, Seed: 1, Shards: 2,
 	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(*ShardConfig)
-	}{
-		{"negative barrier-every", func(c *ShardConfig) { c.BarrierEvery = -1 }},
-		{"negative workers", func(c *ShardConfig) { c.Workers = -3 }},
-	} {
-		cfg := base
-		tc.mutate(&cfg)
-		if _, err := RunShard(cfg); !errors.Is(err, ErrShardConfig) {
-			t.Errorf("%s: accepted or wrong error: %v", tc.name, err)
-		}
+	negative := base
+	negative.Workers = -3
+	if _, err := RunShard(negative); !errors.Is(err, ErrShardConfig) {
+		t.Errorf("negative workers: accepted or wrong error: %v", err)
 	}
 
-	dense := base
-	dense.BarrierEvery = 1
-	res, err := RunShard(dense)
+	res, err := runDecomposed(base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Imbalance.Barriers != res.Imbalance.Windows || res.Imbalance.WindowsPerBarrier != 1 {
-		t.Fatalf("BarrierEvery=1 not dense: %d barriers, %d windows",
+		t.Fatalf("batch 1 not dense: %d barriers, %d windows",
 			res.Imbalance.Barriers, res.Imbalance.Windows)
 	}
 
-	def, err := RunShard(base) // BarrierEvery 0 -> DefaultBarrierEvery
+	def, err := RunShard(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def.Imbalance.Windows != res.Imbalance.Windows {
 		t.Fatalf("window grid changed with batching: %d vs %d", def.Imbalance.Windows, res.Imbalance.Windows)
 	}
-	wantBarriers := (def.Imbalance.Windows + DefaultBarrierEvery - 1) / DefaultBarrierEvery
+	wantBarriers := (def.Imbalance.Windows + barrierEvery - 1) / barrierEvery
 	if def.Imbalance.Barriers != wantBarriers {
 		t.Fatalf("default batch: %d barriers, want %d", def.Imbalance.Barriers, wantBarriers)
 	}

@@ -191,8 +191,8 @@ func TestShardTimelineOrderingInvariance(t *testing.T) {
 // TestShardImbalanceReport checks the post-run attribution report's
 // invariants (not its timings, which are machine facts): shape, bounded
 // fractions, conserved slowest-window counts, a digest the coordinator's
-// serial-share accounting does not touch, and absence on the
-// centralized path.
+// serial-share accounting does not touch, and absence from the
+// centralized engine.
 func TestShardImbalanceReport(t *testing.T) {
 	res, err := RunShard(shardObsConfig(t, 2))
 	if err != nil {
@@ -253,13 +253,18 @@ func TestShardImbalanceReport(t *testing.T) {
 		t.Fatalf("digest with a Timeline %s, without %s", got, want)
 	}
 
-	// The centralized family reports neither per-cell snapshots nor an
-	// imbalance — its artifacts must stay byte-identical to pre-PR runs.
-	cfg := shardObsConfig(t, 1)
-	cres, err := RunShard(cfg)
+	// The centralized engine (New + Run) reports neither per-cell
+	// snapshots nor an imbalance, and its registry holds no wall-clock
+	// counters.
+	scheduler, err := sched.New(tcfg.Scheduler, sched.Options{Seed: tcfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cres := mustRun(t, Config{
+		Hosts: tcfg.Topology.NumHosts(), LinkBps: tcfg.Topology.HostLinkBps(), Scheduler: scheduler,
+		Generator: mixedGen(t, tcfg.Topology, tcfg.Load, tcfg.Duration, tcfg.Seed),
+		Duration:  tcfg.Duration, Seed: tcfg.Seed,
+	})
 	if cres.Imbalance != nil || cres.ShardObs != nil {
 		t.Fatal("centralized run grew decomposed-only observability fields")
 	}

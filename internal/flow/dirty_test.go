@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// DirtyVOQs appends pointers to every VOQ mutated since the last
+// ClearDirty to dst and returns it — the tests' view of the dirty set.
+func (t *Table) DirtyVOQs(dst []*VOQ) []*VOQ {
+	t.ForEachDirty(func(q *VOQ) { dst = append(dst, q) })
+	return dst
+}
+
 // voqSnapshot is the observable state of one VOQ: the flow set with
 // remaining sizes, plus the cached backlog.
 type voqSnapshot struct {

@@ -18,9 +18,11 @@
 //   - Epoch() is a monotone counter bumped by every mutation (Add, Remove,
 //     and any Drain that moves bytes).
 //   - The dirty set holds every VOQ mutated since the last ClearDirty,
-//     readable via DirtyVOQs/ForEachDirty/NumDirty. A single fabric event
-//     dirties O(decision size) VOQs, so the set is the per-event delta a
-//     consumer needs — VOQs outside it are bit-for-bit unchanged.
+//     readable via ForEachDirty/NumDirty. Dirty VOQs may be empty (their
+//     last flow was removed) — that emptiness is itself the change a
+//     consumer must observe. A single fabric event dirties O(decision
+//     size) VOQs, so the set is the per-event delta a consumer needs —
+//     VOQs outside it are bit-for-bit unchanged.
 //   - ClearDirty() empties the set and stamps DirtyBasis() with the
 //     current epoch.
 //

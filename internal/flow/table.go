@@ -304,18 +304,6 @@ func (t *Table) DirtyBasis() uint64 { return t.dirtyBasis }
 // NumDirty returns the size of the dirty set.
 func (t *Table) NumDirty() int { return len(t.dirty) }
 
-// DirtyVOQs appends pointers to every VOQ mutated since the last
-// ClearDirty to dst and returns it. Dirty VOQs may be empty (their last
-// flow was removed) — that emptiness is itself the change a consumer must
-// observe. The order is unspecified but deterministic for a given event
-// history.
-func (t *Table) DirtyVOQs(dst []*VOQ) []*VOQ {
-	for _, s := range t.dirty {
-		dst = append(dst, t.at(s))
-	}
-	return dst
-}
-
 // ForEachDirty calls fn for every VOQ mutated since the last ClearDirty,
 // without allocating. fn must not add or remove flows.
 func (t *Table) ForEachDirty(fn func(q *VOQ)) {

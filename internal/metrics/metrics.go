@@ -209,14 +209,6 @@ func (s *Series) TrimToTail(keep int) {
 	s.Values = s.Values[:keep]
 }
 
-// Last returns the most recent value, or 0 when empty.
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
-}
-
 // Mean returns the average value.
 func (s *Series) Mean() float64 { return stats.Mean(s.Values) }
 
@@ -367,9 +359,6 @@ func (m *Throughput) Merge(other *Throughput) {
 	}
 	m.total += other.total
 }
-
-// TotalBytes returns the total departed volume.
-func (m *Throughput) TotalBytes() float64 { return m.total }
 
 // AverageGbps returns the mean rate over the given horizon (seconds).
 func (m *Throughput) AverageGbps(duration float64) float64 {

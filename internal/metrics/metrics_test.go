@@ -8,6 +8,17 @@ import (
 	"basrpt/internal/stats"
 )
 
+// Last returns the series' most recent value, or 0 when empty.
+func (s *Series) Last() float64 {
+	if len(s.Values) == 0 {
+		return 0
+	}
+	return s.Values[len(s.Values)-1]
+}
+
+// TotalBytes returns the throughput meter's total departed volume.
+func (m *Throughput) TotalBytes() float64 { return m.total }
+
 func TestFCTStats(t *testing.T) {
 	f := NewFCT()
 	// 100 samples: 1ms..100ms.

@@ -91,9 +91,6 @@ func New(opts Options) *Obs {
 	return o
 }
 
-// Enabled reports whether the handle records anything.
-func (o *Obs) Enabled() bool { return o != nil }
-
 // Registry returns the instrument registry (nil for a disabled handle —
 // which is itself a valid, no-op registry receiver).
 func (o *Obs) Registry() *Registry {
@@ -183,32 +180,4 @@ func (o *Obs) LastEvents(k int) []Event {
 		out[i] = o.ring[(start+i)%len(o.ring)]
 	}
 	return out
-}
-
-// Span measures one wall-clock interval into a histogram — the profiling
-// hook for decision latency and similar. Spans never touch the event
-// stream, so enabling them cannot break trace determinism. A Span started
-// from a nil histogram is a no-op.
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartSpan begins a measurement into h.
-func StartSpan(h *Histogram) Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, start: time.Now()}
-}
-
-// End stops the span, records the elapsed nanoseconds into the histogram,
-// and returns them (zero for a no-op span).
-func (s Span) End() int64 {
-	if s.h == nil {
-		return 0
-	}
-	ns := time.Since(s.start).Nanoseconds()
-	s.h.Observe(float64(ns))
-	return ns
 }

@@ -168,13 +168,3 @@ func (o *Obs) RestoreState(st *TracerState) error {
 	}
 	return nil
 }
-
-// SetSink replaces the event sink and clears any sticky sink error — the
-// resume path attaches a continuation trace writer to a restored tracer.
-func (o *Obs) SetSink(sink EventSink) {
-	if o == nil {
-		return
-	}
-	o.sink = sink
-	o.sinkErr = nil
-}

@@ -111,9 +111,6 @@ func (t *Topology) Config() Config { return t.cfg }
 // NumHosts returns the total host count.
 func (t *Topology) NumHosts() int { return t.cfg.Racks * t.cfg.HostsPerRack }
 
-// NumRacks returns the rack count.
-func (t *Topology) NumRacks() int { return t.cfg.Racks }
-
 // RackOf returns the rack index of a host. It panics on out-of-range host
 // ids, which indicate a workload-generation bug.
 func (t *Topology) RackOf(host int) int {
@@ -168,36 +165,3 @@ func (t *Topology) ValidateNonBlocking() error {
 // conservative lookahead of the sharded simulator: no event generated in a
 // rack at time t can reach another rack before t + CoreHopLatency.
 func (t *Topology) CoreHopLatency() float64 { return t.cfg.CoreHopLatencyS }
-
-// RackLatency returns the propagation latency in seconds between two racks:
-// zero within a rack, CoreHopLatency across racks. In the multi-rooted tree
-// every ToR reaches every other ToR in exactly one core hop, so the
-// inter-rack latency matrix is uniform.
-func (t *Topology) RackLatency(a, b int) float64 {
-	t.checkRack(a)
-	t.checkRack(b)
-	if a == b {
-		return 0
-	}
-	return t.cfg.CoreHopLatencyS
-}
-
-// RackNeighbors returns the racks adjacent to the given rack through the
-// core layer — all other racks, since every ToR connects to every core
-// switch. The slice is freshly allocated and sorted ascending.
-func (t *Topology) RackNeighbors(rack int) []int {
-	t.checkRack(rack)
-	out := make([]int, 0, t.cfg.Racks-1)
-	for r := 0; r < t.cfg.Racks; r++ {
-		if r != rack {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func (t *Topology) checkRack(rack int) {
-	if rack < 0 || rack >= t.cfg.Racks {
-		panic(fmt.Sprintf("topology: rack %d out of range [0,%d)", rack, t.cfg.Racks))
-	}
-}

@@ -10,8 +10,8 @@ func TestPaperTopology(t *testing.T) {
 	if got := top.NumHosts(); got != 144 {
 		t.Fatalf("NumHosts = %d, want 144", got)
 	}
-	if got := top.NumRacks(); got != 12 {
-		t.Fatalf("NumRacks = %d, want 12", got)
+	if got := top.Config().Racks; got != 12 {
+		t.Fatalf("Racks = %d, want 12", got)
 	}
 	if err := top.ValidateNonBlocking(); err != nil {
 		t.Fatalf("paper topology should be non-blocking: %v", err)
@@ -101,32 +101,6 @@ func TestCoreHopLatency(t *testing.T) {
 	if got := top.CoreHopLatency(); got != 5e-6 {
 		t.Fatalf("CoreHopLatency = %g, want 5e-6", got)
 	}
-	if got := top.RackLatency(3, 3); got != 0 {
-		t.Fatalf("RackLatency same rack = %g, want 0", got)
-	}
-	if got := top.RackLatency(0, 11); got != 5e-6 {
-		t.Fatalf("RackLatency cross rack = %g, want 5e-6", got)
-	}
-}
-
-func TestRackNeighbors(t *testing.T) {
-	top := MustNew(Scaled(4, 2))
-	got := top.RackNeighbors(2)
-	want := []int{0, 1, 3}
-	if len(got) != len(want) {
-		t.Fatalf("RackNeighbors(2) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RackNeighbors(2) = %v, want %v", got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RackNeighbors(-1) did not panic")
-		}
-	}()
-	top.RackNeighbors(-1)
 }
 
 func TestScaledLargeHostCounts(t *testing.T) {

@@ -60,9 +60,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render lays the table out with column-sized padding.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Headers))

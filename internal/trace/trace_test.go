@@ -74,8 +74,8 @@ func TestTableRender(t *testing.T) {
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Fatalf("line count = %d: %q", len(lines), out)
 	}
-	if tbl.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tbl.NumRows())
+	if len(tbl.rows) != 2 {
+		t.Fatalf("rows = %d", len(tbl.rows))
 	}
 	// Columns align: "srpt" padded to width of "fast-basrpt".
 	if !strings.HasPrefix(lines[3], "srpt        ") {

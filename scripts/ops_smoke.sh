@@ -5,8 +5,10 @@
 # Starts a sharded fabric run with the -ops endpoint on an ephemeral
 # port, polls /metrics and /progress while the simulation executes, and
 # asserts both are well-formed (Prometheus exposition lines, valid
-# progress JSON). Then runs a short decomposed run with -timeline and
-# checks the Chrome trace_event export parses and names the cell tracks.
+# progress JSON). Does the same for a centralized run, whose heartbeat is
+# Config.OnProgress rather than the per-barrier ShardConfig.OnWindow.
+# Then runs a short decomposed run with -timeline and checks the Chrome
+# trace_event export parses and names the cell tracks.
 # Stdlib + curl only; artifacts land in ops_smoke_out/ (kept on failure
 # for the CI upload).
 set -euo pipefail
@@ -24,6 +26,28 @@ fail() {
     exit 1
 }
 
+# await_live LOG METRICS waits for the run logging to LOG to print its
+# endpoint ("[ops endpoint listening on http://127.0.0.1:PORT]", before
+# simulating), sets URL, then polls until /metrics reports live decisions
+# and leaves the last scrape in METRICS.
+await_live() {
+    URL=""
+    for _ in $(seq 1 50); do
+        URL=$(grep -oE 'http://[0-9.]+:[0-9]+' "$1" | head -1 || true)
+        [ -n "$URL" ] && break
+        sleep 0.1
+    done
+    [ -n "$URL" ] && echo "ops-smoke: endpoint at $URL" || fail "no ops URL in $1: $(cat "$1")"
+    for _ in $(seq 1 100); do
+        if curl -sf "$URL/metrics" >"$2" 2>/dev/null \
+            && grep -qE '^basrpt_run_decisions [1-9]' "$2"; then
+            return 0
+        fi
+        sleep 0.1
+    done
+    fail "/metrics never reported live decisions: $(cat "$2" 2>/dev/null || true)"
+}
+
 # --- live endpoint: long enough run to be mid-flight when we poll -------
 # (2 s simulated keeps the batched engine busy through every assertion
 # below; the run is killed once the checks pass, so wall cost is bounded
@@ -32,28 +56,7 @@ fail() {
     -ops 127.0.0.1:0 >"$OUT/run.log" 2>&1 &
 SIM_PID=$!
 trap 'kill "$SIM_PID" 2>/dev/null || true' EXIT
-
-# The run prints "[ops endpoint listening on http://127.0.0.1:PORT]"
-# before simulating; grab the URL with retries.
-URL=""
-for _ in $(seq 1 50); do
-    URL=$(grep -oE 'http://[0-9.]+:[0-9]+' "$OUT/run.log" | head -1 || true)
-    [ -n "$URL" ] && break
-    sleep 0.1
-done
-[ -n "$URL" ] && echo "ops-smoke: endpoint at $URL" || fail "no ops URL in run.log: $(cat "$OUT/run.log")"
-
-# Poll until the run has made progress (decisions > 0 on /metrics).
-OK=""
-for _ in $(seq 1 100); do
-    if curl -sf "$URL/metrics" >"$OUT/metrics.txt" 2>/dev/null \
-        && grep -qE '^basrpt_run_decisions [1-9]' "$OUT/metrics.txt"; then
-        OK=1
-        break
-    fi
-    sleep 0.1
-done
-[ -n "$OK" ] || fail "/metrics never reported live decisions: $(cat "$OUT/metrics.txt" 2>/dev/null || true)"
+await_live "$OUT/run.log" "$OUT/metrics.txt"
 
 grep -qE '^basrpt_run_sim_time_seconds [0-9]' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_run_sim_time_seconds"
 grep -qE '^basrpt_run_percent_done [0-9]' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_run_percent_done"
@@ -86,6 +89,24 @@ curl -sf "$URL/debug/pprof/cmdline" >/dev/null || fail "pprof endpoint unreachab
 kill "$SIM_PID" 2>/dev/null || true
 wait "$SIM_PID" 2>/dev/null || true
 
+# --- centralized engine: the sample-tick heartbeat feeds /metrics -------
+# (30 s simulated takes far longer than the checks; killed after them)
+"$OUT/basrptsim" -racks 4 -hosts 6 -duration 30 -load 0.7 \
+    -ops 127.0.0.1:0 >"$OUT/central_run.log" 2>&1 &
+SIM_PID=$!
+await_live "$OUT/central_run.log" "$OUT/central_metrics.txt"
+curl -sf "$URL/progress" >"$OUT/central_progress.json" || fail "centralized /progress unreachable"
+python3 - "$OUT/central_progress.json" <<'PYEOF' || fail "centralized /progress is not well-formed"
+import json, sys
+doc = json.load(open(sys.argv[1]))
+run = doc.get("run")
+assert run is not None and run["duration_s"] == 30, doc
+assert "shard" not in doc, doc
+PYEOF
+
+kill "$SIM_PID" 2>/dev/null || true
+wait "$SIM_PID" 2>/dev/null || true
+
 # --- timeline export: short decomposed run ------------------------------
 "$OUT/basrptsim" -shards 4 -racks 8 -hosts 6 -duration 0.005 -load 0.7 \
     -timeline "$OUT/timeline.json" >"$OUT/timeline_run.log" 2>&1 \
@@ -104,4 +125,4 @@ PYEOF
 
 rm -rf "$OUT"
 trap - EXIT
-echo "ops-smoke: OK (/metrics live, /progress well-formed, pprof up, timeline valid)"
+echo "ops-smoke: OK (/metrics live on both engines, /progress well-formed, pprof up, timeline valid)"
