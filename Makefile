@@ -12,9 +12,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line reruns the shard-determinism tests with 4 Ps. -count=1
+# keeps the test cache, which does not key on GOMAXPROCS, from answering
+# it with a result recorded at another GOMAXPROCS.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'TestRunShardDecomposed|TestRunShardBatch|TestRunShardWorkerPool' ./internal/fabricsim/
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestRunShardDecomposed|TestRunShardBatch|TestRunShardWorkerPool' ./internal/fabricsim/
 
 vet:
 	gofmt -l . && $(GO) vet ./...

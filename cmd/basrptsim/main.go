@@ -465,7 +465,6 @@ func decomposedRun(o *options, topo *basrpt.Topology, schedOpts basrpt.Scheduler
 				Cells:             p.Cells,
 				Workers:           p.Workers,
 				CellBusyNs:        p.CellBusyNs,
-				CellWaitNs:        p.CellWaitNs,
 			})
 		}
 	}

@@ -88,14 +88,6 @@ func ShortestFirst() Policy {
 	}
 }
 
-// LongestFirst is MaxWeight: serve the largest backlogs first.
-func LongestFirst() Policy {
-	return &greedyPolicy{
-		name: "longest-first",
-		key:  func(backlog, _, _ int) float64 { return -float64(backlog) },
-	}
-}
-
 // BacklogAware is the queue-level fast BASRPT analog with weight v:
 // key = (v/n)·min(X, s) − X where s is the arrival size.
 func BacklogAware(v float64) Policy {

@@ -47,14 +47,8 @@ func TestPolicyDecisions(t *testing.T) {
 	if len(d) != 2 || d[0] != 1 || d[1] != 2 {
 		t.Fatalf("shortest-first decision = %v, want [1 2]", d)
 	}
-	// Longest first: q00 (5) wins; q01 blocked (ingress), q10 blocked
-	// (egress 0)... q10 is (1,0): egress 0 taken by q00. Only q00? q11
-	// empty. So decision = [0].
-	d = LongestFirst().Decide(x, 2, 3)
-	if len(d) != 1 || d[0] != 0 {
-		t.Fatalf("longest-first decision = %v, want [0]", d)
-	}
-	// Backlog-aware with small V behaves like longest-first here.
+	// Backlog-aware with small V serves the longest backlog: q00 (5)
+	// wins; q01 (ingress 0) and q10 (egress 0) are blocked, q11 is empty.
 	d = BacklogAware(0.5).Decide(x, 2, 3)
 	if len(d) != 1 || d[0] != 0 {
 		t.Fatalf("backlog-aware(0.5) decision = %v, want [0]", d)
@@ -69,7 +63,6 @@ func TestPolicyDecisions(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	if ShortestFirst().Name() != "shortest-first" ||
-		LongestFirst().Name() != "longest-first" ||
 		BacklogAware(5).Name() != "backlog-aware(V=5)" {
 		t.Fatal("policy names wrong")
 	}

@@ -2,20 +2,18 @@ package eventq
 
 import "fmt"
 
-// EntryState is one pending calendar entry handed to RestoreState. The
-// Event payload is supplied by the owner of the queue (the queue itself
-// cannot serialize opaque events); Time and Seq come from a prior Entries
-// walk.
-type EntryState struct {
+// EntryState is one pending calendar entry handed to RestoreState; Time
+// and Seq come from a prior Entries walk.
+type EntryState[E any] struct {
 	Time  float64
 	Seq   uint64
-	Event Event
+	Event E
 }
 
 // Entries calls fn for every pending entry in heap-array order — the
-// order RestoreState expects back. Callers serialize the payloads
-// themselves: the queue treats events as opaque.
-func (q *Queue) Entries(fn func(time float64, seq uint64, ev Event)) {
+// order RestoreState expects back. Callers serialize the events
+// themselves.
+func (q *Queue[E]) Entries(fn func(time float64, seq uint64, ev E)) {
 	for _, e := range q.heap {
 		fn(e.time, e.seq, e.event)
 	}
@@ -24,7 +22,7 @@ func (q *Queue) Entries(fn func(time float64, seq uint64, ev Event)) {
 // Seq returns the FIFO tie-break counter: the sequence number the most
 // recent Schedule consumed. Restoring it is what keeps same-timestamp
 // events popping in their original order after a resume.
-func (q *Queue) Seq() uint64 { return q.seq }
+func (q *Queue[E]) Seq() uint64 { return q.seq }
 
 // RestoreState replaces the calendar's contents with a snapshot captured
 // via Entries/Seq/HighWater: entries are placed verbatim in heap-array
@@ -32,12 +30,9 @@ func (q *Queue) Seq() uint64 { return q.seq }
 // state), the tie-break counter resumes at seq, and the high-water mark at
 // highWater. The heap property and sequence-number sanity are validated so
 // a corrupt snapshot fails loudly instead of desequencing the simulation.
-func (q *Queue) RestoreState(seq uint64, highWater int, entries []EntryState) error {
+func (q *Queue[E]) RestoreState(seq uint64, highWater int, entries []EntryState[E]) error {
 	seen := make(map[uint64]bool, len(entries))
 	for i, es := range entries {
-		if es.Event == nil {
-			return fmt.Errorf("eventq: restore: entry %d has nil event", i)
-		}
 		if es.Seq == 0 || es.Seq > seq {
 			return fmt.Errorf("eventq: restore: entry %d seq %d outside (0, %d]", i, es.Seq, seq)
 		}
@@ -53,27 +48,12 @@ func (q *Queue) RestoreState(seq uint64, highWater int, entries []EntryState) er
 			}
 		}
 	}
-	q.Clear()
+	q.heap = q.heap[:0]
 	q.Reserve(len(entries))
-	for i, es := range entries {
-		var e *entry
-		if k := len(q.free); k > 0 {
-			e = q.free[k-1]
-			q.free[k-1] = nil
-			q.free = q.free[:k-1]
-		} else {
-			e = &entry{}
-		}
-		e.time = es.Time
-		e.seq = es.Seq
-		e.event = es.Event
-		e.index = i
-		q.heap = append(q.heap, e)
+	for _, es := range entries {
+		q.heap = append(q.heap, entry[E]{time: es.Time, seq: es.Seq, event: es.Event})
 	}
 	q.seq = seq
-	q.highWater = highWater
-	if len(q.heap) > q.highWater {
-		q.highWater = len(q.heap)
-	}
+	q.highWater = max(highWater, len(q.heap))
 	return nil
 }

@@ -88,9 +88,9 @@ type ShardConfig struct {
 	// decision of every cell.
 	ValidateDecisions bool
 	// Timeline, when non-nil, records wall-clock spans — per cell one
-	// "window" span per lookahead window plus one "batch" and one
-	// "barrier" span per barrier, and coordinator "fold"/"route" spans per
-	// barrier — for Chrome trace_event export
+	// "window" span per lookahead window plus one "batch" span per
+	// barrier, and coordinator "fold"/"route" spans per barrier — for
+	// Chrome trace_event export
 	// (obs.Timeline.WriteChromeTrace). Span ORDER is deterministic (rack
 	// order within each barrier); span times are wall-clock measurements.
 	Timeline *obs.Timeline
@@ -126,16 +126,14 @@ type ShardProgress struct {
 	Decisions      int64
 	ArrivedFlows   int
 	CompletedFlows int
-	// CellBusyNs and CellWaitNs are per-cell cumulative wall-clock
-	// busy/barrier-wait nanoseconds (copies; safe to retain). Wall-clock
-	// plane only.
+	// CellBusyNs is each cell's cumulative wall-clock busy nanoseconds
+	// (a copy; safe to retain). Wall-clock plane only.
 	CellBusyNs []int64
-	CellWaitNs []int64
 }
 
 // ShardImbalance is the decomposed engine's post-run wall-clock
 // attribution report: how the run's real time split between cell work
-// and barrier waiting, and which cell the others waited on. Everything
+// and barrier waiting, and which cell was busiest. Everything
 // here is measured on the host machine — wall-clock plane, never part
 // of a deterministic artifact.
 type ShardImbalance struct {
@@ -149,22 +147,15 @@ type ShardImbalance struct {
 	Barriers          int     `json:"barriers"`
 	WindowsPerBarrier float64 `json:"windows_per_barrier"`
 	Workers           int     `json:"workers"`
-	// BusyNs[i] is cell i's total in-window execution time and
-	// BarrierWaitNs[i] the wall time between cell i finishing its batch
-	// and the barrier releasing (this includes time the cell's own
-	// worker spent running sibling cells — see WorkerWaitNs for the true
-	// parallel loss); SlowestBarriers[i] counts barriers cell i finished
-	// last.
-	BusyNs          []int64 `json:"busy_ns"`
-	BarrierWaitNs   []int64 `json:"barrier_wait_ns"`
-	SlowestBarriers []int   `json:"slowest_barriers"`
+	// BusyNs[i] is cell i's total in-window execution time.
+	BusyNs []int64 `json:"busy_ns"`
 	// WorkerBusyNs[g] is worker g's total batch-execution wall time and
 	// WorkerWaitNs[g] its total time blocked at barriers for slower
 	// workers — the parallel-efficiency ledger.
 	WorkerBusyNs []int64 `json:"worker_busy_ns"`
 	WorkerWaitNs []int64 `json:"worker_wait_ns"`
-	// SlowestCell is the cell that finished last in the most barriers
-	// (lowest rack wins ties).
+	// SlowestCell is the cell with the largest BusyNs (lowest rack wins
+	// ties).
 	SlowestCell int `json:"slowest_cell"`
 	// BarrierWaitFraction is total worker barrier wait over total worker
 	// (busy + wait) time — the fraction of the pool's wall clock lost to
@@ -189,24 +180,19 @@ func (im *ShardImbalance) String() string {
 	if im == nil || im.Cells == 0 {
 		return "imbalance: no decomposed windows recorded"
 	}
-	var totalBusy, slowBusy int64
-	for i := range im.BusyNs {
-		totalBusy += im.BusyNs[i]
-		if i == im.SlowestCell {
-			slowBusy = im.BusyNs[i]
-		}
+	var totalBusy, workerWait int64
+	for _, ns := range im.BusyNs {
+		totalBusy += ns
 	}
-	var workerBusy, workerWait int64
-	for g := range im.WorkerBusyNs {
-		workerBusy += im.WorkerBusyNs[g]
-		workerWait += im.WorkerWaitNs[g]
+	for _, ns := range im.WorkerWaitNs {
+		workerWait += ns
 	}
 	return fmt.Sprintf(
-		"imbalance: %d cells x %d windows over %d barriers (%.1f windows/barrier, %d workers); busy %.1fms; worker wait %.1fms (%.1f%% of pool time); coordinator serial %.1fms (%.1f%% of the run loop); skew ratio %.2f; slowest cell %d (last at %d barriers, busy %.1fms)",
+		"imbalance: %d cells x %d windows over %d barriers (%.1f windows/barrier, %d workers); busy %.1fms; worker wait %.1fms (%.1f%% of pool time); coordinator serial %.1fms (%.1f%% of the run loop); skew ratio %.2f; slowest cell %d (busy %.1fms)",
 		im.Cells, im.Windows, im.Barriers, im.WindowsPerBarrier, im.Workers,
 		float64(totalBusy)/1e6, float64(workerWait)/1e6, 100*im.BarrierWaitFraction,
 		float64(im.CoordinatorNs)/1e6, 100*im.SerialFraction,
-		im.SkewRatio, im.SlowestCell, im.SlowestBarriers[im.SlowestCell], float64(slowBusy)/1e6)
+		im.SkewRatio, im.SlowestCell, float64(im.BusyNs[im.SlowestCell])/1e6)
 }
 
 // cellIDShift positions the source-rack tag inside a decomposed flow ID:
@@ -344,11 +330,9 @@ type shardCell struct {
 	// (nanoseconds since the run origin) into winStarts/winDurs; the
 	// coordinator reads them after the barrier join, so no extra
 	// synchronization beyond the join is needed.
-	winStarts       []int64
-	winDurs         []int64
-	busyNs          int64
-	barrierWaitNs   int64
-	slowestBarriers int
+	winStarts []int64
+	winDurs   []int64
+	busyNs    int64
 
 	err error
 }
@@ -883,14 +867,12 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 				WindowsPerBarrier: float64(windows) / float64(barriers),
 				Cells:             numCells, Workers: len(pool.workers),
 				CellBusyNs: make([]int64, numCells),
-				CellWaitNs: make([]int64, numCells),
 			}
 			for i, c := range cells {
 				p.Decisions += c.cDecisions.Value()
 				p.ArrivedFlows += c.res.ArrivedFlows
 				p.CompletedFlows += c.res.CompletedFlows
 				p.CellBusyNs[i] = c.busyNs
-				p.CellWaitNs[i] = c.barrierWaitNs
 			}
 			cfg.OnWindow(p)
 		}
@@ -902,12 +884,12 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 	return mergeCells(cells, res, cfg, windows, barriers, pool, time.Since(loopStart).Nanoseconds())
 }
 
-// accountBatch folds one batch's wall-clock stamps into the per-cell
-// and per-worker busy/barrier-wait accumulators and, when a Timeline is
-// attached, records the batch's spans in rack order — a deterministic
-// span sequence regardless of how the worker goroutines interleaved.
-// The barrier is modeled as ending when the slowest worker finished its
-// batch (the coordinator's own fold work is tracked separately).
+// accountBatch folds one batch's wall-clock stamps into the per-worker
+// busy/barrier-wait accumulators and, when a Timeline is attached,
+// records the cells' spans in rack order — a deterministic span sequence
+// regardless of how the worker goroutines interleaved. The barrier is
+// modeled as ending when the slowest worker finished its batch (the
+// coordinator's own fold work is tracked separately).
 func accountBatch(cells []*shardCell, pool *shardPool, barrier, firstWindow int, tl *obs.Timeline) {
 	barrierEnd := int64(0)
 	for _, wk := range pool.workers {
@@ -919,16 +901,6 @@ func accountBatch(cells []*shardCell, pool *shardPool, barrier, firstWindow int,
 		wk.busyNs += wk.endNs - wk.startNs
 		wk.waitNs += barrierEnd - wk.endNs
 	}
-	slowest, slowestEnd := 0, int64(0)
-	for i, c := range cells {
-		if n := len(c.winStarts); n > 0 {
-			if end := c.winStarts[n-1] + c.winDurs[n-1]; end > slowestEnd {
-				slowestEnd = end
-				slowest = i
-			}
-		}
-	}
-	cells[slowest].slowestBarriers++
 	for _, c := range cells {
 		n := len(c.winStarts)
 		for j := 0; j < n; j++ {
@@ -942,10 +914,6 @@ func accountBatch(cells []*shardCell, pool *shardPool, barrier, firstWindow int,
 		}
 		tl.Add(obs.TimelineSpan{Track: c.rack, Name: "batch", Window: barrier,
 			StartNs: cellStart, DurNs: cellEnd - cellStart})
-		wait := barrierEnd - cellEnd
-		c.barrierWaitNs += wait
-		tl.Add(obs.TimelineSpan{Track: c.rack, Name: "barrier", Window: barrier,
-			StartNs: cellEnd, DurNs: wait})
 		c.winStarts = c.winStarts[:0]
 		c.winDurs = c.winDurs[:0]
 	}
@@ -1148,7 +1116,7 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	reg.Gauge("flow.pool_size").Set(float64(poolSize))
 
 	// Per-cell attribution: seal each cell's deterministic-plane registry
-	// (plus its wall-clock busy/wait counters, filtered out of digests by
+	// (plus its wall-clock busy counter, filtered out of digests by
 	// obs.IsWallClock) and fold the snapshots into the Result in rack
 	// order. The global registry gets the wall-clock totals and the
 	// Result gets the imbalance report.
@@ -1159,28 +1127,19 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 		WindowsPerBarrier: float64(windows) / float64(barriers),
 		Workers:           len(pool.workers),
 		BusyNs:            make([]int64, len(cells)),
-		BarrierWaitNs:     make([]int64, len(cells)),
-		SlowestBarriers:   make([]int, len(cells)),
 		WorkerBusyNs:      make([]int64, len(pool.workers)),
 		WorkerWaitNs:      make([]int64, len(pool.workers)),
 	}
-	var totalBusy, totalWait, maxBusy int64
+	var totalBusy int64
 	for i, c := range cells {
 		c.reg.Gauge("cell.eventq_high_water").Set(float64(c.gen.QueueHighWater()))
 		c.reg.Counter("wall.busy_ns").Add(c.busyNs)
-		c.reg.Counter("wall.barrier_wait_ns").Add(c.barrierWaitNs)
 		res.ShardObs = append(res.ShardObs, c.reg.Snapshot())
 		im.BusyNs[i] = c.busyNs
-		im.BarrierWaitNs[i] = c.barrierWaitNs
-		im.SlowestBarriers[i] = c.slowestBarriers
-		if c.slowestBarriers > im.SlowestBarriers[im.SlowestCell] {
+		if c.busyNs > im.BusyNs[im.SlowestCell] {
 			im.SlowestCell = i
 		}
 		totalBusy += c.busyNs
-		totalWait += c.barrierWaitNs
-		if c.busyNs > maxBusy {
-			maxBusy = c.busyNs
-		}
 	}
 	var workerBusy, workerWait int64
 	for g, wk := range pool.workers {
@@ -1193,7 +1152,7 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 		im.BarrierWaitFraction = float64(workerWait) / float64(workerBusy+workerWait)
 	}
 	if totalBusy > 0 {
-		im.SkewRatio = float64(maxBusy) / (float64(totalBusy) / float64(len(cells)))
+		im.SkewRatio = float64(im.BusyNs[im.SlowestCell]) / (float64(totalBusy) / float64(len(cells)))
 	}
 	im.CoordinatorNs = loopNs - pool.batchNs
 	if loopNs > 0 {
@@ -1201,7 +1160,6 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	}
 	res.Imbalance = im
 	reg.Counter("wall.busy_ns").Add(totalBusy)
-	reg.Counter("wall.barrier_wait_ns").Add(totalWait)
 	reg.Counter("wall.worker_busy_ns").Add(workerBusy)
 	reg.Counter("wall.worker_wait_ns").Add(workerWait)
 	reg.Counter("wall.coordinator_ns").Add(im.CoordinatorNs)

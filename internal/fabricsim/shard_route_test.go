@@ -14,7 +14,7 @@ import (
 // appends it to the destination inboxes. routeOutboxes must reproduce
 // its inboxes exactly.
 type oracleCell struct {
-	outbox   eventq.Queue
+	outbox   eventq.Queue[shardMsg]
 	inbox    []routedMsg
 	inboxPos int
 }
@@ -31,8 +31,8 @@ func oracleRoute(cells []*oracleCell, horizon float64, hpr int) {
 			if !ok || dt >= horizon {
 				break
 			}
-			ev, t, _ := c.outbox.Pop()
-			routed = append(routed, routedMsg{deliver: t, srcCell: ci, msg: ev.(shardMsg)})
+			m, t, _ := c.outbox.Pop()
+			routed = append(routed, routedMsg{deliver: t, srcCell: ci, msg: m})
 		}
 	}
 	sort.SliceStable(routed, func(i, j int) bool {

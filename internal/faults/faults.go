@@ -243,12 +243,6 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// Empty reports whether the schedule injects nothing at all.
-func (s *Schedule) Empty() bool {
-	return len(s.LinkFaults) == 0 && len(s.Outages) == 0 &&
-		s.PacketLossProb == 0 && s.GrantLossProb == 0
-}
-
 // FirstFaultStart returns the earliest fault-window start, or +Inf when
 // the schedule has no windows.
 func (s *Schedule) FirstFaultStart() float64 {

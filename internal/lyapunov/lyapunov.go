@@ -100,9 +100,3 @@ func EstimateDrift(lSeries []float64) DriftReport {
 		Steps:     int(s.Count()),
 	}
 }
-
-// DriftPlusPenalty returns the drift-plus-penalty sample Δ + V·ȳ that the
-// BASRPT decision rule minimizes a bound on (Section IV-B).
-func DriftPlusPenalty(drift, v, yBar float64) float64 {
-	return drift + v*yBar
-}

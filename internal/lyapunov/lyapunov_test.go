@@ -90,12 +90,6 @@ func TestEstimateDrift(t *testing.T) {
 	}
 }
 
-func TestDriftPlusPenalty(t *testing.T) {
-	if got := DriftPlusPenalty(3, 2, 5); got != 13 {
-		t.Fatalf("drift-plus-penalty = %g, want 13", got)
-	}
-}
-
 // TestStableSystemHasNearZeroDrift runs the slotted switch with fast
 // BASRPT below capacity and checks that the long-run mean drift of L(X) is
 // small relative to its excursions — the observable signature of positive

@@ -19,7 +19,7 @@ const TimelineCoordinator = -1
 // deterministic for a fixed configuration, their times are not.
 type TimelineSpan struct {
 	Track   int    // cell index, or TimelineCoordinator
-	Name    string // span kind: "window", "batch", "barrier", "fold", "route"
+	Name    string // span kind: "window", "batch", "fold", "route"
 	Window  int    // window index ("window" spans) or barrier index (all others)
 	StartNs int64  // nanoseconds since the run origin
 	DurNs   int64  // span duration in nanoseconds

@@ -10,7 +10,7 @@ func TestIsWallClock(t *testing.T) {
 		name string
 		want bool
 	}{
-		{"wall.barrier_wait_ns", true},
+		{"wall.worker_wait_ns", true},
 		{"wall.busy_ns", true},
 		{"runtime.gc_cycles", true},
 		{"runtime.heap_alloc_bytes", true},

@@ -59,7 +59,7 @@ func (r RunState) PercentDone() float64 {
 // at barriers (wire fabricsim.ShardConfig.OnWindow to PublishShard) and
 // rendered into /metrics as the basrpt_shard_* family. Everything here
 // is wall-clock plane: barrier cadence, worker-pool shape, and per-cell
-// busy/wait attribution.
+// busy attribution.
 type ShardState struct {
 	// Barriers is the number of coordinator barriers completed and
 	// WindowsPerBarrier the cumulative mean batch width.
@@ -69,10 +69,9 @@ type ShardState struct {
 	// worker-goroutine count executing them.
 	Cells   int `json:"cells"`
 	Workers int `json:"workers"`
-	// CellBusyNs and CellWaitNs are per-cell cumulative wall-clock busy
-	// and barrier-wait nanoseconds (indexed by rack).
+	// CellBusyNs is each cell's cumulative wall-clock busy nanoseconds
+	// (indexed by rack).
 	CellBusyNs []int64 `json:"cell_busy_ns"`
-	CellWaitNs []int64 `json:"cell_wait_ns"`
 }
 
 // SeedState is the last observed lifecycle phase of one (task, seed)
@@ -341,7 +340,7 @@ func WriteMetrics(w io.Writer, snap obs.Snapshot, run *RunState, unitsDone, unit
 
 // WriteShardMetrics renders the sharded engine's pool state as the
 // basrpt_shard_* Prometheus family: barrier cadence and pool shape as
-// scalar gauges, plus per-cell busy/wait seconds as cell-labeled gauge
+// scalar gauges, plus per-cell busy seconds as a cell-labeled gauge
 // series (one sample per rack, labeled cell="<rack>").
 func WriteShardMetrics(w io.Writer, st *ShardState) error {
 	for _, kv := range []struct {
@@ -363,16 +362,6 @@ func WriteShardMetrics(w io.Writer, st *ShardState) error {
 		}
 		for i, ns := range st.CellBusyNs {
 			if _, err := fmt.Fprintf(w, "basrpt_shard_cell_busy_seconds{cell=\"%d\"} %g\n", i, float64(ns)/1e9); err != nil {
-				return err
-			}
-		}
-	}
-	if len(st.CellWaitNs) > 0 {
-		if _, err := fmt.Fprintf(w, "# TYPE basrpt_shard_cell_wait_seconds gauge\n"); err != nil {
-			return err
-		}
-		for i, ns := range st.CellWaitNs {
-			if _, err := fmt.Fprintf(w, "basrpt_shard_cell_wait_seconds{cell=\"%d\"} %g\n", i, float64(ns)/1e9); err != nil {
 				return err
 			}
 		}

@@ -45,7 +45,6 @@ func TestServerEndpoints(t *testing.T) {
 	s.PublishShard(ShardState{
 		Barriers: 8, WindowsPerBarrier: 7.5, Cells: 2, Workers: 2,
 		CellBusyNs: []int64{2_500_000_000, 1_000_000_000},
-		CellWaitNs: []int64{0, 1_500_000_000},
 	})
 	s.PublishUnit(runner.Progress{Phase: runner.PhaseStart, Done: 0, Total: 2, Task: "srpt/0.8", Seed: 11})
 	s.PublishUnit(runner.Progress{Phase: runner.PhaseDone, Done: 1, Total: 2, Task: "srpt/0.8", Seed: 11})
@@ -75,7 +74,7 @@ func TestServerEndpoints(t *testing.T) {
 		"basrpt_shard_barriers 8",
 		"basrpt_shard_workers 2",
 		`basrpt_shard_cell_busy_seconds{cell="0"} 2.5`,
-		`basrpt_shard_cell_wait_seconds{cell="1"} 1.5`,
+		`basrpt_shard_cell_busy_seconds{cell="1"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)

@@ -163,11 +163,11 @@ func TestIncrementalRebuildOnTableSwap(t *testing.T) {
 		b.step(servedB)
 		// servedA outlives inc's next Schedule call (on table B), so it must
 		// be cloned out of the scheduler's scratch per the ownership contract.
-		servedA = CloneDecision(inc.Schedule(a.tab))
+		servedA = append([]*flow.Flow(nil), inc.Schedule(a.tab)...)
 		if !identicalDecisions(servedA, base.Schedule(a.tab)) {
 			t.Fatalf("step %d: diverged on table A after swap", step)
 		}
-		servedB = CloneDecision(inc.Schedule(b.tab))
+		servedB = append([]*flow.Flow(nil), inc.Schedule(b.tab)...)
 		if !identicalDecisions(servedB, base.Schedule(b.tab)) {
 			t.Fatalf("step %d: diverged on table B after swap", step)
 		}

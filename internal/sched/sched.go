@@ -54,20 +54,8 @@ type Scheduler interface {
 	// as read-only. The result is a crossbar matching held in scratch the
 	// scheduler owns: it is valid only until the next Schedule call on the
 	// same instance, which may overwrite it in place. Callers that retain
-	// a decision across decisions must copy it first (CloneDecision).
+	// a decision across decisions must copy it first.
 	Schedule(t *flow.Table) []*flow.Flow
-}
-
-// CloneDecision copies a Schedule result into a fresh slice for the few
-// callers that retain decisions past the next Schedule call (held
-// matchings, test fixtures). An empty decision clones to nil.
-func CloneDecision(decision []*flow.Flow) []*flow.Flow {
-	if len(decision) == 0 {
-		return nil
-	}
-	out := make([]*flow.Flow, len(decision))
-	copy(out, decision)
-	return out
 }
 
 // DirtyConsumer is implemented by schedulers whose Schedule consumes the
@@ -277,23 +265,12 @@ func (g *greedy) pick(n int) []*flow.Flow {
 	return selected
 }
 
-// heapSelectThreshold is the candidate count above which the greedy core
-// switches from full sort to heap selection. At paper scale (144 hosts,
-// up to N² = 20k non-empty VOQs) a decision usually completes after ~N
-// pops, so heap selection is an order of magnitude cheaper than sorting
-// everything; below the threshold the sort's constant factor wins.
-const heapSelectThreshold = 64
-
-// schedule is gather + order + pick — the from-scratch path. Ordering uses
-// a full sort for small candidate sets and lazy heap selection for large
-// ones; both produce the identical decision (property-tested).
+// schedule is gather + sort + pick — the from-scratch path, and the
+// reference the incremental index is checked against.
 func (g *greedy) schedule(t *flow.Table, key Key) []*flow.Flow {
 	g.gather(t, key)
 	if len(g.cands) == 0 {
 		return nil
-	}
-	if len(g.cands) >= heapSelectThreshold {
-		return g.heapPick(t.N())
 	}
 	slices.SortFunc(g.cands, cmpScored)
 	return g.pick(t.N())
@@ -329,65 +306,6 @@ func (g *greedy) checkIndex(t *flow.Table, key Key) error {
 		return nil
 	}
 	return g.idx.check(t, key)
-}
-
-// heapPick selects greedily by heapifying and popping g.cands, stopping
-// as soon as the matching is complete. Pop order equals sorted order, so
-// the decision matches the sort path exactly.
-func (g *greedy) heapPick(n int) []*flow.Flow {
-	// Bottom-up heapify: O(len).
-	for i := len(g.cands)/2 - 1; i >= 0; i-- {
-		siftDown(g.cands, i)
-	}
-	return g.popPick(g.cands, n)
-}
-
-// popPick runs the greedy crossbar loop by destructively popping an
-// already-heapified candidate slice, filling the reusable selected
-// scratch.
-func (g *greedy) popPick(heap []scored, n int) []*flow.Flow {
-	g.marks.reset(n)
-	selected := g.selected[:0]
-	free := n
-	for len(heap) > 0 {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		if len(heap) > 0 {
-			siftDown(heap, 0)
-		}
-		f := top.f
-		if g.marks.taken(f) {
-			continue
-		}
-		g.marks.take(f)
-		selected = append(selected, f)
-		if free--; free == 0 {
-			break
-		}
-	}
-	g.selected = selected
-	return selected
-}
-
-func siftDown(heap []scored, i int) {
-	n := len(heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && cmpScored(heap[right], heap[left]) < 0 {
-			smallest = right
-		}
-		if cmpScored(heap[smallest], heap[i]) >= 0 {
-			return
-		}
-		heap[i], heap[smallest] = heap[smallest], heap[i]
-		i = smallest
-	}
 }
 
 // Validator re-checks decisions without allocating: it owns a pair of

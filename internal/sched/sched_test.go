@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -405,91 +404,6 @@ func TestSchedulerNames(t *testing.T) {
 	}
 	if got := NewRandom(1).Name(); got != "random" {
 		t.Fatalf("random Name = %q", got)
-	}
-}
-
-// TestHeapPickEqualsSortPick: the lazy heap-selection path must produce
-// exactly the decision the full-sort path produces, across dense random
-// states straddling the switchover threshold.
-func TestHeapPickEqualsSortPick(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := stats.NewRNG(seed)
-		n := 4 + r.Intn(12)
-		// Dense enough to exceed heapSelectThreshold candidates.
-		tab := flow.NewTable(n)
-		id := flow.ID(1)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j && r.Float64() < 0.9 {
-					size := 1 + math.Floor(r.Float64()*1e5) + float64(id)*1e-3
-					tab.Add(flow.NewFlow(id, i, j, flow.ClassOther, size, 0))
-					id++
-				}
-			}
-		}
-		key := func(c Candidate) float64 {
-			return 2500/float64(n)*c.Flow.Remaining - c.QueueLen
-		}
-		var g1, g2 greedy
-		g1.gather(tab, key)
-		slicesSort(g1.cands)
-		sorted := g1.pick(n)
-		g2.gather(tab, key)
-		heaped := g2.heapPick(n)
-		if len(sorted) != len(heaped) {
-			return false
-		}
-		for i := range sorted {
-			if sorted[i] != heaped[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// slicesSort isolates the sort call so the equality test exercises the
-// exact production comparator.
-func slicesSort(cands []scored) {
-	sort.SliceStable(cands, func(i, j int) bool { return cmpScored(cands[i], cands[j]) < 0 })
-}
-
-func BenchmarkHeapVsSortSelection(b *testing.B) {
-	build := func(n int) *flow.Table {
-		r := stats.NewRNG(9)
-		tab := flow.NewTable(n)
-		id := flow.ID(1)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j {
-					tab.Add(flow.NewFlow(id, i, j, flow.ClassOther, 1+math.Floor(r.Float64()*1e6), 0))
-					id++
-				}
-			}
-		}
-		return tab
-	}
-	key := func(c Candidate) float64 { return c.Flow.Remaining }
-	for _, n := range []int{24, 72, 144} {
-		tab := build(n)
-		b.Run(fmt.Sprintf("sort-n%d", n), func(b *testing.B) {
-			var g greedy
-			for i := 0; i < b.N; i++ {
-				g.gather(tab, key)
-				slicesSort(g.cands)
-				g.pick(n)
-			}
-		})
-		b.Run(fmt.Sprintf("heap-n%d", n), func(b *testing.B) {
-			var g greedy
-			for i := 0; i < b.N; i++ {
-				g.gather(tab, key)
-				g.heapPick(n)
-			}
-		})
 	}
 }
 

@@ -30,19 +30,9 @@ func TCritical95(df int) float64 {
 	return 1.960
 }
 
-// MeanCI95 returns the sample mean of values and the half-width of its
-// two-sided 95% confidence interval, t(df) · s / √n. Fewer than two values
-// yield a zero half-width: dispersion is unobservable from one sample.
-func MeanCI95(values []float64) (mean, half float64) {
-	var s Summary
-	for _, v := range values {
-		s.Add(v)
-	}
-	return s.Mean(), s.CI95()
-}
-
 // CI95 returns the half-width of the two-sided 95% confidence interval of
-// the summary's mean, or 0 with fewer than two observations.
+// the summary's mean, t(df) · s / √n, or 0 with fewer than two
+// observations: dispersion is unobservable from one sample.
 func (s *Summary) CI95() float64 {
 	if s.n < 2 {
 		return 0

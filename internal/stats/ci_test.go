@@ -31,35 +31,51 @@ func TestTCritical95(t *testing.T) {
 	}
 }
 
-func TestMeanCI95(t *testing.T) {
-	// {1,2,3,4,5}: mean 3, s = sqrt(2.5), df 4 → half = 2.776·s/√5.
-	mean, half := MeanCI95([]float64{1, 2, 3, 4, 5})
-	wantHalf := 2.776 * math.Sqrt(2.5) / math.Sqrt(5)
-	if math.Abs(mean-3) > 1e-12 || math.Abs(half-wantHalf) > 1e-12 {
-		t.Fatalf("MeanCI95 = %g ± %g, want 3 ± %g", mean, half, wantHalf)
-	}
-}
-
-func TestCI95DegenerateInputs(t *testing.T) {
-	if _, half := MeanCI95(nil); half != 0 {
-		t.Fatalf("empty: half = %g, want 0", half)
-	}
-	if _, half := MeanCI95([]float64{7}); half != 0 {
-		t.Fatalf("single: half = %g, want 0", half)
-	}
-	if _, half := MeanCI95([]float64{4, 4, 4, 4}); half != 0 {
-		t.Fatalf("constant: half = %g, want 0", half)
-	}
-}
-
-func TestSummaryCI95MatchesMeanCI95(t *testing.T) {
-	values := []float64{0.3, 1.9, -2.5, 8, 4.4, 0.01}
+// summarize feeds values into a fresh Summary.
+func summarize(values []float64) *Summary {
 	var s Summary
 	for _, v := range values {
 		s.Add(v)
 	}
-	_, half := MeanCI95(values)
-	if math.Abs(s.CI95()-half) > 1e-12 {
-		t.Fatalf("Summary.CI95 %g != MeanCI95 %g", s.CI95(), half)
+	return &s
+}
+
+// TestMeanCI95 checks Summary's mean and 95% half-width on a case worked
+// out by hand.
+func TestMeanCI95(t *testing.T) {
+	// {1,2,3,4,5}: mean 3, s = sqrt(2.5), df 4 → half = 2.776·s/√5.
+	s := summarize([]float64{1, 2, 3, 4, 5})
+	wantHalf := 2.776 * math.Sqrt(2.5) / math.Sqrt(5)
+	if math.Abs(s.Mean()-3) > 1e-12 || math.Abs(s.CI95()-wantHalf) > 1e-12 {
+		t.Fatalf("mean CI = %g ± %g, want 3 ± %g", s.Mean(), s.CI95(), wantHalf)
+	}
+}
+
+// TestSummaryCI95MatchesMeanCI95 checks the streaming Summary against the
+// mean confidence interval computed from its definition, t(n-1) · s / √n
+// with a two-pass sample variance.
+func TestSummaryCI95MatchesMeanCI95(t *testing.T) {
+	values := []float64{0.3, 1.9, -2.5, 8, 4.4, 0.01}
+	mean := 0.0
+	for _, v := range values {
+		mean += v
+	}
+	mean /= float64(len(values))
+	ss := 0.0
+	for _, v := range values {
+		ss += (v - mean) * (v - mean)
+	}
+	wantHalf := 2.571 * math.Sqrt(ss/5) / math.Sqrt(6)
+	s := summarize(values)
+	if math.Abs(s.Mean()-mean) > 1e-12 || math.Abs(s.CI95()-wantHalf) > 1e-12 {
+		t.Fatalf("mean CI = %g ± %g, want %g ± %g", s.Mean(), s.CI95(), mean, wantHalf)
+	}
+}
+
+func TestCI95DegenerateInputs(t *testing.T) {
+	for _, values := range [][]float64{nil, {7}, {4, 4, 4, 4}} {
+		if half := summarize(values).CI95(); half != 0 {
+			t.Fatalf("%v: half = %g, want 0", values, half)
+		}
 	}
 }

@@ -62,10 +62,9 @@ type Sim struct {
 	lostPackets     int64
 	completedFlows  int
 
-	fct           *metrics.FCT
-	totalBacklog  metrics.Series
-	maxPortSeries metrics.Series
-	lyapunov      metrics.Series
+	fct          *metrics.FCT
+	totalBacklog metrics.Series
+	lyapunov     metrics.Series
 
 	// Instrumentation, resolved once at New (nil no-ops when cfg.Obs is nil).
 	cArrived   *obs.Counter
@@ -160,8 +159,6 @@ func (s *Sim) Step() error {
 		ft := float64(t)
 		s.gBacklog.Set(s.table.TotalBacklog())
 		s.totalBacklog.Add(ft, s.table.TotalBacklog())
-		_, maxB := s.table.MaxIngressBacklog()
-		s.maxPortSeries.Add(ft, maxB)
 		s.lyapunov.Add(ft, s.LyapunovValue())
 	}
 	s.slot++
@@ -196,9 +193,6 @@ func (s *Sim) FCT() *metrics.FCT { return s.fct }
 
 // TotalBacklogSeries returns the sampled total backlog (packets).
 func (s *Sim) TotalBacklogSeries() *metrics.Series { return &s.totalBacklog }
-
-// MaxPortBacklogSeries returns the sampled worst ingress-port backlog.
-func (s *Sim) MaxPortBacklogSeries() *metrics.Series { return &s.maxPortSeries }
 
 // LyapunovSeries returns the sampled L(X) series.
 func (s *Sim) LyapunovSeries() *metrics.Series { return &s.lyapunov }

@@ -59,16 +59,6 @@ func DataMiningBytes() *stats.EmpiricalCDF {
 	}))
 }
 
-// CappedWebSearchBytes returns the web-search distribution truncated at
-// 50MB, matching the paper's Section III-B modeling assumption that "all
-// flow lengths are within an upper bound of 50MB". (The uncapped table
-// already tops out below 30MB, so the cap is a no-op kept for the
-// assumption's documentation value; the data-mining tail is what it
-// actually binds.)
-func CappedWebSearchBytes() *stats.EmpiricalCDF {
-	return WebSearchBytes()
-}
-
 func scalePackets(points []stats.CDFPoint) []stats.CDFPoint {
 	out := make([]stats.CDFPoint, len(points))
 	for i, p := range points {

@@ -108,17 +108,11 @@ type Mixed struct {
 	cfg      MixedConfig
 	topo     *topology.Topology
 	rng      *stats.RNG
-	queue    eventq.Queue
+	queue    eventq.Queue[streamEvent]
 	queryGap float64 // mean seconds between queries per host (0: disabled)
 	bgGap    float64 // mean seconds between background flows per host
 	srcLo    int     // generated sources span [srcLo, srcHi)
 	srcHi    int
-
-	// events holds one pre-boxed streamEvent per (host, class) stream,
-	// indexed 2*host (+1 for background). The payload never changes across
-	// a stream's lifetime, so rescheduling the cached interface value
-	// avoids re-boxing — one heap allocation per event — in Next.
-	events []eventq.Event
 }
 
 var _ Generator = (*Mixed)(nil)
@@ -190,23 +184,16 @@ func NewMixed(cfg MixedConfig) (*Mixed, error) {
 		m.bgGap = 1 / rate
 	}
 
-	// Prime one pending event per active stream per in-range host, boxing
-	// each stream's event exactly once. At most every stream is pending at
-	// once, so reserving that population keeps the calendar allocation-free
-	// for the rest of the run. The events slice is indexed relative to
-	// srcLo so a rack-restricted generator stays O(rack), not O(fabric).
-	span := m.srcHi - m.srcLo
-	m.events = make([]eventq.Event, 2*span)
-	m.queue.Reserve(2 * span)
+	// Prime one pending event per active stream per in-range host. At most
+	// every stream is pending at once, so reserving that population keeps
+	// the calendar allocation-free for the rest of the run.
+	m.queue.Reserve(2 * (m.srcHi - m.srcLo))
 	for host := m.srcLo; host < m.srcHi; host++ {
-		i := host - m.srcLo
-		m.events[2*i] = streamEvent{host: host, class: flow.ClassQuery}
-		m.events[2*i+1] = streamEvent{host: host, class: flow.ClassBackground}
 		if m.queryGap > 0 {
-			m.queue.Schedule(m.rng.Exp(1/m.queryGap), m.events[2*i])
+			m.queue.Schedule(m.rng.Exp(1/m.queryGap), streamEvent{host: host, class: flow.ClassQuery})
 		}
 		if m.bgGap > 0 {
-			m.queue.Schedule(m.rng.Exp(1/m.bgGap), m.events[2*i+1])
+			m.queue.Schedule(m.rng.Exp(1/m.bgGap), streamEvent{host: host, class: flow.ClassBackground})
 		}
 	}
 	return m, nil
@@ -215,31 +202,21 @@ func NewMixed(cfg MixedConfig) (*Mixed, error) {
 // Next pops the earliest pending arrival, draws its destination and size,
 // and schedules the stream's next arrival.
 func (m *Mixed) Next() (Arrival, bool) {
-	for {
-		ev, t, ok := m.queue.Pop()
-		if !ok || t > m.cfg.Duration {
-			return Arrival{}, false
-		}
-		se, isStream := ev.(streamEvent)
-		if !isStream {
-			continue
-		}
-		a := Arrival{Time: t, Src: se.host, Class: se.class}
-		i := se.host - m.srcLo
-		switch se.class {
-		case flow.ClassQuery:
-			a.Dst = m.pickRemoteUniform(se.host)
-			a.Size = QueryBytes
-			m.queue.Schedule(t+m.rng.Exp(1/m.queryGap), m.events[2*i])
-		case flow.ClassBackground:
-			a.Dst = m.pickRackLocal(se.host)
-			a.Size = m.cfg.BackgroundSizes.Sample(m.rng)
-			m.queue.Schedule(t+m.rng.Exp(1/m.bgGap), m.events[2*i+1])
-		default:
-			continue
-		}
-		return a, true
+	se, t, ok := m.queue.Pop()
+	if !ok || t > m.cfg.Duration {
+		return Arrival{}, false
 	}
+	a := Arrival{Time: t, Src: se.host, Class: se.class}
+	if se.class == flow.ClassQuery {
+		a.Dst = m.pickRemoteUniform(se.host)
+		a.Size = QueryBytes
+		m.queue.Schedule(t+m.rng.Exp(1/m.queryGap), se)
+	} else {
+		a.Dst = m.pickRackLocal(se.host)
+		a.Size = m.cfg.BackgroundSizes.Sample(m.rng)
+		m.queue.Schedule(t+m.rng.Exp(1/m.bgGap), se)
+	}
+	return a, true
 }
 
 // pickRemoteUniform draws a destination uniformly from all hosts except src.

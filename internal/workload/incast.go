@@ -47,7 +47,7 @@ type Incast struct {
 	topo *topology.Topology
 	rng  *stats.RNG
 
-	queue eventq.Queue
+	queue eventq.Queue[incastEvent]
 	bg    *Mixed // nil when BackgroundLoad == 0
 
 	pendingBg    Arrival
@@ -68,7 +68,12 @@ func (g *Incast) QueueHighWater() int {
 	return hw
 }
 
-type incastJobEvent struct{}
+// incastEvent is one entry of the incast calendar: a job tick, or an
+// expanded response waiting its turn.
+type incastEvent struct {
+	job bool
+	a   Arrival // the response when !job
+}
 
 // NewIncast validates the configuration and builds the generator.
 func NewIncast(cfg IncastConfig) (*Incast, error) {
@@ -123,7 +128,7 @@ func NewIncast(cfg IncastConfig) (*Incast, error) {
 		g.pendingBg, g.hasPendingBg = bg.Next()
 	}
 	// Prime the first job.
-	g.queue.Schedule(g.rng.Exp(cfg.JobsPerSecond), incastJobEvent{})
+	g.queue.Schedule(g.rng.Exp(cfg.JobsPerSecond), incastEvent{job: true})
 	return g, nil
 }
 
@@ -138,12 +143,11 @@ func (g *Incast) Next() (Arrival, bool) {
 			return a, true
 		case haveJob && jobTime <= g.cfg.Duration:
 			ev, t, _ := g.queue.Pop()
-			if _, isJob := ev.(incastJobEvent); isJob {
-				g.expandJob(t)
-				g.queue.Schedule(t+g.rng.Exp(g.cfg.JobsPerSecond), incastJobEvent{})
-				continue
+			if !ev.job {
+				return ev.a, true
 			}
-			return ev.(Arrival), true
+			g.expandJob(t)
+			g.queue.Schedule(t+g.rng.Exp(g.cfg.JobsPerSecond), incastEvent{job: true})
 		default:
 			return Arrival{}, false
 		}
@@ -168,13 +172,13 @@ func (g *Incast) expandJob(t float64) {
 		if at > g.cfg.Duration {
 			continue
 		}
-		g.queue.Schedule(at, Arrival{
+		g.queue.Schedule(at, incastEvent{a: Arrival{
 			Time:  at,
 			Src:   b,
 			Dst:   aggregator,
 			Size:  g.cfg.ResponseBytes,
 			Class: flow.ClassQuery,
-		})
+		}})
 	}
 }
 

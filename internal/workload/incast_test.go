@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"basrpt/internal/flow"
@@ -153,5 +154,74 @@ func TestIncastDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("arrival %d differs", i)
 		}
+	}
+}
+
+// TestIncastCheckpointRoundTrip: an incast generator with jitter and
+// background traffic, checkpointed while its calendar holds a job tick
+// and expanded responses still waiting their turn, restores into a fresh
+// generator that re-snapshots to the same state and then yields exactly
+// the remaining arrivals.
+func TestIncastCheckpointRoundTrip(t *testing.T) {
+	cfg := IncastConfig{
+		Topology:       topology.MustNew(topology.Scaled(2, 4)),
+		JobsPerSecond:  200,
+		Fanout:         5,
+		Jitter:         2e-4,
+		BackgroundLoad: 0.3,
+		Duration:       0.5,
+		Seed:           13,
+	}
+	g, err := NewIncast(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Advance until the calendar holds the next job and pending responses.
+	for g.queue.Len() < 2 {
+		if _, ok := g.Next(); !ok {
+			t.Fatal("stream exhausted before a job left responses pending")
+		}
+	}
+	st, err := g.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, es := range st.Events {
+		kinds[es.Kind]++
+	}
+	if kinds["job"] != 1 || kinds["arrival"] == 0 || st.Background == nil {
+		t.Fatalf("snapshot holds %v events, background %v; want one job, pending arrivals and a background state",
+			kinds, st.Background != nil)
+	}
+
+	fresh, err := NewIncast(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreCheckpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	again, err := fresh.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, st) {
+		t.Fatalf("restored generator snapshots differently:\n got %+v\nwant %+v", again, st)
+	}
+	n := 0
+	for {
+		want, ok := g.Next()
+		got, gotOK := fresh.Next()
+		if ok != gotOK || got != want {
+			t.Fatalf("resumed arrival %d = (%+v, %v), want (%+v, %v)", n, got, gotOK, want, ok)
+		}
+		if !ok {
+			break
+		}
+		n++
+	}
+	if n == 0 {
+		t.Fatal("no arrivals after the checkpoint")
 	}
 }

@@ -84,26 +84,15 @@ func (m *Mixed) CheckpointState() (*GeneratorState, error) {
 		QueueSeq:       m.queue.Seq(),
 		QueueHighWater: m.queue.HighWater(),
 	}
-	var bad error
-	m.queue.Entries(func(t float64, seq uint64, ev eventq.Event) {
-		se, ok := ev.(streamEvent)
-		if !ok {
-			bad = fmt.Errorf("%w: mixed calendar holds unexpected %T", ErrBadState, ev)
-			return
-		}
+	m.queue.Entries(func(t float64, seq uint64, se streamEvent) {
 		st.Events = append(st.Events, EventState{
 			Time: t, Seq: seq, Kind: "stream", Host: se.host, Class: int(se.class),
 		})
 	})
-	if bad != nil {
-		return nil, bad
-	}
 	return st, nil
 }
 
-// RestoreCheckpoint rewinds a freshly-built Mixed generator. Calendar
-// entries are rebound to the generator's pre-boxed stream events so the
-// no-reboxing invariant (one allocation per stream, ever) survives resume.
+// RestoreCheckpoint rewinds a freshly-built Mixed generator.
 func (m *Mixed) RestoreCheckpoint(st *GeneratorState) error {
 	if st == nil || st.Kind != "mixed" {
 		return fmt.Errorf("%w: expected mixed generator state", ErrBadState)
@@ -111,25 +100,20 @@ func (m *Mixed) RestoreCheckpoint(st *GeneratorState) error {
 	if err := m.rng.RestoreState(st.RNG); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	entries := make([]eventq.EntryState, len(st.Events))
+	entries := make([]eventq.EntryState[streamEvent], len(st.Events))
 	for i, es := range st.Events {
 		if es.Kind != "stream" {
 			return fmt.Errorf("%w: mixed calendar cannot hold %q events", ErrBadState, es.Kind)
 		}
-		var off int
-		switch flow.Class(es.Class) {
-		case flow.ClassQuery:
-			off = 0
-		case flow.ClassBackground:
-			off = 1
-		default:
+		class := flow.Class(es.Class)
+		if class != flow.ClassQuery && class != flow.ClassBackground {
 			return fmt.Errorf("%w: stream event class %d", ErrBadState, es.Class)
 		}
 		if es.Host < m.srcLo || es.Host >= m.srcHi {
 			return fmt.Errorf("%w: stream event host %d outside source range [%d, %d)",
 				ErrBadState, es.Host, m.srcLo, m.srcHi)
 		}
-		entries[i] = eventq.EntryState{Time: es.Time, Seq: es.Seq, Event: m.events[2*(es.Host-m.srcLo)+off]}
+		entries[i] = eventq.EntryState[streamEvent]{Time: es.Time, Seq: es.Seq, Event: streamEvent{host: es.Host, class: class}}
 	}
 	if err := m.queue.RestoreState(st.QueueSeq, st.QueueHighWater, entries); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
@@ -152,21 +136,14 @@ func (g *Incast) CheckpointState() (*GeneratorState, error) {
 		a := g.pendingBg
 		st.PendingBg = &a
 	}
-	var bad error
-	g.queue.Entries(func(t float64, seq uint64, ev eventq.Event) {
-		switch e := ev.(type) {
-		case incastJobEvent:
+	g.queue.Entries(func(t float64, seq uint64, ev incastEvent) {
+		if ev.job {
 			st.Events = append(st.Events, EventState{Time: t, Seq: seq, Kind: "job"})
-		case Arrival:
-			a := e
-			st.Events = append(st.Events, EventState{Time: t, Seq: seq, Kind: "arrival", Arrival: &a})
-		default:
-			bad = fmt.Errorf("%w: incast calendar holds unexpected %T", ErrBadState, ev)
+			return
 		}
+		a := ev.a
+		st.Events = append(st.Events, EventState{Time: t, Seq: seq, Kind: "arrival", Arrival: &a})
 	})
-	if bad != nil {
-		return nil, bad
-	}
 	if g.bg != nil {
 		bgState, err := g.bg.CheckpointState()
 		if err != nil {
@@ -194,16 +171,16 @@ func (g *Incast) RestoreCheckpoint(st *GeneratorState) error {
 	if err := g.rng.RestoreState(st.RNG); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadState, err)
 	}
-	entries := make([]eventq.EntryState, len(st.Events))
+	entries := make([]eventq.EntryState[incastEvent], len(st.Events))
 	for i, es := range st.Events {
 		switch es.Kind {
 		case "job":
-			entries[i] = eventq.EntryState{Time: es.Time, Seq: es.Seq, Event: incastJobEvent{}}
+			entries[i] = eventq.EntryState[incastEvent]{Time: es.Time, Seq: es.Seq, Event: incastEvent{job: true}}
 		case "arrival":
 			if es.Arrival == nil {
 				return fmt.Errorf("%w: arrival event without payload", ErrBadState)
 			}
-			entries[i] = eventq.EntryState{Time: es.Time, Seq: es.Seq, Event: *es.Arrival}
+			entries[i] = eventq.EntryState[incastEvent]{Time: es.Time, Seq: es.Seq, Event: incastEvent{a: *es.Arrival}}
 		default:
 			return fmt.Errorf("%w: incast calendar cannot hold %q events", ErrBadState, es.Kind)
 		}

@@ -59,8 +59,10 @@ func TestDataMiningDistributionShape(t *testing.T) {
 	if d.Max() < 5e8 {
 		t.Fatalf("max = %g, want >= 5e8", d.Max())
 	}
-	if CappedWebSearchBytes().Max() > 50e6 {
-		t.Fatal("capped web-search exceeds the 50MB modeling bound")
+	// The paper's Section III-B assumes "all flow lengths are within an
+	// upper bound of 50MB"; the web-search table meets it uncapped.
+	if WebSearchBytes().Max() > 50e6 {
+		t.Fatal("web-search exceeds the 50MB modeling bound")
 	}
 }
 
@@ -311,5 +313,26 @@ func TestRackLocalDestinationUniform(t *testing.T) {
 		if math.Abs(float64(c)-expect)/expect > 0.3 {
 			t.Fatalf("pair %v saw %d arrivals, expect ~%.0f", pair, c, expect)
 		}
+	}
+}
+
+// TestNewMixedAllocsIndependentOfHosts: building a generator allocates a
+// fixed number of objects however many sources it primes; the calendar's
+// storage grows with the host count, its allocation count must not.
+func TestNewMixedAllocsIndependentOfHosts(t *testing.T) {
+	allocs := func(racks int) float64 {
+		cfg := MixedConfig{
+			Topology: testTopo(t, racks, 12), Load: 0.8, Duration: 1, Seed: 1,
+			QueryByteFraction: DefaultQueryByteFraction,
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewMixed(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(12), allocs(344)
+	if small != large {
+		t.Fatalf("NewMixed allocates %.0f objects at 144 hosts but %.0f at 4128", small, large)
 	}
 }
