@@ -83,7 +83,8 @@ scenarios:
 	$(GO) run ./cmd/basrptexp -check -dir scenarios -out scenario_out
 
 # Documentation lint: package comments everywhere, command comments on
-# every cmd, and doc comments on every exported internal/scenario symbol.
+# every cmd, and doc comments on every exported symbol of the packages
+# other code consumes (scenario, obs, ops, fabricsim, sched).
 doccheck:
 	bash scripts/doccheck.sh
 

@@ -84,7 +84,7 @@ func NewThresholdBacklog(threshold float64) Scheduler { return sched.NewThreshol
 
 // NewScheduler builds a discipline by registry name ("srpt",
 // "fast-basrpt", "exact-basrpt", "maxweight", "fifo", "threshold",
-// "random").
+// "random", "dist-basrpt", "noisy-basrpt"; SchedulerNames lists them).
 func NewScheduler(name string, opts SchedulerOptions) (Scheduler, error) {
 	return sched.New(name, opts)
 }
@@ -184,7 +184,7 @@ type (
 	FabricResult = fabricsim.Result
 	// FabricSim is one simulation instance.
 	FabricSim = fabricsim.Sim
-	// FabricWatchdog bounds a run (backlog divergence, wall clock).
+	// FabricWatchdog bounds a run's backlog (the divergence detector).
 	FabricWatchdog = fabricsim.Watchdog
 	// FabricDiagnosis explains a watchdog-truncated run.
 	FabricDiagnosis = fabricsim.Diagnosis

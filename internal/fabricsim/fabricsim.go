@@ -26,7 +26,6 @@ import (
 	"math"
 	"runtime"
 	"strings"
-	"time"
 
 	"basrpt/internal/faults"
 	"basrpt/internal/flow"
@@ -150,7 +149,7 @@ type RunProgress struct {
 // cleanly right after the checkpoint is taken. See Config.CheckpointSink.
 var ErrStopAfterCheckpoint = errors.New("fabricsim: stop after checkpoint")
 
-// Watchdog bounds a run. Zero-valued limits are disabled. A truncation
+// Watchdog bounds a run's backlog; a zero bound is disabled. A truncation
 // Diagnosis captures the last 16 flight-recorder events when the run has
 // a Config.Obs.
 type Watchdog struct {
@@ -158,17 +157,13 @@ type Watchdog struct {
 	// the divergence detector for runs past the stability boundary. It is
 	// checked at sample ticks, so truncation stays deterministic.
 	MaxBacklogBytes float64
-	// MaxWallClock bounds real elapsed time. Checked every few thousand
-	// events; truncation at this limit is inherently machine-dependent, so
-	// deterministic experiments should rely on MaxBacklogBytes.
-	MaxWallClock time.Duration
 }
 
 // Diagnosis explains a watchdog truncation. A nil Result.Diagnosis means
 // the run reached its horizon.
 type Diagnosis struct {
-	// Reason is "backlog-bound", "wallclock-budget", or "checkpoint-stop"
-	// (a clean halt requested by the checkpoint sink, not a failure).
+	// Reason is "backlog-bound" or "checkpoint-stop" (a clean halt
+	// requested by the checkpoint sink, not a failure).
 	Reason string
 	// SimTime is the simulated time reached (seconds).
 	SimTime float64
@@ -218,10 +213,6 @@ func (d *Diagnosis) String() string {
 	}
 	return b.String()
 }
-
-// wallClockCheckEvery is how many event-loop iterations pass between
-// wall-clock watchdog checks.
-const wallClockCheckEvery = 4096
 
 // diagnosisEvents is how many flight-recorder events a truncation
 // Diagnosis captures (capped by the recorder's ring).
@@ -384,7 +375,7 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
-	if wd := cfg.Watchdog; wd != nil && (wd.MaxBacklogBytes < 0 || wd.MaxWallClock < 0) {
+	if wd := cfg.Watchdog; wd != nil && wd.MaxBacklogBytes < 0 {
 		return nil, fmt.Errorf("fabricsim: negative watchdog bound %+v", *wd)
 	}
 	if cfg.CheckpointEvery < 0 {
@@ -458,8 +449,6 @@ func (s *Sim) Run() (*Result, error) {
 	if !s.resumed {
 		s.fetchArrival()
 	}
-	wallStart := time.Now()
-	var iter int64
 	for {
 		// Loop top: the one place the simulator state is fully consistent
 		// (completions collected, arrivals admitted, decision fresh), which
@@ -577,11 +566,6 @@ func (s *Sim) Run() (*Result, error) {
 				return s.truncate(s.pendingTruncate), nil
 			}
 			break
-		}
-		if wd := s.cfg.Watchdog; wd != nil && wd.MaxWallClock > 0 && s.pendingTruncate == "" {
-			if iter++; iter%wallClockCheckEvery == 0 && time.Since(wallStart) > wd.MaxWallClock {
-				s.pendingTruncate = "wallclock-budget"
-			}
 		}
 		if reschedule {
 			if err := s.reschedule(); err != nil {

@@ -11,13 +11,18 @@ import (
 	"basrpt/internal/workload"
 )
 
-// incrementalScheduler is the toggle surface the index-routed disciplines
-// export; the sim-level equivalence tests flip it to build the
-// from-scratch baseline arm.
-type incrementalScheduler interface {
-	sched.Scheduler
-	SetIncremental(on bool)
+// freshScheduler serves every decision from a newly built scheduler, so
+// no candidate index survives from one decision to the next: the
+// from-scratch arm of the sim-level equivalence tests. It is not a
+// sched.Greedy, so the cell owns the dirty feed, exactly as it does for
+// the disciplines without an index.
+type freshScheduler struct {
+	mk func() sched.Scheduler
 }
+
+func (s freshScheduler) Name() string { return s.mk().Name() }
+
+func (s freshScheduler) Schedule(t *flow.Table) []*flow.Flow { return s.mk().Schedule(t) }
 
 // sameResults compares every deterministic field of two runs. SchedNanos
 // is deliberately excluded: it is measured wall-clock time.
@@ -63,16 +68,13 @@ func sameResults(t *testing.T, a, b *Result) {
 	}
 }
 
-// runPair executes the same simulation twice — incremental index on and
-// off — under continuous deep validation, and demands identical results.
-func runPair(t *testing.T, mk func() incrementalScheduler, injector func() *faults.Injector) (*Result, *Result) {
+// runPair executes the same simulation twice — once on one incremental
+// scheduler, once on a fresh scheduler per decision — under continuous
+// deep validation, and demands identical results.
+func runPair(t *testing.T, mk func() sched.Scheduler, injector func() *faults.Injector) (*Result, *Result) {
 	t.Helper()
 	topo := topology.MustNew(topology.Scaled(2, 3))
-	run := func(incremental bool) *Result {
-		s := mk()
-		if !incremental {
-			s.SetIncremental(false)
-		}
+	run := func(s sched.Scheduler) *Result {
 		cfg := Config{
 			Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(),
 			Scheduler: s,
@@ -85,18 +87,18 @@ func runPair(t *testing.T, mk func() incrementalScheduler, injector func() *faul
 		}
 		return mustRun(t, cfg)
 	}
-	return run(true), run(false)
+	return run(mk()), run(freshScheduler{mk})
 }
 
 // TestIncrementalSimEquivalence: a full simulation driven by the
 // incremental candidate index reproduces the from-scratch run exactly —
 // same decisions, completions, byte accounting, and sample series.
 func TestIncrementalSimEquivalence(t *testing.T) {
-	cases := map[string]func() incrementalScheduler{
-		"srpt":        func() incrementalScheduler { return sched.NewSRPT() },
-		"fast-basrpt": func() incrementalScheduler { return sched.NewFastBASRPT(2500) },
-		"maxweight":   func() incrementalScheduler { return sched.NewMaxWeight() },
-		"threshold":   func() incrementalScheduler { return sched.NewThresholdBacklog(5000) },
+	cases := map[string]func() sched.Scheduler{
+		"srpt":        func() sched.Scheduler { return sched.NewSRPT() },
+		"fast-basrpt": func() sched.Scheduler { return sched.NewFastBASRPT(2500) },
+		"maxweight":   func() sched.Scheduler { return sched.NewMaxWeight() },
+		"threshold":   func() sched.Scheduler { return sched.NewThresholdBacklog(5000) },
 	}
 	for name, mk := range cases {
 		mk := mk
@@ -126,7 +128,7 @@ func TestIncrementalSimEquivalenceUnderFaults(t *testing.T) {
 		}
 		return faults.NewInjector(schedule)
 	}
-	a, b := runPair(t, func() incrementalScheduler { return sched.NewFastBASRPT(2500) }, injector)
+	a, b := runPair(t, func() sched.Scheduler { return sched.NewFastBASRPT(2500) }, injector)
 	sameResults(t, a, b)
 	if a.Faults.OutageStarts == 0 {
 		t.Fatal("fault schedule injected no outages; the test exercises nothing")

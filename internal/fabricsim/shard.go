@@ -80,9 +80,9 @@ type ShardConfig struct {
 	// Wall-clock plane only.
 	Workers int
 	// Obs, when non-nil, receives the run's trace. Per-cell events are
-	// buffered during each batch and replayed window-by-window in
-	// deterministic (time, cell, sequence) merge order at the barrier, so
-	// traced runs stay byte-identical across shard counts.
+	// buffered during each batch and replayed in deterministic (time,
+	// cell, sequence) merge order at the barrier, so traced runs stay
+	// byte-identical across shard counts.
 	Obs *obs.Obs
 	// ValidateDecisions re-checks the crossbar constraint on every
 	// decision of every cell.
@@ -310,12 +310,6 @@ type shardCell struct {
 	remoteSrc map[flow.ID]int
 	samples   []cellSample
 	dones     []cellDone
-	// sampleMarks/doneMarks record the cumulative samples/dones length at
-	// the end of each window in the current batch, so the barrier fold
-	// can replay trace events window-by-window — byte-identical to the
-	// dense per-window barrier schedule.
-	sampleMarks []int
-	doneMarks   []int
 
 	// reg is the cell's private deterministic-plane registry; its
 	// snapshot survives into Result.ShardObs. The cell's decision
@@ -551,8 +545,7 @@ func (c *shardCell) runWindow(capT float64) {
 }
 
 // runTimedWindow stamps one window's wall-clock start and duration
-// around runWindow and records the fold marks (cumulative sample/done
-// counts) that let the barrier replay this window exactly.
+// around runWindow.
 func (c *shardCell) runTimedWindow(capT float64, origin time.Time) {
 	start := time.Since(origin).Nanoseconds()
 	c.runWindow(capT)
@@ -560,8 +553,6 @@ func (c *shardCell) runTimedWindow(capT float64, origin time.Time) {
 	c.winStarts = append(c.winStarts, start)
 	c.winDurs = append(c.winDurs, dur)
 	c.busyNs += dur
-	c.sampleMarks = append(c.sampleMarks, len(c.samples))
-	c.doneMarks = append(c.doneMarks, len(c.dones))
 }
 
 // runBatch advances the cell through every window of one batch, then
@@ -687,9 +678,8 @@ func (p *shardPool) stop() {
 // runDecomposed is RunShard with the window batch as a parameter: one
 // cell per rack advancing in lockstep lookahead windows, batched `batch`
 // windows per coordinator barrier, executed by a persistent worker pool.
-// Every barrier-side fold (message routing, window-by-window trace
-// replay, series and metric merges) runs on the calling goroutine in rack
-// order, so results are a pure function of the configuration —
+// Every barrier-side fold (message routing, trace replay, series and
+// metric merges) runs on the calling goroutine in rack order, so results are a pure function of the configuration —
 // independent of shard count, batch size, worker count, and GOMAXPROCS.
 func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 	if cfg.Topology == nil {
@@ -853,7 +843,7 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 		barriers++
 		accountBatch(cells, pool, b, w, cfg.Timeline)
 		foldStart := time.Since(origin).Nanoseconds()
-		if err := foldBatch(cells, res, cfg, len(capTs)); err != nil {
+		if err := foldBatch(cells, res, cfg); err != nil {
 			return nil, err
 		}
 		cfg.Timeline.Add(obs.TimelineSpan{
@@ -979,54 +969,23 @@ func sortByDelivery(in []routedMsg) {
 	}
 }
 
-// foldBatch replays one batch window-by-window through foldWindowSeg —
-// byte-identical to folding at dense per-window barriers — then resets
+// foldBatch merges one batch's per-cell sample ticks into the global
+// series and replays buffered trace events in deterministic order:
+// completions sorted by (time, cell, cell-local sequence), interleaved
+// before each tick's sample.queue / sample.total / sample.maxport
+// triplet exactly as the centralized engine orders them. Then it resets
 // the per-cell buffers.
-func foldBatch(cells []*shardCell, res *Result, cfg ShardConfig, nwin int) error {
-	for k := 0; k < nwin; k++ {
-		if err := foldWindowSeg(cells, res, cfg, k); err != nil {
-			return err
-		}
-	}
-	for _, c := range cells {
-		c.samples = c.samples[:0]
-		c.dones = c.dones[:0]
-		c.sampleMarks = c.sampleMarks[:0]
-		c.doneMarks = c.doneMarks[:0]
-	}
-	return nil
-}
-
-// sampleSeg returns the cell's sample slice for window k of the current
-// batch, delimited by the fold marks runTimedWindow recorded.
-func (c *shardCell) sampleSeg(k int) []cellSample {
-	lo := 0
-	if k > 0 {
-		lo = c.sampleMarks[k-1]
-	}
-	return c.samples[lo:c.sampleMarks[k]]
-}
-
-// doneSeg returns the cell's completion-event slice for window k of the
-// current batch.
-func (c *shardCell) doneSeg(k int) []cellDone {
-	lo := 0
-	if k > 0 {
-		lo = c.doneMarks[k-1]
-	}
-	return c.dones[lo:c.doneMarks[k]]
-}
-
-// foldWindowSeg merges one window's per-cell sample ticks into the
-// global series and replays buffered trace events in deterministic
-// order: completions sorted by (time, cell, cell-local sequence),
-// interleaved before each tick's sample.queue / sample.total /
-// sample.maxport triplet exactly as the centralized engine orders them.
-func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) error {
-	ref := cells[0].sampleSeg(k)
+//
+// One pass over the batch is byte-identical to folding at dense
+// per-window barriers: every cell splits time at the same window caps,
+// and window k's completions and ticks all lie in (cap₍k−1₎, cap_k], so
+// the stable time sort keeps each window's completions behind the
+// previous window's ticks and ahead of the next window's.
+func foldBatch(cells []*shardCell, res *Result, cfg ShardConfig) error {
+	ref := cells[0].samples
 	nticks := len(ref)
 	for _, c := range cells {
-		if n := len(c.sampleSeg(k)); n != nticks {
+		if n := len(c.samples); n != nticks {
 			return fmt.Errorf("fabricsim shard: cell %d recorded %d sample ticks, cell 0 recorded %d",
 				c.rack, n, nticks)
 		}
@@ -1034,7 +993,7 @@ func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) erro
 	var merged []cellDone
 	if cfg.Obs != nil {
 		for _, c := range cells {
-			merged = append(merged, c.doneSeg(k)...)
+			merged = append(merged, c.dones...)
 		}
 		sort.SliceStable(merged, func(i, j int) bool { return merged[i].t < merged[j].t })
 	}
@@ -1044,7 +1003,7 @@ func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) erro
 		var queue, total float64
 		maxPort, maxB := ref[i].maxPort, ref[i].maxB
 		for _, c := range cells {
-			s := c.sampleSeg(k)[i]
+			s := c.samples[i]
 			total += s.total
 			if c.monitor >= 0 {
 				queue = s.monitor
@@ -1067,6 +1026,10 @@ func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) erro
 	for di < len(merged) {
 		cfg.Obs.Emit(merged[di].t, "flow.done", merged[di].src, merged[di].fct, merged[di].class)
 		di++
+	}
+	for _, c := range cells {
+		c.samples = c.samples[:0]
+		c.dones = c.dones[:0]
 	}
 	return nil
 }

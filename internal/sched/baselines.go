@@ -1,56 +1,18 @@
 package sched
 
 import (
-	"fmt"
 	"slices"
 
 	"basrpt/internal/flow"
 	"basrpt/internal/stats"
 )
 
-// MaxWeight serves the longest queues first — the classic throughput-
-// optimal (but delay-oblivious) input-queued switch discipline, and the
-// V = 0 limit of the BASRPT family. Within a chosen VOQ the shortest flow
-// transmits.
-type MaxWeight struct {
-	g greedy
-}
-
-var _ Scheduler = (*MaxWeight)(nil)
-var _ DirtyConsumer = (*MaxWeight)(nil)
-var _ IndexChecker = (*MaxWeight)(nil)
-
-// NewMaxWeight returns a MaxWeight scheduler.
-func NewMaxWeight() *MaxWeight { return &MaxWeight{} }
-
-// Name returns "maxweight".
-func (*MaxWeight) Name() string { return "maxweight" }
-
-func (*MaxWeight) key(c Candidate) float64 { return -c.QueueLen }
-
-// Schedule selects flows greedily by descending VOQ backlog, maintained
-// in the incremental candidate index.
-func (s *MaxWeight) Schedule(t *flow.Table) []*flow.Flow {
-	return s.g.scheduleIndexed(t, s.key)
-}
-
-// SetIncremental toggles the incremental candidate index (on by default).
-func (s *MaxWeight) SetIncremental(on bool) { s.g.setIncremental(on) }
-
-// ConsumesDirty implements DirtyConsumer.
-func (s *MaxWeight) ConsumesDirty() bool { return s.g.consumesDirty() }
-
-// CheckIndex implements IndexChecker.
-func (s *MaxWeight) CheckIndex(t *flow.Table) error { return s.g.checkIndex(t, s.key) }
-
-// IndexStats implements IndexStatser.
-func (s *MaxWeight) IndexStats() IndexStats { return s.g.indexStats() }
-
 // FIFOMatch serves flows in arrival order: the oldest flow among the
 // non-empty VOQs wins each greedy step. It is the classic "fair but slow"
 // reference against which SRPT's delay advantage is usually shown.
 type FIFOMatch struct {
-	g greedy
+	cands []scored
+	m     matcher
 }
 
 var _ Scheduler = (*FIFOMatch)(nil)
@@ -65,7 +27,7 @@ func (*FIFOMatch) Name() string { return "fifo" }
 // disciplines, the per-VOQ candidate is the earliest-arrived flow, which
 // requires an O(q) scan of each VOQ.
 func (s *FIFOMatch) Schedule(t *flow.Table) []*flow.Flow {
-	s.g.cands = s.g.cands[:0]
+	s.cands = s.cands[:0]
 	t.ForEachNonEmpty(func(q *flow.VOQ) {
 		var oldest *flow.Flow
 		q.ForEachFlow(func(f *flow.Flow) {
@@ -74,75 +36,19 @@ func (s *FIFOMatch) Schedule(t *flow.Table) []*flow.Flow {
 				oldest = f
 			}
 		})
-		s.g.cands = append(s.g.cands, scored{key: oldest.Arrival, f: oldest})
+		s.cands = append(s.cands, scored{key: oldest.Arrival, f: oldest})
 	})
-	if len(s.g.cands) == 0 {
-		return nil
-	}
-	slices.SortFunc(s.g.cands, cmpScored)
-	return s.g.pick(t.N())
+	slices.SortFunc(s.cands, cmpScored)
+	return s.m.pick(s.cands, t.N())
 }
-
-// ThresholdBacklog is the simple backlog-aware strategy of the paper's
-// Figure 2 motivation: flows whose VOQ backlog exceeds the threshold are
-// prioritized (longest backlog first); all other flows are scheduled by
-// plain SRPT behind them.
-type ThresholdBacklog struct {
-	threshold float64
-	g         greedy
-}
-
-var _ Scheduler = (*ThresholdBacklog)(nil)
-var _ DirtyConsumer = (*ThresholdBacklog)(nil)
-var _ IndexChecker = (*ThresholdBacklog)(nil)
-
-// NewThresholdBacklog returns the threshold strategy. threshold is the
-// backlog level (same unit as flow sizes) above which a VOQ jumps the SRPT
-// queue.
-func NewThresholdBacklog(threshold float64) *ThresholdBacklog {
-	return &ThresholdBacklog{threshold: threshold}
-}
-
-// Threshold returns the configured backlog threshold.
-func (s *ThresholdBacklog) Threshold() float64 { return s.threshold }
-
-// Name returns "threshold(T=...)".
-func (s *ThresholdBacklog) Name() string { return fmt.Sprintf("threshold(T=%g)", s.threshold) }
-
-// key is the two-band priority: over-threshold VOQs map to negative
-// values ordered by descending backlog while the rest keep their SRPT
-// ordering at >= 0.
-func (s *ThresholdBacklog) key(c Candidate) float64 {
-	if c.QueueLen > s.threshold {
-		return -c.QueueLen
-	}
-	return c.Flow.Remaining
-}
-
-// Schedule prioritizes over-threshold backlogs, then falls back to SRPT,
-// with candidates maintained in the incremental index.
-func (s *ThresholdBacklog) Schedule(t *flow.Table) []*flow.Flow {
-	return s.g.scheduleIndexed(t, s.key)
-}
-
-// SetIncremental toggles the incremental candidate index (on by default).
-func (s *ThresholdBacklog) SetIncremental(on bool) { s.g.setIncremental(on) }
-
-// ConsumesDirty implements DirtyConsumer.
-func (s *ThresholdBacklog) ConsumesDirty() bool { return s.g.consumesDirty() }
-
-// CheckIndex implements IndexChecker.
-func (s *ThresholdBacklog) CheckIndex(t *flow.Table) error { return s.g.checkIndex(t, s.key) }
-
-// IndexStats implements IndexStatser.
-func (s *ThresholdBacklog) IndexStats() IndexStats { return s.g.indexStats() }
 
 // Random picks a uniformly random maximal matching each decision. It is the
 // naive lower bound for both delay and stability experiments, and doubles
 // as a randomized-schedule existence check for the Birkhoff argument.
 type Random struct {
-	rng *stats.RNG
-	g   greedy
+	rng   *stats.RNG
+	cands []scored
+	m     matcher
 }
 
 var _ Scheduler = (*Random)(nil)
@@ -158,14 +64,14 @@ func (*Random) Name() string { return "random" }
 // Schedule shuffles the candidate VOQs and greedily picks a maximal
 // matching in that order.
 func (r *Random) Schedule(t *flow.Table) []*flow.Flow {
-	r.g.gather(t, func(Candidate) float64 { return 0 })
-	if len(r.g.cands) == 0 {
-		return nil
-	}
+	r.cands = r.cands[:0]
+	t.ForEachNonEmpty(func(q *flow.VOQ) {
+		r.cands = append(r.cands, scored{f: q.Top()})
+	})
 	// Fisher–Yates over the gathered candidates.
-	for i := len(r.g.cands) - 1; i > 0; i-- {
+	for i := len(r.cands) - 1; i > 0; i-- {
 		j := r.rng.Intn(i + 1)
-		r.g.cands[i], r.g.cands[j] = r.g.cands[j], r.g.cands[i]
+		r.cands[i], r.cands[j] = r.cands[j], r.cands[i]
 	}
-	return r.g.pick(t.N())
+	return r.m.pick(r.cands, t.N())
 }

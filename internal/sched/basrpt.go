@@ -8,71 +8,6 @@ import (
 	"basrpt/internal/matching"
 )
 
-// FastBASRPT is paper Algorithm 1: flows are considered in non-decreasing
-// order of (V/N)·remaining − queueLength and greedily added under the
-// crossbar constraint. Summing that key over a full N-flow decision yields
-// V·ȳ − ΣXijRij, the exact BASRPT objective, so the greedy rule
-// approximately minimizes the drift-plus-penalty bound while assigning
-// every flow a global priority — which is what makes a distributed
-// implementation possible.
-//
-// V >= 0 weighs FCT minimization against queue stabilization: V → ∞
-// recovers SRPT, V = 0 serves the longest queues (MaxWeight-like).
-type FastBASRPT struct {
-	v      float64
-	vOverN float64 // v / N of the table last scheduled
-	g      greedy
-}
-
-var _ Scheduler = (*FastBASRPT)(nil)
-var _ DirtyConsumer = (*FastBASRPT)(nil)
-var _ IndexChecker = (*FastBASRPT)(nil)
-
-// NewFastBASRPT returns a fast BASRPT scheduler with the given tradeoff
-// weight V (paper Section IV). It panics on negative V, which the model
-// does not define.
-func NewFastBASRPT(v float64) *FastBASRPT {
-	if v < 0 {
-		panic(fmt.Sprintf("sched: negative V %g", v))
-	}
-	return &FastBASRPT{v: v}
-}
-
-// V returns the configured tradeoff weight.
-func (s *FastBASRPT) V() float64 { return s.v }
-
-// Name returns "fast-basrpt(V=...)".
-func (s *FastBASRPT) Name() string { return fmt.Sprintf("fast-basrpt(V=%g)", s.v) }
-
-func (s *FastBASRPT) key(c Candidate) float64 {
-	return s.vOverN*c.Flow.Remaining - c.QueueLen
-}
-
-// Schedule selects flows greedily by the Algorithm 1 key, maintained in
-// the incremental candidate index. The V/N normalization is fixed per
-// table; a table swap re-derives it and rebuilds the index.
-func (s *FastBASRPT) Schedule(t *flow.Table) []*flow.Flow {
-	s.vOverN = s.v / float64(t.N())
-	return s.g.scheduleIndexed(t, s.key)
-}
-
-// SetIncremental toggles the incremental candidate index (on by default);
-// off forces the from-scratch rebuild every call — the old-vs-new
-// benchmark baseline.
-func (s *FastBASRPT) SetIncremental(on bool) { s.g.setIncremental(on) }
-
-// ConsumesDirty implements DirtyConsumer.
-func (s *FastBASRPT) ConsumesDirty() bool { return s.g.consumesDirty() }
-
-// CheckIndex implements IndexChecker.
-func (s *FastBASRPT) CheckIndex(t *flow.Table) error {
-	s.vOverN = s.v / float64(t.N())
-	return s.g.checkIndex(t, s.key)
-}
-
-// IndexStats implements IndexStatser.
-func (s *FastBASRPT) IndexStats() IndexStats { return s.g.indexStats() }
-
 // ExactBASRPT is the exact drift-plus-penalty minimizer of Section IV-A:
 // it enumerates every maximal matching of the non-empty VOQs and selects
 // the one minimizing V·ȳ(t) − Σij Xij(t)Rij(t), where ȳ is the mean
@@ -101,17 +36,12 @@ const DefaultExactMaxPorts = 8
 // the fabric size the search will accept; 0 selects
 // DefaultExactMaxPorts. It panics on negative V.
 func NewExactBASRPT(v float64, maxPorts int) *ExactBASRPT {
-	if v < 0 {
-		panic(fmt.Sprintf("sched: negative V %g", v))
-	}
+	checkV(v)
 	if maxPorts <= 0 {
 		maxPorts = DefaultExactMaxPorts
 	}
 	return &ExactBASRPT{v: v, maxPorts: maxPorts}
 }
-
-// V returns the configured tradeoff weight.
-func (s *ExactBASRPT) V() float64 { return s.v }
 
 // Name returns "exact-basrpt(V=...)".
 func (s *ExactBASRPT) Name() string { return fmt.Sprintf("exact-basrpt(V=%g)", s.v) }

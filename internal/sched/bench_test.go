@@ -69,7 +69,7 @@ func benchSchedule(b *testing.B, s Scheduler, n, population int) {
 
 // The old-vs-new scheduling-core pairs: every routed discipline at
 // N=144 and a high-load flow population, incremental index versus the
-// from-scratch gather-and-sort it replaced.
+// from-scratch gather-and-sort reference it replaced.
 const (
 	benchPorts      = 144
 	benchPopulation = 8000
@@ -80,9 +80,7 @@ func BenchmarkScheduleFastBASRPT(b *testing.B) {
 		benchSchedule(b, NewFastBASRPT(2500), benchPorts, benchPopulation)
 	})
 	b.Run("fromscratch", func(b *testing.B) {
-		s := NewFastBASRPT(2500)
-		s.SetIncremental(false)
-		benchSchedule(b, s, benchPorts, benchPopulation)
+		benchSchedule(b, newFromScratch(NewFastBASRPT(2500)), benchPorts, benchPopulation)
 	})
 }
 
@@ -91,9 +89,7 @@ func BenchmarkScheduleSRPT(b *testing.B) {
 		benchSchedule(b, NewSRPT(), benchPorts, benchPopulation)
 	})
 	b.Run("fromscratch", func(b *testing.B) {
-		s := NewSRPT()
-		s.SetIncremental(false)
-		benchSchedule(b, s, benchPorts, benchPopulation)
+		benchSchedule(b, newFromScratch(NewSRPT()), benchPorts, benchPopulation)
 	})
 }
 
@@ -102,9 +98,7 @@ func BenchmarkScheduleMaxWeight(b *testing.B) {
 		benchSchedule(b, NewMaxWeight(), benchPorts, benchPopulation)
 	})
 	b.Run("fromscratch", func(b *testing.B) {
-		s := NewMaxWeight()
-		s.SetIncremental(false)
-		benchSchedule(b, s, benchPorts, benchPopulation)
+		benchSchedule(b, newFromScratch(NewMaxWeight()), benchPorts, benchPopulation)
 	})
 }
 
@@ -113,8 +107,6 @@ func BenchmarkScheduleThreshold(b *testing.B) {
 		benchSchedule(b, NewThresholdBacklog(1e6), benchPorts, benchPopulation)
 	})
 	b.Run("fromscratch", func(b *testing.B) {
-		s := NewThresholdBacklog(1e6)
-		s.SetIncremental(false)
-		benchSchedule(b, s, benchPorts, benchPopulation)
+		benchSchedule(b, newFromScratch(NewThresholdBacklog(1e6)), benchPorts, benchPopulation)
 	})
 }

@@ -44,9 +44,7 @@ var _ Scheduler = (*Distributed)(nil)
 // negative v or rounds — configuration errors, matching the sibling
 // constructors.
 func NewDistributed(v float64, rounds int) *Distributed {
-	if v < 0 {
-		panic(fmt.Sprintf("sched: negative V %g", v))
-	}
+	checkV(v)
 	if rounds < 0 {
 		panic(fmt.Sprintf("sched: negative rounds %d", rounds))
 	}
@@ -96,15 +94,14 @@ type hostQueue struct {
 // Schedule runs the request/grant rounds.
 func (s *Distributed) Schedule(t *flow.Table) []*flow.Flow {
 	n := t.N()
-	vOverN := s.v / float64(n)
+	vn := vOverN(s.v, n)
 
 	// Each host ranks its own VOQs' head flows locally — the only state a
 	// distributed implementation has.
 	hosts := make([]hostQueue, n)
 	t.ForEachNonEmpty(func(q *flow.VOQ) {
 		f := q.Top()
-		key := vOverN*f.Remaining - q.Backlog()
-		hosts[q.Src].cands = append(hosts[q.Src].cands, scored{key: key, f: f})
+		hosts[q.Src].cands = append(hosts[q.Src].cands, scored{key: basrptKey(vn, f, q.Backlog()), f: f})
 	})
 	for i := range hosts {
 		h := &hosts[i]

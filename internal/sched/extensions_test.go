@@ -249,13 +249,14 @@ func TestNoisyFastBASRPTDecisionsValid(t *testing.T) {
 
 func TestNoisyFactorProperties(t *testing.T) {
 	s := NewNoisyFastBASRPT(1, 0.5)
+	logSpan := math.Log(1.5)
 	lo, hi := 1/1.5, 1.5
 	for id := flow.ID(1); id < 3000; id++ {
-		f := s.factor(id)
+		f := noiseFactor(id, logSpan)
 		if f < lo-1e-12 || f > hi+1e-12 {
 			t.Fatalf("factor(%d) = %g outside [%g, %g]", id, f, lo, hi)
 		}
-		if got := s.factor(id); got != f {
+		if got := noiseFactor(id, logSpan); got != f {
 			t.Fatal("factor not deterministic")
 		}
 	}

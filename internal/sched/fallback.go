@@ -23,9 +23,6 @@ type OutageFallback struct {
 }
 
 var _ Scheduler = (*OutageFallback)(nil)
-var _ DirtyConsumer = (*OutageFallback)(nil)
-var _ IndexChecker = (*OutageFallback)(nil)
-var _ IndexStatser = (*OutageFallback)(nil)
 
 // NewOutageFallback wraps inner. It panics on a nil inner scheduler
 // (programmer error, matching the sibling constructors).
@@ -88,16 +85,3 @@ func (s *OutageFallback) Schedule(t *flow.Table) []*flow.Flow {
 	s.last = append(s.last[:0], d...)
 	return d
 }
-
-// ConsumesDirty reports whether the wrapped scheduler consumes the
-// table's dirty feed. During an outage nobody consumes it — mutations
-// simply accumulate until the wrapped scheduler is reachable again, at
-// which point its index repairs itself from the backlog of dirty VOQs.
-func (s *OutageFallback) ConsumesDirty() bool { return IsDirtyConsumer(s.inner) }
-
-// CheckIndex delegates the deep-validation cross-check to the wrapped
-// scheduler's index.
-func (s *OutageFallback) CheckIndex(t *flow.Table) error { return CheckIndex(s.inner, t) }
-
-// IndexStats delegates to the wrapped scheduler's index counters.
-func (s *OutageFallback) IndexStats() IndexStats { return IndexStatsOf(s.inner) }

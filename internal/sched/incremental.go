@@ -7,87 +7,41 @@ import (
 	"basrpt/internal/flow"
 )
 
-// candidateIndex is the persistent incremental core behind the greedy
-// disciplines: every non-empty VOQ's scored candidate (key over
-// Top().Remaining and Backlog()), held as a slice permanently sorted in
-// cmpScored order and kept in sync with the table's dirty-VOQ change feed
-// (see the internal/flow package doc). Between decisions only the dirty
-// VOQs change, so a repair re-scores just those k entries, sorts them
-// (k·log k), and splices them into the surviving order with one linear
-// merge (M). Selection is then a comparison-free scan of the already-
-// sorted view, instead of the from-scratch path's gather-and-sort over
-// all M non-empty VOQs (M·log M) on every event.
-//
-// Validity contract: the index is the delta consumer of exactly one
-// table. It is current when it points at the table being scheduled and
-// its basis equals the table's DirtyBasis (nobody else consumed the feed
-// since the index last synchronized). Anything else — first call, table
-// swap, a foreign ClearDirty — triggers a transparent full rebuild.
-// Because keys are pure functions of (Remaining, Backlog) and cmpScored
-// is a strict total order over distinct VOQs, the maintained order equals
-// the from-scratch sorted order bit for bit; decision equivalence is
-// property-tested.
-type candidateIndex struct {
-	table *flow.Table
-	basis uint64 // table.DirtyBasis() at the last synchronization
-	n     int
-
-	view []scored // all current candidates, strictly cmpScored-ascending
-
-	// Repair bookkeeping. stale stamps each VOQ (by table slot) with the
-	// generation of the repair that last touched it; during the merge,
-	// view entries whose VOQ carries the current generation have been
-	// superseded (re-scored or emptied) and are skipped. Stamping instead
-	// of clearing keeps repair cost proportional to the dirty set.
-	stale []uint64
-	gen   uint64
-
-	changes []scored // repair scratch: the re-scored dirty candidates
-	merged  []scored // repair double buffer, swapped with view
-
-	// Check bookkeeping (deep-validation cross-check only): the same
-	// generation-stamp idiom as stale, deduplicating view entries by VOQ
-	// without building a per-call map.
-	checkSeen []uint64
-	checkCand []scored
-	checkGen  uint64
-
-	repairs  int64 // sync calls satisfied by a delta repair
-	rebuilds int64 // sync calls that needed a full rebuild
-}
+// This file maintains Greedy's candidate index; see the Greedy doc for
+// the structure and its validity contract.
 
 // current reports whether the index still describes t exactly: same
 // table, same basis (no foreign consumer), and the geometry matches.
-func (ix *candidateIndex) current(t *flow.Table) bool {
-	return ix.table == t && ix.n == t.N() && ix.basis == t.DirtyBasis()
+func (g *Greedy) current(t *flow.Table) bool {
+	return g.table == t && g.n == t.N() && g.basis == t.DirtyBasis()
 }
 
 // synced reports whether the index equals a from-scratch build of t right
 // now: current and no unconsumed mutations. Used by the deep-validation
 // cross-check, which must not flag an index that is merely awaiting its
 // next delta (e.g. while an outage fallback serves held decisions).
-func (ix *candidateIndex) synced(t *flow.Table) bool {
-	return ix.current(t) && t.NumDirty() == 0
+func (g *Greedy) synced(t *flow.Table) bool {
+	return g.current(t) && t.NumDirty() == 0
 }
 
 // sync brings the index up to date with t and consumes the dirty feed:
 // a delta repair over the dirty VOQs when the index is current, a full
 // rebuild otherwise.
-func (ix *candidateIndex) sync(t *flow.Table, key Key) {
+func (g *Greedy) sync(t *flow.Table) {
 	// Fresh zeroed stamps can never equal a repair generation: repair
 	// pre-increments gen, so the current generation is always positive and
 	// greater than every stamp written before. The same argument lets
 	// stamps left over from another table stay in place.
-	ix.stale = growPerSlot(ix.stale, t.NumSlots())
-	if ix.current(t) {
-		ix.repairs++
-		ix.repair(t, key)
+	g.stale = growPerSlot(g.stale, t.NumSlots())
+	if g.current(t) {
+		g.repairs++
+		g.repair(t)
 	} else {
-		ix.rebuilds++
-		ix.rebuild(t, key)
+		g.rebuilds++
+		g.rebuild(t)
 	}
 	t.ClearDirty()
-	ix.basis = t.DirtyBasis()
+	g.basis = t.DirtyBasis()
 }
 
 // growPerSlot extends a per-slot side array to at least n entries; new
@@ -105,21 +59,24 @@ func growPerSlot[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// rebuild reconstructs the sorted view from every non-empty VOQ of t.
-func (ix *candidateIndex) rebuild(t *flow.Table, key Key) {
-	ix.table = t
-	ix.n = t.N()
-	view := ix.view[:0]
+// score is non-empty VOQ q's candidate: its head flow under the key.
+func (g *Greedy) score(q *flow.VOQ) scored {
+	f := q.Top()
+	return scored{key: g.key(g.vn, f, q.Backlog()), f: f, voq: q.Slot()}
+}
+
+// rebuild reconstructs the sorted view from every non-empty VOQ of t. V/N
+// is fixed per table, so this is where it is derived.
+func (g *Greedy) rebuild(t *flow.Table) {
+	g.table = t
+	g.n = t.N()
+	g.vn = vOverN(g.v, g.n)
+	view := g.view[:0]
 	t.ForEachNonEmpty(func(q *flow.VOQ) {
-		f := q.Top()
-		view = append(view, scored{
-			key: key(Candidate{Flow: f, QueueLen: q.Backlog()}),
-			f:   f,
-			voq: q.Slot(),
-		})
+		view = append(view, g.score(q))
 	})
 	slices.SortFunc(view, cmpScored)
-	ix.view = view
+	g.view = view
 }
 
 // repair splices the dirty VOQs' re-scored candidates into the sorted
@@ -134,27 +91,21 @@ func (ix *candidateIndex) rebuild(t *flow.Table, key Key) {
 // a different VOQ. Surviving (non-stale) entries sit in VOQs untouched
 // since the last sync, so their flows are necessarily still live and safe
 // for cmpScored to dereference.
-func (ix *candidateIndex) repair(t *flow.Table, key Key) {
-	ix.gen++
-	gen := ix.gen
-	changes := ix.changes[:0]
+func (g *Greedy) repair(t *flow.Table) {
+	g.gen++
+	gen := g.gen
+	changes := g.changes[:0]
 	t.ForEachDirty(func(q *flow.VOQ) {
-		voq := q.Slot()
-		ix.stale[voq] = gen
+		g.stale[q.Slot()] = gen
 		if q.Len() > 0 {
-			f := q.Top()
-			changes = append(changes, scored{
-				key: key(Candidate{Flow: f, QueueLen: q.Backlog()}),
-				f:   f,
-				voq: voq,
-			})
+			changes = append(changes, g.score(q))
 		}
 	})
 	slices.SortFunc(changes, cmpScored)
-	merged := ix.merged[:0]
+	merged := g.merged[:0]
 	j := 0
-	for _, e := range ix.view {
-		if ix.stale[e.voq] == gen {
+	for _, e := range g.view {
+		if g.stale[e.voq] == gen {
 			continue // superseded (or emptied) by this repair
 		}
 		for j < len(changes) && cmpScored(changes[j], e) < 0 {
@@ -164,57 +115,34 @@ func (ix *candidateIndex) repair(t *flow.Table, key Key) {
 		merged = append(merged, e)
 	}
 	merged = append(merged, changes[j:]...)
-	ix.changes = changes[:0]
-	ix.merged = ix.view[:0]
-	ix.view = merged
-}
-
-// pick runs the greedy crossbar loop straight over the maintained sorted
-// view — no regather, no comparisons. marks is the caller's epoch-stamped
-// busy scratch, already reset for this decision; selected is the caller's
-// decision scratch, appended to and returned. The scan serves entries in
-// the cmpScored total order, so the decision is bit-identical to the
-// from-scratch path; it stops early once the matching saturates the
-// scarcer side of the crossbar.
-func (ix *candidateIndex) pick(marks *portMarks, selected []*flow.Flow) []*flow.Flow {
-	free := ix.n // ports still free on the scarcer side
-	for _, c := range ix.view {
-		f := c.f
-		if marks.taken(f) {
-			continue
-		}
-		marks.take(f)
-		selected = append(selected, f)
-		if free--; free == 0 {
-			break
-		}
-	}
-	return selected
+	g.changes = changes[:0]
+	g.merged = g.view[:0]
+	g.view = merged
 }
 
 // check verifies the index against a from-scratch view of t: entry count,
 // per-VOQ candidate identity, exact key values, and strict sorted order.
 // It reports nil when the index is not synced with t — a stale index is
 // not wrong, it will resynchronize when consulted.
-func (ix *candidateIndex) check(t *flow.Table, key Key) error {
-	if !ix.synced(t) {
+func (g *Greedy) check(t *flow.Table) error {
+	if !g.synced(t) {
 		return nil
 	}
-	if got, want := len(ix.view), t.NumNonEmpty(); got != want {
+	if got, want := len(g.view), t.NumNonEmpty(); got != want {
 		return fmt.Errorf("sched: index holds %d candidates, table has %d non-empty VOQs", got, want)
 	}
 	// Dedup by VOQ with persistent generation-stamped slices instead of a
 	// per-call map, so the cross-check costs no allocations even when it
 	// runs on every decision (DeepValidateEvery: 1).
-	ix.checkSeen = growPerSlot(ix.checkSeen, t.NumSlots())
-	ix.checkCand = growPerSlot(ix.checkCand, t.NumSlots())
-	ix.checkGen++
-	for i, c := range ix.view {
-		if i > 0 && cmpScored(ix.view[i-1], c) >= 0 {
+	g.checkSeen = growPerSlot(g.checkSeen, t.NumSlots())
+	g.checkCand = growPerSlot(g.checkCand, t.NumSlots())
+	g.checkGen++
+	for i, c := range g.view {
+		if i > 0 && cmpScored(g.view[i-1], c) >= 0 {
 			return fmt.Errorf("sched: index sorted order violated at entry %d", i)
 		}
-		ix.checkSeen[c.voq] = ix.checkGen
-		ix.checkCand[c.voq] = c
+		g.checkSeen[c.voq] = g.checkGen
+		g.checkCand[c.voq] = c
 	}
 	var err error
 	t.ForEachNonEmpty(func(q *flow.VOQ) {
@@ -222,17 +150,17 @@ func (ix *candidateIndex) check(t *flow.Table, key Key) error {
 			return
 		}
 		voq := q.Slot()
-		if ix.checkSeen[voq] != ix.checkGen {
+		if g.checkSeen[voq] != g.checkGen {
 			err = fmt.Errorf("sched: non-empty VOQ (%d,%d) has no index entry", q.Src, q.Dst)
 			return
 		}
-		c := ix.checkCand[voq]
+		c := g.checkCand[voq]
 		if c.f != q.Top() {
 			err = fmt.Errorf("sched: index candidate for VOQ (%d,%d) is flow %d, from-scratch picks %d",
 				q.Src, q.Dst, c.f.ID, q.Top().ID)
 			return
 		}
-		if want := key(Candidate{Flow: q.Top(), QueueLen: q.Backlog()}); c.key != want {
+		if want := g.score(q).key; c.key != want {
 			err = fmt.Errorf("sched: index key for VOQ (%d,%d) is %g, from-scratch computes %g",
 				q.Src, q.Dst, c.key, want)
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,27 +9,45 @@ import (
 	"basrpt/internal/stats"
 )
 
-// incrementalScheduler is the surface every index-routed discipline
-// exposes: the Scheduler interface plus the incremental toggle.
-type incrementalScheduler interface {
-	Scheduler
-	SetIncremental(on bool)
+// fromScratch is the reference the candidate index is checked against:
+// on every call it gathers one candidate per non-empty VOQ under the
+// discipline's key, sorts them by cmpScored and runs the crossbar loop.
+// It never touches the table's dirty feed, so it can share a table with
+// the index under test without stealing its deltas.
+type fromScratch struct {
+	g     *Greedy // supplies the discipline's name, key and V
+	cands []scored
+	m     matcher
 }
 
-// routedPair builds two instances of one routed discipline: the default
-// incremental one and a from-scratch baseline.
-type routedPair struct {
+func newFromScratch(g *Greedy) *fromScratch { return &fromScratch{g: g} }
+
+func (s *fromScratch) Name() string { return s.g.Name() }
+
+func (s *fromScratch) Schedule(t *flow.Table) []*flow.Flow {
+	vn := vOverN(s.g.v, t.N())
+	s.cands = s.cands[:0]
+	t.ForEachNonEmpty(func(q *flow.VOQ) {
+		f := q.Top()
+		s.cands = append(s.cands, scored{key: s.g.key(vn, f, q.Backlog()), f: f})
+	})
+	slices.SortFunc(s.cands, cmpScored)
+	return s.m.pick(s.cands, t.N())
+}
+
+// routedDiscipline is one key-only discipline under test.
+type routedDiscipline struct {
 	name string
-	mk   func() incrementalScheduler
+	mk   func() *Greedy
 }
 
-func routedPairs() []routedPair {
-	return []routedPair{
-		{"srpt", func() incrementalScheduler { return NewSRPT() }},
-		{"fast-basrpt", func() incrementalScheduler { return NewFastBASRPT(2500) }},
-		{"maxweight", func() incrementalScheduler { return NewMaxWeight() }},
-		{"threshold", func() incrementalScheduler { return NewThresholdBacklog(800) }},
-		{"noisy-basrpt", func() incrementalScheduler { return NewNoisyFastBASRPT(2500, 0.25) }},
+func routedDisciplines() []routedDiscipline {
+	return []routedDiscipline{
+		{"srpt", NewSRPT},
+		{"fast-basrpt", func() *Greedy { return NewFastBASRPT(2500) }},
+		{"maxweight", NewMaxWeight},
+		{"threshold", func() *Greedy { return NewThresholdBacklog(800) }},
+		{"noisy-basrpt", func() *Greedy { return NewNoisyFastBASRPT(2500, 0.25) }},
 	}
 }
 
@@ -110,20 +129,19 @@ func identicalDecisions(a, b []*flow.Flow) bool {
 }
 
 // TestIncrementalDecisionEquivalence: for every routed discipline, the
-// incremental index and the from-scratch path produce bit-identical
+// incremental index and the from-scratch reference produce bit-identical
 // decisions across long random event sequences on a shared table. The
-// from-scratch instance does not consume the dirty feed, so running both
-// against one table is exactly the single-owning-consumer contract.
+// reference does not consume the dirty feed, so running both against one
+// table is exactly the single-owning-consumer contract.
 func TestIncrementalDecisionEquivalence(t *testing.T) {
-	for _, p := range routedPairs() {
+	for _, p := range routedDisciplines() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 20; seed++ {
 				inc := p.mk()
-				base := p.mk()
-				base.SetIncremental(false)
+				base := newFromScratch(p.mk())
 				if IsDirtyConsumer(base) {
-					t.Fatal("from-scratch baseline claims to consume the dirty feed")
+					t.Fatal("from-scratch reference claims to consume the dirty feed")
 				}
 				if !IsDirtyConsumer(inc) {
 					t.Fatal("incremental instance does not consume the dirty feed")
@@ -153,8 +171,7 @@ func TestIncrementalDecisionEquivalence(t *testing.T) {
 // and stay equivalent to from-scratch on both.
 func TestIncrementalRebuildOnTableSwap(t *testing.T) {
 	inc := NewFastBASRPT(2500)
-	base := NewFastBASRPT(2500)
-	base.SetIncremental(false)
+	base := newFromScratch(NewFastBASRPT(2500))
 	a := newTableDriver(11, 4)
 	b := newTableDriver(12, 6) // different geometry forces pos re-allocation too
 	var servedA, servedB []*flow.Flow
@@ -181,8 +198,7 @@ func TestIncrementalRebuildOnTableSwap(t *testing.T) {
 func TestIncrementalRebuildAfterForeignConsumer(t *testing.T) {
 	inc := NewSRPT()
 	rival := NewMaxWeight() // second consumer of the same feed
-	base := NewSRPT()
-	base.SetIncremental(false)
+	base := newFromScratch(NewSRPT())
 	d := newTableDriver(21, 5)
 	var served []*flow.Flow
 	for step := 0; step < 100; step++ {
@@ -207,9 +223,7 @@ func TestIncrementalRebuildAfterForeignConsumer(t *testing.T) {
 func TestIncrementalUnderOutageFallback(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		inc := NewOutageFallback(NewFastBASRPT(2500))
-		inner := NewFastBASRPT(2500)
-		inner.SetIncremental(false)
-		base := NewOutageFallback(inner)
+		base := NewOutageFallback(newFromScratch(NewFastBASRPT(2500)))
 		if !IsDirtyConsumer(inc) {
 			t.Fatal("fallback around incremental scheduler should consume the feed")
 		}
@@ -249,7 +263,7 @@ func TestIncrementalUnderOutageFallback(t *testing.T) {
 // a freshly synchronized index, stays silent on a stale one (it will
 // resynchronize), and reports every class of deliberate corruption.
 func TestCheckIndexDetectsCorruption(t *testing.T) {
-	mk := func() (*SRPT, *tableDriver) {
+	mk := func() (*Greedy, *tableDriver) {
 		s := NewSRPT()
 		d := newTableDriver(31, 4)
 		var served []*flow.Flow
@@ -257,20 +271,20 @@ func TestCheckIndexDetectsCorruption(t *testing.T) {
 			d.step(served)
 			served = s.Schedule(d.tab)
 		}
-		if len(s.g.idx.view) == 0 {
+		if len(s.view) == 0 {
 			t.Fatal("setup produced an empty index")
 		}
 		return s, d
 	}
 
 	s, d := mk()
-	if err := s.CheckIndex(d.tab); err != nil {
+	if err := CheckIndex(s, d.tab); err != nil {
 		t.Fatalf("fresh index flagged: %v", err)
 	}
 
 	// Stale (unconsumed mutations): not an error.
 	d.arrive()
-	if err := s.CheckIndex(d.tab); err != nil {
+	if err := CheckIndex(s, d.tab); err != nil {
 		t.Fatalf("stale index flagged: %v", err)
 	}
 	s.Schedule(d.tab)
@@ -278,20 +292,20 @@ func TestCheckIndexDetectsCorruption(t *testing.T) {
 	// Key corruption. Decrementing the minimum entry's key keeps the view
 	// sorted, so the message must come from the key cross-check, not the
 	// order check.
-	s.g.idx.view[0].key -= 1
-	if err := s.CheckIndex(d.tab); err == nil {
+	s.view[0].key -= 1
+	if err := CheckIndex(s, d.tab); err == nil {
 		t.Fatal("corrupted key not detected")
 	}
-	if err := s.CheckIndex(d.tab); !strings.Contains(err.Error(), "from-scratch computes") {
+	if err := CheckIndex(s, d.tab); !strings.Contains(err.Error(), "from-scratch computes") {
 		t.Fatalf("key corruption reported as %v", err)
 	}
 
 	// Order corruption: swapping two entries preserves the candidate set
 	// and every key, so only the sorted-order check can catch it.
 	s, d = mk()
-	v := s.g.idx.view
+	v := s.view
 	v[0], v[len(v)-1] = v[len(v)-1], v[0]
-	err := s.CheckIndex(d.tab)
+	err := CheckIndex(s, d.tab)
 	if err == nil {
 		t.Fatal("corrupted sort order not detected")
 	}
@@ -301,14 +315,14 @@ func TestCheckIndexDetectsCorruption(t *testing.T) {
 
 	// Dropped entry.
 	s, d = mk()
-	s.g.idx.view = s.g.idx.view[1:]
-	if err := s.CheckIndex(d.tab); err == nil {
+	s.view = s.view[1:]
+	if err := CheckIndex(s, d.tab); err == nil {
 		t.Fatal("missing candidate not detected")
 	}
 }
 
-// TestCheckIndexNilPaths: schedulers without an index — by nature or by
-// SetIncremental(false) — answer nil through the package helper.
+// TestCheckIndexNilPaths: schedulers without an index answer nil through
+// the package helper, and so does an index that was never built.
 func TestCheckIndexNilPaths(t *testing.T) {
 	tab := flow.NewTable(3)
 	tab.Add(flow.NewFlow(1, 0, 1, flow.ClassOther, 10, 0))
@@ -320,12 +334,6 @@ func TestCheckIndexNilPaths(t *testing.T) {
 			t.Fatalf("%s should not consume the dirty feed", s.Name())
 		}
 	}
-	off := NewSRPT()
-	off.SetIncremental(false)
-	off.Schedule(tab)
-	if err := CheckIndex(off, tab); err != nil {
-		t.Fatalf("disabled index: %v", err)
-	}
 	// Never scheduled: no index yet.
 	if err := CheckIndex(NewSRPT(), tab); err != nil {
 		t.Fatalf("unbuilt index: %v", err)
@@ -336,8 +344,7 @@ func TestCheckIndexNilPaths(t *testing.T) {
 // draining to empty and filling back up (heap length through zero).
 func TestIncrementalEmptiesAndRefills(t *testing.T) {
 	inc := NewFastBASRPT(2500)
-	base := NewFastBASRPT(2500)
-	base.SetIncremental(false)
+	base := newFromScratch(NewFastBASRPT(2500))
 	tab := flow.NewTable(3)
 	for round := 0; round < 5; round++ {
 		flows := []*flow.Flow{
@@ -372,8 +379,7 @@ func TestIncrementalEmptiesAndRefills(t *testing.T) {
 func TestIncrementalDeepTableEquivalence(t *testing.T) {
 	for seed := uint64(100); seed < 104; seed++ {
 		inc := NewFastBASRPT(2500)
-		base := NewFastBASRPT(2500)
-		base.SetIncremental(false)
+		base := newFromScratch(NewFastBASRPT(2500))
 		d := newTableDriver(seed, 32)
 		for i := 0; i < 600; i++ {
 			d.arrive()

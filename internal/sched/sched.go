@@ -17,19 +17,20 @@
 // instead of every active flow. Decision equivalence with the
 // sort-all-flows formulation is property-tested.
 //
-// On top of the candidate-per-VOQ reduction, the pure-key disciplines
-// (SRPT, fast BASRPT, MaxWeight, ThresholdBacklog, NoisyFastBASRPT) keep
-// their candidates in a persistent incremental index (candidateIndex)
-// driven by the table's dirty-VOQ change feed, so a decision re-scores
-// only the VOQs the previous event touched instead of rebuilding and
-// re-sorting all of them. The incremental contract: the index is valid
-// while it is the sole consumer of one table's change feed (its
-// remembered basis equals the table's DirtyBasis); on the first call,
-// after a table swap, or after any other consumer cleared the feed — e.g.
-// interleaved scheduling of two disciplines on one table — the index
-// transparently rebuilds from scratch. Either path yields bit-identical
-// decisions (property-tested); FIFOMatch, Random, and ExactBASRPT rank by
-// impure or per-call state and stay on the from-scratch path.
+// The key-only disciplines — SRPT, fast BASRPT, noisy fast BASRPT,
+// MaxWeight and the threshold strategy — are one type, Greedy: Algorithm
+// 1's greedy crossbar loop over a per-flow priority key. Greedy keeps its
+// candidates in a persistent incremental index driven by the table's
+// dirty-VOQ change feed, so a decision re-scores only the VOQs the
+// previous event touched instead of rebuilding and re-sorting all of
+// them. The incremental contract: the index is valid while it is the sole
+// consumer of one table's change feed (its remembered basis equals the
+// table's DirtyBasis); on the first call, after a table swap, or after any
+// other consumer cleared the feed — e.g. interleaved scheduling of two
+// disciplines on one table — the index transparently rebuilds from
+// scratch. Either path yields bit-identical decisions (property-tested
+// against a from-scratch gather-and-sort reference); FIFOMatch, Random,
+// and ExactBASRPT rank by impure or per-call state and stay from-scratch.
 //
 // Schedulers run on every flow arrival and completion, so the greedy core
 // reuses its scratch buffers between calls; construct disciplines with
@@ -41,7 +42,6 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 
 	"basrpt/internal/flow"
 )
@@ -58,36 +58,33 @@ type Scheduler interface {
 	Schedule(t *flow.Table) []*flow.Flow
 }
 
-// DirtyConsumer is implemented by schedulers whose Schedule consumes the
-// table's dirty-VOQ change feed (flow.Table.ClearDirty). The fabric
-// simulator uses it to decide who owns the feed: when the configured
-// scheduler is not a consumer, the simulator clears the feed itself after
-// each decision so the dirty set cannot grow without bound.
-type DirtyConsumer interface {
-	ConsumesDirty() bool
+// indexed returns the Greedy behind s, looking through the outage
+// fallback; nil when s keeps no candidate index.
+func indexed(s Scheduler) *Greedy {
+	if fb, ok := s.(*OutageFallback); ok {
+		s = fb.inner
+	}
+	g, _ := s.(*Greedy)
+	return g
 }
 
-// IsDirtyConsumer reports whether s consumes the dirty-VOQ feed; wrappers
-// (e.g. OutageFallback) delegate to the scheduler they wrap.
-func IsDirtyConsumer(s Scheduler) bool {
-	dc, ok := s.(DirtyConsumer)
-	return ok && dc.ConsumesDirty()
-}
+// IsDirtyConsumer reports whether s consumes the table's dirty-VOQ change
+// feed (flow.Table.ClearDirty), which only the Greedy index does. The
+// fabric simulator uses it to decide who owns the feed: when the
+// configured scheduler is not a consumer, the simulator clears the feed
+// itself after each decision so the dirty set cannot grow without bound.
+// During an outage the fallback consults nobody, so mutations accumulate
+// until the index is reachable again and repairs itself from them.
+func IsDirtyConsumer(s Scheduler) bool { return indexed(s) != nil }
 
-// IndexChecker is implemented by schedulers that maintain an incremental
-// candidate index. CheckIndex cross-checks the index against a
-// from-scratch rebuild over t and returns a descriptive error on any
-// divergence; a stale or absent index returns nil (it resynchronizes on
-// its next use). The fabric simulator calls it from DeepValidateEvery.
-type IndexChecker interface {
-	CheckIndex(t *flow.Table) error
-}
-
-// CheckIndex runs s's incremental-index self-check when it has one; nil
-// otherwise.
+// CheckIndex cross-checks s's candidate index against a from-scratch
+// rebuild over t and returns a descriptive error on any divergence. It
+// returns nil when s keeps no index or its index is stale (a stale index
+// resynchronizes on its next use). The fabric simulator calls it from
+// DeepValidateEvery.
 func CheckIndex(s Scheduler, t *flow.Table) error {
-	if ic, ok := s.(IndexChecker); ok {
-		return ic.CheckIndex(t)
+	if g := indexed(s); g != nil {
+		return g.check(t)
 	}
 	return nil
 }
@@ -95,40 +92,22 @@ func CheckIndex(s Scheduler, t *flow.Table) error {
 // IndexStats counts the incremental index's maintenance work: how many
 // decisions were satisfied by a delta repair of the dirty VOQs versus a
 // full rebuild. The observability layer reports them per run — a rebuild
-// count above the handful expected (first decision, ablation toggles,
-// table swaps) means the single-consumer contract is being violated and
-// the index is silently degrading to from-scratch cost.
+// count above the handful expected (first decision, table swaps) means the
+// single-consumer contract is being violated and the index is silently
+// degrading to from-scratch cost.
 type IndexStats struct {
 	Repairs  int64
 	Rebuilds int64
 }
 
-// IndexStatser is implemented by schedulers that maintain an incremental
-// candidate index; wrappers (e.g. OutageFallback) delegate to the
-// scheduler they wrap.
-type IndexStatser interface {
-	IndexStats() IndexStats
-}
-
-// IndexStatsOf returns s's index-maintenance counters when it keeps an
-// incremental index; the zero stats otherwise.
+// IndexStatsOf returns s's index-maintenance counters when it keeps a
+// candidate index; the zero stats otherwise.
 func IndexStatsOf(s Scheduler) IndexStats {
-	if is, ok := s.(IndexStatser); ok {
-		return is.IndexStats()
+	if g := indexed(s); g != nil {
+		return IndexStats{Repairs: g.repairs, Rebuilds: g.rebuilds}
 	}
 	return IndexStats{}
 }
-
-// Candidate pairs a flow with the backlog of the VOQ it sits in, the two
-// quantities every discipline's key is built from.
-type Candidate struct {
-	Flow     *flow.Flow
-	QueueLen float64
-}
-
-// Key orders candidates: lower keys schedule first. Ties are broken
-// deterministically (src, then dst, then flow ID) by the greedy driver.
-type Key func(c Candidate) float64
 
 // scored is a candidate with its key precomputed, so sorting never calls
 // back into the discipline. voq caches the flow's VOQ slot (VOQ.Slot):
@@ -175,55 +154,6 @@ func (m *portMarks) take(f *flow.Flow) {
 	m.egress[f.Dst] = m.epoch
 }
 
-// greedy is the shared greedy-matching core of SRPT and fast BASRPT
-// (paper Algorithm 1): walk candidates in non-decreasing key order, keep
-// each flow whose ingress and egress ports are both free. Its buffers are
-// reused across calls, including the selected slice handed back from
-// Schedule (see the Scheduler ownership contract).
-type greedy struct {
-	cands    []scored
-	selected []*flow.Flow // decision scratch, returned to the caller
-	marks    portMarks
-
-	idx     *candidateIndex // lazily built by scheduleIndexed
-	noIndex bool            // benchmarking/ablation: force the from-scratch path
-}
-
-// setIncremental toggles the incremental candidate index; disabling it
-// drops the index so a later re-enable starts from a clean rebuild.
-func (g *greedy) setIncremental(on bool) {
-	g.noIndex = !on
-	if !on {
-		g.idx = nil
-	}
-}
-
-// consumesDirty reports whether scheduling through g consumes the table's
-// dirty-VOQ feed (see flow.Table's change-tracking contract).
-func (g *greedy) consumesDirty() bool { return !g.noIndex }
-
-// indexStats returns the index's repair/rebuild counters (zero when the
-// index is disabled or not yet built).
-func (g *greedy) indexStats() IndexStats {
-	if g.idx == nil {
-		return IndexStats{}
-	}
-	return IndexStats{Repairs: g.idx.repairs, Rebuilds: g.idx.rebuilds}
-}
-
-// gather collects one scored candidate per non-empty VOQ.
-func (g *greedy) gather(t *flow.Table, key Key) {
-	g.cands = g.cands[:0]
-	t.ForEachNonEmpty(func(q *flow.VOQ) {
-		f := q.Top()
-		g.cands = append(g.cands, scored{
-			key: key(Candidate{Flow: f, QueueLen: q.Backlog()}),
-			f:   f,
-			voq: q.Slot(),
-		})
-	})
-}
-
 // cmpScored orders by key with deterministic (src, dst, id) tie-breaks.
 func cmpScored(a, b scored) int {
 	switch {
@@ -244,68 +174,39 @@ func cmpScored(a, b scored) int {
 	}
 }
 
-// pick runs the greedy crossbar loop over g.cands in their current order,
-// filling the reusable selected scratch.
-func (g *greedy) pick(n int) []*flow.Flow {
-	g.marks.reset(n)
-	selected := g.selected[:0]
+// matcher is the greedy crossbar loop every candidate-ordering discipline
+// shares (paper Algorithm 1's selection step): walk candidates in order,
+// keep each flow whose ingress and egress ports are both free. Its buffers
+// are reused across calls, including the selected slice handed back from
+// Schedule (see the Scheduler ownership contract).
+type matcher struct {
+	selected []*flow.Flow // decision scratch, returned to the caller
+	marks    portMarks
+}
+
+// pick runs the crossbar loop over cands in their given order on an
+// n-port table, filling the reusable selected scratch. It stops early
+// once the matching saturates the scarcer side of the crossbar.
+func (m *matcher) pick(cands []scored, n int) []*flow.Flow {
+	if len(cands) == 0 {
+		return nil
+	}
+	m.marks.reset(n)
+	selected := m.selected[:0]
 	free := n // ports still free on the scarcer side
-	for _, c := range g.cands {
+	for _, c := range cands {
 		f := c.f
-		if g.marks.taken(f) {
+		if m.marks.taken(f) {
 			continue
 		}
-		g.marks.take(f)
+		m.marks.take(f)
 		selected = append(selected, f)
 		if free--; free == 0 {
 			break
 		}
 	}
-	g.selected = selected
+	m.selected = selected
 	return selected
-}
-
-// schedule is gather + sort + pick — the from-scratch path, and the
-// reference the incremental index is checked against.
-func (g *greedy) schedule(t *flow.Table, key Key) []*flow.Flow {
-	g.gather(t, key)
-	if len(g.cands) == 0 {
-		return nil
-	}
-	slices.SortFunc(g.cands, cmpScored)
-	return g.pick(t.N())
-}
-
-// scheduleIndexed is schedule through the incremental candidate index:
-// delta-repair the index's sorted view from the table's dirty feed (full
-// rebuild when the feed basis does not match), then select by scanning
-// the view in place. The scan serves entries in the cmpScored total
-// order, so the decision is bit-identical to the from-scratch path.
-func (g *greedy) scheduleIndexed(t *flow.Table, key Key) []*flow.Flow {
-	if g.noIndex {
-		return g.schedule(t, key)
-	}
-	if g.idx == nil {
-		g.idx = &candidateIndex{}
-	}
-	g.idx.sync(t, key)
-	if len(g.idx.view) == 0 {
-		g.selected = g.selected[:0]
-		return nil
-	}
-	g.marks.reset(t.N())
-	g.selected = g.idx.pick(&g.marks, g.selected[:0])
-	return g.selected
-}
-
-// checkIndex cross-checks the incremental index against a from-scratch
-// rebuild; nil when the index is disabled, not yet built, or stale (a
-// stale index resynchronizes on its next use and so is not an error).
-func (g *greedy) checkIndex(t *flow.Table, key Key) error {
-	if g.noIndex || g.idx == nil {
-		return nil
-	}
-	return g.idx.check(t, key)
 }
 
 // Validator re-checks decisions without allocating: it owns a pair of

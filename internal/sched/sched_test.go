@@ -379,12 +379,8 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, ok := s.(*FastBASRPT)
-	if !ok {
-		t.Fatalf("fast-basrpt built %T", s)
-	}
-	if got := fb.V(); got != 2500 {
-		t.Fatalf("default V = %g, want 2500", got)
+	if got := s.Name(); got != "fast-basrpt(V=2500)" {
+		t.Fatalf("default V not applied: %q", got)
 	}
 }
 

@@ -15,6 +15,7 @@ type RNGScheduler interface {
 	RestoreRNGState(stats.RNGState) error
 }
 
+// The schedulers that carry a private RNG stream.
 var (
 	_ RNGScheduler = (*Random)(nil)
 	_ RNGScheduler = (*BirkhoffRandom)(nil)
