@@ -68,9 +68,8 @@ func NewSRPT() Scheduler { return sched.NewSRPT() }
 func NewFastBASRPT(v float64) Scheduler { return sched.NewFastBASRPT(v) }
 
 // NewExactBASRPT returns the exhaustive drift-plus-penalty minimizer
-// (Section IV-A); it is factorial in ports and panics beyond maxPorts
-// (0 selects the default limit of 8).
-func NewExactBASRPT(v float64, maxPorts int) Scheduler { return sched.NewExactBASRPT(v, maxPorts) }
+// (Section IV-A); it is factorial in ports and panics beyond 8 ports.
+func NewExactBASRPT(v float64) Scheduler { return sched.NewExactBASRPT(v) }
 
 // NewMaxWeight returns longest-queue-first — the V = 0 limit of BASRPT.
 func NewMaxWeight() Scheduler { return sched.NewMaxWeight() }

@@ -25,7 +25,7 @@ func TestFacadeSchedulers(t *testing.T) {
 	for _, s := range []Scheduler{
 		NewSRPT(),
 		NewFastBASRPT(2500),
-		NewExactBASRPT(100, 0),
+		NewExactBASRPT(100),
 		NewMaxWeight(),
 		NewFIFOMatch(),
 		NewThresholdBacklog(1e6),

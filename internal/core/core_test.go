@@ -148,3 +148,17 @@ func TestRunExactVsFast(t *testing.T) {
 		t.Fatal("zero trials accepted")
 	}
 }
+
+// TestRunExactVsFastPinned pins E8 at basrptbench's shape and seed 1 bit
+// for bit, so a change to either scheduler or to the scoring loop that
+// moves any printed value fails here.
+func TestRunExactVsFastPinned(t *testing.T) {
+	res, err := RunExactVsFast(5, 200, DefaultV, SeedRun(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.IdenticalFraction != 0.695 || res.MeanGap != 0.054632531547508766 || res.MaxGap != 0.5340123493539778 {
+		t.Fatalf("identical %v, mean gap %v, max gap %v; want 0.695, 0.054632531547508766, 0.5340123493539778",
+			res.IdenticalFraction, res.MeanGap, res.MaxGap)
+	}
+}

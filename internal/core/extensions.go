@@ -47,6 +47,12 @@ func RunDistributed(n, trials int, v float64, rounds []int, run Run) (*Distribut
 	}
 	states := randomStates(n, trials, run.withDefaults().Seed)
 	central := sched.NewFastBASRPT(v)
+	centralObj := make([]float64, len(states))
+	var norm float64 // Σ|centralized objective|, the gaps' normalizer
+	for i, tab := range states {
+		centralObj[i] = sched.Objective(v, tab, central.Schedule(tab))
+		norm += math.Abs(centralObj[i])
+	}
 
 	res := &DistributedResult{N: n, Trials: trials, V: v}
 	for _, r := range rounds {
@@ -54,23 +60,25 @@ func RunDistributed(n, trials int, v float64, rounds []int, run Run) (*Distribut
 			return nil, fmt.Errorf("distributed ablation: negative rounds %d", r)
 		}
 		dist := sched.NewDistributed(v, r)
-		row := DistributedRow{
-			Rounds:    r,
-			Agreement: sched.DecisionAgreement(v, central, dist, states),
-		}
-		var gapSum, normSum float64
-		for _, tab := range states {
-			co := sched.Objective(v, tab, central.Schedule(tab))
+		agree := 0
+		var gapSum float64
+		for i, tab := range states {
+			co := centralObj[i]
 			do := sched.Objective(v, tab, dist.Schedule(tab))
+			// Equal objective value, up to summation-order float noise,
+			// counts as the same decision.
+			if do == co || math.Abs(co-do) <= 1e-9*math.Max(1, math.Abs(co)) {
+				agree++
+			}
 			gap := do - co
 			if gap < 0 {
 				gap = 0 // truncated arbitration can also land below greedy
 			}
 			gapSum += gap
-			normSum += math.Abs(co)
 		}
-		if normSum > 0 {
-			row.MeanGap = gapSum / normSum
+		row := DistributedRow{Rounds: r, Agreement: float64(agree) / float64(len(states))}
+		if norm > 0 {
+			row.MeanGap = gapSum / norm
 		}
 		res.Rows = append(res.Rows, row)
 	}

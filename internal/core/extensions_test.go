@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,6 +31,25 @@ func TestRunDistributed(t *testing.T) {
 	out := res.Render()
 	if !strings.Contains(out, "Distributed emulation") || !strings.Contains(out, "to convergence") {
 		t.Fatalf("render = %q", out)
+	}
+}
+
+// TestRunDistributedPinned pins E11's rows at basrptbench's shape and
+// seed 1 bit for bit. The converged gap is float noise: both decisions
+// hold the same flows, summed in a different order.
+func TestRunDistributedPinned(t *testing.T) {
+	res, err := RunDistributed(8, 200, DefaultV, nil, SeedRun(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []DistributedRow{
+		{Rounds: 0, Agreement: 1, MeanGap: 1.648443608864668e-17},
+		{Rounds: 1, Agreement: 0.495, MeanGap: 0.010336065529479565},
+		{Rounds: 2, Agreement: 0.81, MeanGap: 0.0016799224001369417},
+		{Rounds: 4, Agreement: 0.99, MeanGap: 1.648443608864668e-17},
+	}
+	if !slices.Equal(res.Rows, want) {
+		t.Fatalf("rows %+v, want %+v", res.Rows, want)
 	}
 }
 

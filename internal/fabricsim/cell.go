@@ -340,3 +340,18 @@ func closeEnough(a, b float64) bool {
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return diff <= 1e-6*scale
 }
+
+// recordSchedStats adds one scheduler's once-per-run counters to reg:
+// the candidate index's repairs and rebuilds when it kept an index, and
+// the request/grant rounds when it arbitrates (dist-basrpt). The
+// decomposed engine calls it once per cell, in rack order, so the
+// registry holds the fabric's sums.
+func recordSchedStats(reg *obs.Registry, s sched.Scheduler) {
+	if ist := sched.IndexStatsOf(s); ist.Repairs+ist.Rebuilds > 0 {
+		reg.Counter("sched.index_repairs").Add(ist.Repairs)
+		reg.Counter("sched.index_rebuilds").Add(ist.Rebuilds)
+	}
+	if d, ok := s.(interface{ TotalRounds() int64 }); ok {
+		reg.Counter("sched.arbitration_rounds").Add(d.TotalRounds())
+	}
+}

@@ -592,13 +592,7 @@ func (s *Sim) finish() *Result {
 	// Once-per-run stats pulled from the subsystems that kept them.
 	s.reg.Counter("fabric.arrived_flows").Add(int64(s.res.ArrivedFlows))
 	s.reg.Counter("fabric.completed_flows").Add(int64(s.res.CompletedFlows))
-	if ist := sched.IndexStatsOf(s.scheduler); ist.Repairs+ist.Rebuilds > 0 {
-		s.reg.Counter("sched.index_repairs").Add(ist.Repairs)
-		s.reg.Counter("sched.index_rebuilds").Add(ist.Rebuilds)
-	}
-	if d, ok := s.cfg.Scheduler.(interface{ TotalRounds() int64 }); ok {
-		s.reg.Counter("sched.arbitration_rounds").Add(d.TotalRounds())
-	}
+	recordSchedStats(s.reg, s.cfg.Scheduler)
 	if g, ok := s.cfg.Generator.(interface{ QueueHighWater() int }); ok {
 		s.reg.Gauge("eventq.high_water").Set(float64(g.QueueHighWater()))
 	}

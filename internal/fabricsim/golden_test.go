@@ -13,10 +13,11 @@ import (
 )
 
 // TestEngineGoldens pins both engines' output bytes across commits: the
-// Result digest and the FNV-64a of the full JSONL trace, for three
+// Result digest and the FNV-64a of the full JSONL trace, for four
 // centralized runs (one with faults and deep validation, one halted at a
-// checkpoint with faults on) and two decomposed runs; for the halted run
-// also the FNV-64a of the checkpoint it wrote. The other byte-gates
+// checkpoint with faults on, one under dist-basrpt) and three decomposed
+// runs (one under dist-basrpt); for the halted run also the FNV-64a of
+// the checkpoint it wrote. The other byte-gates
 // compare two runs of the same build, and the benchmark pins only Result
 // digests, which omit trace ports and checkpoint bytes; these values
 // catch a change that moves any of them. A refactor of the event loop or
@@ -45,6 +46,10 @@ func TestEngineGoldens(t *testing.T) {
 			digest: "f2c15499392de83c", trace: "9e26c5833fd40800"},
 		{name: "decomposed-noisy", racks: 8, hpr: 3, scheduler: "noisy-basrpt", load: 0.7, dur: 0.005, seed: 21, shards: 4,
 			digest: "077fcdb9c51cb2ff", trace: "970c5f05b526861f"},
+		{name: "centralized-dist", racks: 3, hpr: 4, scheduler: "dist-basrpt", load: 0.8, dur: 0.05, seed: 7,
+			digest: "ca78e3fcbb49796d", trace: "dcab3ed43017e809"},
+		{name: "decomposed-dist", racks: 4, hpr: 4, scheduler: "dist-basrpt", load: 0.7, dur: 0.01, seed: 13, shards: 2,
+			digest: "ec2f41fbed417b39", trace: "58396a588a7ff34e"},
 	}
 	for _, g := range cases {
 		t.Run(g.name, func(t *testing.T) {

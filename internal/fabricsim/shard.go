@@ -1044,7 +1044,7 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	var repairs, rebuilds, poolReuses int64
+	var poolReuses int64
 	var poolSize, highWater int
 	for _, c := range cells {
 		res.FCT.Merge(c.res.FCT)
@@ -1057,9 +1057,7 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 		res.LeftoverFlows += c.table.NumFlows()
 		res.Decisions += c.cDecisions.Value()
 		res.SchedNanos += c.cSchedNanos.Value()
-		ist := sched.IndexStatsOf(c.scheduler)
-		repairs += ist.Repairs
-		rebuilds += ist.Rebuilds
+		recordSchedStats(reg, c.scheduler)
 		if hw := c.gen.QueueHighWater(); hw > highWater {
 			highWater = hw
 		}
@@ -1070,10 +1068,6 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	reg.Counter("fabric.sched_nanos").Add(res.SchedNanos)
 	reg.Counter("fabric.arrived_flows").Add(int64(res.ArrivedFlows))
 	reg.Counter("fabric.completed_flows").Add(int64(res.CompletedFlows))
-	if repairs+rebuilds > 0 {
-		reg.Counter("sched.index_repairs").Add(repairs)
-		reg.Counter("sched.index_rebuilds").Add(rebuilds)
-	}
 	reg.Gauge("eventq.high_water").Set(float64(highWater))
 	reg.Counter("flow.pool_reuses").Add(poolReuses)
 	reg.Gauge("flow.pool_size").Set(float64(poolSize))

@@ -277,6 +277,38 @@ func TestShardImbalanceReport(t *testing.T) {
 	}
 }
 
+// TestArbitrationRoundsOnBothEngines: a dist-basrpt run reports its
+// request/grant rounds on either engine, and the decomposed engine folds
+// the per-cell counts into a value that does not depend on the grouping.
+func TestArbitrationRoundsOnBothEngines(t *testing.T) {
+	topo := shardTopo(t, 4, 4)
+	const load, dur, seed = 0.7, 0.01, 13
+	scheduler, err := sched.New("dist-basrpt", sched.Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cres := mustRun(t, Config{
+		Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(), Scheduler: scheduler,
+		Generator: mixedGen(t, topo, load, dur, seed), Duration: dur, Seed: seed,
+	})
+	if got := cres.Obs.Counter("sched.arbitration_rounds"); got <= 0 {
+		t.Fatalf("centralized sched.arbitration_rounds = %d, want > 0", got)
+	}
+	var rounds []int64
+	for _, shards := range []int{2, 3} {
+		res, err := RunShard(ShardConfig{
+			Topology: topo, Scheduler: "dist-basrpt", Load: load, Duration: dur, Seed: seed, Shards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = append(rounds, res.Obs.Counter("sched.arbitration_rounds"))
+	}
+	if rounds[0] <= 0 || rounds[0] != rounds[1] {
+		t.Fatalf("decomposed sched.arbitration_rounds = %d at 2 shards, %d at 3; want equal and > 0", rounds[0], rounds[1])
+	}
+}
+
 // TestShardOnWindowHeartbeat checks the decomposed heartbeat: one
 // callback per barrier, monotone sim time and window index, cumulative
 // counters matching the final result, and per-cell wall arrays shaped

@@ -22,16 +22,6 @@ type Task struct {
 	Name string
 	// Run executes the task at the given seed and returns its metrics.
 	Run func(seed uint64) (Sample, error)
-	// Resume, when non-nil, is the degraded-mode second attempt: it is
-	// called after Run fails (error or panic) with the failing seed and
-	// the cause, typically to restart the simulation from the task's last
-	// checkpoint. A successful Resume replaces the failure; a failed or
-	// panicking Resume keeps the unit failed with both causes reported.
-	Resume func(seed uint64, cause error) (Sample, error)
-	// CheckpointPath, when non-empty, names where this task persists its
-	// checkpoints. It is quoted in per-seed failure messages so a crashed
-	// sweep's survivors point straight at their resume artifacts.
-	CheckpointPath string
 }
 
 // Phase identifies where in its lifecycle a (replicate, task) unit is
@@ -40,11 +30,9 @@ type Phase string
 
 // The unit lifecycle: every unit emits PhaseStart when a worker picks it
 // up and exactly one terminal phase (PhaseDone or PhaseFailed) when it
-// finishes; PhaseResume fires in between only when a failed first
-// attempt has a Resume hook to try.
+// finishes.
 const (
 	PhaseStart  Phase = "start"
-	PhaseResume Phase = "resume"
 	PhaseDone   Phase = "done"
 	PhaseFailed Phase = "failed"
 )
@@ -57,8 +45,8 @@ func (p Phase) Terminal() bool { return p == PhaseDone || p == PhaseFailed }
 // Progress is the structured progress value handed to OnProgress: which
 // (replicate, task) unit fired, where it is in its lifecycle, and how
 // far the whole sweep has come. Done counts units finished so far —
-// including the reporting unit on terminal phases, excluding it on
-// start/resume phases.
+// including the reporting unit on terminal phases, excluding it on the
+// start phase.
 type Progress struct {
 	Phase  Phase
 	Done   int
@@ -66,7 +54,7 @@ type Progress struct {
 	Task   string
 	Seed   uint64
 	Sample Sample // terminal phases only; nil on failure
-	Err    error  // the unit's (or first attempt's, on PhaseResume) error
+	Err    error  // the unit's error, PhaseFailed only
 }
 
 // Config parameterizes a multi-seed run.
@@ -81,7 +69,7 @@ type Config struct {
 	// selects 1). Replicate i runs at DeriveSeed(RootSeed, i).
 	RootSeed uint64
 	// OnProgress, when non-nil, is called at every unit lifecycle phase
-	// (start, optional resume, one terminal done/failed), from the worker
+	// (start, then one terminal done/failed), from the worker
 	// driving the unit, serialized by an internal mutex so
 	// implementations need no locking of their own. Units progress in
 	// pool order, so the callback sequence is NOT deterministic across
@@ -127,12 +115,8 @@ type unit struct {
 // Run executes every task at every derived seed across the worker pool and
 // aggregates the metrics. Individual task failures — including panics,
 // which are recovered per unit and converted to errors — do not stop
-// other units; all failures are joined into the returned error (with the
-// offending seed, task, and checkpoint path named). When some units
-// succeed, their partial aggregate is returned ALONGSIDE the error, so a
-// poisoned seed costs one replicate, not the whole sweep. A nil
-// *Aggregate is returned only when validation fails before any unit ran
-// or no unit succeeded.
+// other units; when any unit fails, Run returns a nil *Aggregate and all
+// failures joined into one error, each naming its task and seed.
 func Run(cfg Config, tasks []Task) (*Aggregate, error) {
 	if cfg.Seeds < 1 {
 		return nil, fmt.Errorf("runner: seeds %d < 1", cfg.Seeds)
@@ -199,22 +183,8 @@ func Run(cfg Config, tasks []Task) (*Aggregate, error) {
 				seed := seeds[u/len(tasks)]
 				notify(PhaseStart, task.Name, seed, nil, nil)
 				sample, err := runUnit(task.Run, seed)
-				if err != nil && task.Resume != nil {
-					notify(PhaseResume, task.Name, seed, nil, err)
-					if resumed, rerr := runUnit(func(s uint64) (Sample, error) {
-						return task.Resume(s, err)
-					}, seed); rerr == nil {
-						sample, err = resumed, nil
-					} else {
-						err = fmt.Errorf("%w; resume also failed: %v", err, rerr)
-					}
-				}
 				if err != nil {
-					note := ""
-					if task.CheckpointPath != "" {
-						note = fmt.Sprintf(" (checkpoint at %s)", task.CheckpointPath)
-					}
-					err = fmt.Errorf("runner: task %q seed %d%s: %w", task.Name, seed, note, err)
+					err = fmt.Errorf("runner: task %q seed %d: %w", task.Name, seed, err)
 					sample = nil
 				}
 				units[u] = unit{sample: sample, err: err}
@@ -238,7 +208,7 @@ func Run(cfg Config, tasks []Task) (*Aggregate, error) {
 			errs = append(errs, u.err)
 		}
 	}
-	if len(errs) == nUnits {
+	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
 
@@ -266,10 +236,10 @@ func Run(cfg Config, tasks []Task) (*Aggregate, error) {
 			agg.Metrics = append(agg.Metrics, m)
 		}
 	}
-	return agg, errors.Join(errs...)
+	return agg, nil
 }
 
-// runUnit executes one attempt with a panic barrier: a panicking task
+// runUnit executes one unit with a panic barrier: a panicking task
 // poisons its own unit (with the stack preserved in the error), never the
 // pool.
 func runUnit(run func(uint64) (Sample, error), seed uint64) (sample Sample, err error) {

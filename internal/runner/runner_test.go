@@ -205,6 +205,9 @@ func TestOnProgressReportsEveryUnit(t *testing.T) {
 		if p.Total != 6 {
 			t.Fatalf("event %d: Total = %d", i, p.Total)
 		}
+		if p.Phase.Terminal() != (p.Phase == PhaseDone) {
+			t.Fatalf("event %d: Terminal() = %v for phase %q", i, p.Phase.Terminal(), p.Phase)
+		}
 		switch p.Phase {
 		case PhaseStart:
 			started[p.Task]++
@@ -248,6 +251,9 @@ func TestOnProgressCarriesFailures(t *testing.T) {
 	var failed int
 	_, err := Run(Config{Seeds: 2, Parallel: 2, OnProgress: func(p Progress) {
 		if p.Err != nil {
+			if p.Phase != PhaseFailed || !p.Phase.Terminal() {
+				t.Errorf("error carried by phase %q", p.Phase)
+			}
 			failed++
 		}
 	}}, boom)
@@ -256,39 +262,5 @@ func TestOnProgressCarriesFailures(t *testing.T) {
 	}
 	if failed != 2 {
 		t.Fatalf("failed progress events = %d, want 2", failed)
-	}
-}
-
-func TestOnProgressResumePhase(t *testing.T) {
-	task := []Task{{
-		Name: "flaky",
-		Run: func(seed uint64) (Sample, error) {
-			return nil, fmt.Errorf("first attempt at %d", seed)
-		},
-		Resume: func(seed uint64, cause error) (Sample, error) {
-			return Sample{"v": 1}, nil
-		},
-	}}
-	var phases []Phase
-	agg, err := Run(Config{Seeds: 1, Parallel: 1, OnProgress: func(p Progress) {
-		phases = append(phases, p.Phase)
-		if p.Phase == PhaseResume && p.Err == nil {
-			t.Error("resume phase should carry the first attempt's error")
-		}
-	}}, task)
-	if err != nil {
-		t.Fatalf("resumed run should succeed: %v", err)
-	}
-	if agg == nil || agg.Metric("flaky/v") == nil {
-		t.Fatal("missing resumed metric")
-	}
-	want := []Phase{PhaseStart, PhaseResume, PhaseDone}
-	if !reflect.DeepEqual(phases, want) {
-		t.Fatalf("phases = %v, want %v", phases, want)
-	}
-	for _, p := range phases {
-		if p.Terminal() != (p == PhaseDone) {
-			t.Errorf("Terminal(%q) wrong", p)
-		}
 	}
 }

@@ -322,9 +322,6 @@ func schedDescr(sc SchedulerSpec) string {
 	if sc.Rounds != 0 {
 		knobs = append(knobs, fmt.Sprintf("rounds=%d", sc.Rounds))
 	}
-	if sc.MaxPorts != 0 {
-		knobs = append(knobs, fmt.Sprintf("maxports=%d", sc.MaxPorts))
-	}
 	if len(knobs) > 0 {
 		d += " (" + strings.Join(knobs, ", ") + ")"
 	}

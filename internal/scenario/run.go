@@ -18,7 +18,7 @@ type Options struct {
 	// byte-identical for any value.
 	Parallel int
 	// OnProgress, when non-nil, receives per-unit lifecycle callbacks
-	// (start/resume/done/failed phases) for live output. Callback order
+	// (start/done/failed phases) for live output. Callback order
 	// is nondeterministic — display and ops endpoints only.
 	OnProgress func(runner.Progress)
 }
@@ -48,7 +48,6 @@ func (s *Spec) Tasks() []runner.Task {
 							Threshold:  sc.Threshold,
 							NoiseLevel: sc.NoiseLevel,
 							Rounds:     sc.Rounds,
-							MaxPorts:   sc.MaxPorts,
 						},
 						Load:          load,
 						QueryFraction: s.Workload.QueryByteFraction,

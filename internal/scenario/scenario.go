@@ -130,13 +130,12 @@ type SchedulerSpec struct {
 	// appears more than once (e.g. fast-basrpt at two V values); empty
 	// selects Name.
 	Label string `json:"label,omitempty"`
-	// V, Threshold, NoiseLevel, Rounds, and MaxPorts are the discipline
-	// parameters (zero selects the registry defaults).
+	// V, Threshold, NoiseLevel, and Rounds are the discipline parameters
+	// (zero selects the registry defaults; negative values are rejected).
 	V          float64 `json:"v,omitempty"`
 	Threshold  float64 `json:"threshold,omitempty"`
 	NoiseLevel float64 `json:"noise_level,omitempty"`
 	Rounds     int     `json:"rounds,omitempty"`
-	MaxPorts   int     `json:"max_ports,omitempty"`
 	// VSweep unrolls this entry into one grid cell per V value, labeled
 	// "<label>-v<V>" — the declarative form of the paper's Figures 7/8
 	// tradeoff sweep. Mutually exclusive with V.
@@ -288,6 +287,18 @@ func (s *Spec) Validate() error {
 		if !validNames[sc.Name] {
 			return specErrf(fmt.Sprintf("schedulers[%d].name", i),
 				"unknown scheduler %q (valid: %v)", sc.Name, sched.Names())
+		}
+		// Zero selects a registry default and a negative value means
+		// nothing. Rejecting it here fails the spec before the grid
+		// starts, not inside it; a negative threshold would not fail at
+		// all, since every backlog exceeds it, which is MaxWeight.
+		for _, p := range []struct {
+			field string
+			value float64
+		}{{"v", sc.V}, {"threshold", sc.Threshold}, {"noise_level", sc.NoiseLevel}, {"rounds", float64(sc.Rounds)}} {
+			if p.value < 0 {
+				return specErrf(fmt.Sprintf("schedulers[%d].%s", i, p.field), "%g < 0", p.value)
+			}
 		}
 		if len(sc.VSweep) > 0 {
 			if sc.V != 0 {

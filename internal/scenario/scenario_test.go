@@ -160,6 +160,18 @@ func TestValidateRejections(t *testing.T) {
 		{"right ref to unknown cell", func(m map[string]any) {
 			m["checks"] = []any{map[string]any{"name": "c", "left": "srpt/gbps", "op": "ge", "right": "nosuchcell/gbps"}}
 		}, "checks[0].right"},
+		{"negative v", func(m map[string]any) {
+			m["schedulers"] = []any{map[string]any{"name": "srpt"}, map[string]any{"name": "fast-basrpt", "v": -1}}
+		}, "schedulers[1].v"},
+		{"negative threshold", func(m map[string]any) {
+			m["schedulers"] = []any{map[string]any{"name": "srpt"}, map[string]any{"name": "threshold", "threshold": -5}}
+		}, "schedulers[1].threshold"},
+		{"negative noise level", func(m map[string]any) {
+			m["schedulers"] = []any{map[string]any{"name": "srpt"}, map[string]any{"name": "noisy-basrpt", "noise_level": -0.1}}
+		}, "schedulers[1].noise_level"},
+		{"negative rounds", func(m map[string]any) {
+			m["schedulers"] = []any{map[string]any{"name": "srpt"}, map[string]any{"name": "dist-basrpt", "rounds": -1}}
+		}, "schedulers[1].rounds"},
 		{"unknown workload pattern", func(m map[string]any) {
 			m["workload"] = map[string]any{"pattern": "all-to-all"}
 		}, "workload.pattern"},

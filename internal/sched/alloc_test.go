@@ -102,6 +102,36 @@ func TestScheduleZeroAllocFastBASRPT(t *testing.T) {
 	testScheduleZeroAlloc(t, NewFastBASRPT(2500))
 }
 
+// TestScheduleZeroAllocRegistry holds every full-size discipline in the
+// registry to the same gate. exact-basrpt is left out: it is the
+// exhaustive oracle, limited to DefaultExactMaxPorts.
+func TestScheduleZeroAllocRegistry(t *testing.T) {
+	for _, name := range Names() {
+		if name == "exact-basrpt" {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			s, err := New(name, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			testScheduleZeroAlloc(t, s)
+		})
+	}
+}
+
+// TestScheduleZeroAllocDistBASRPT covers the arbitration's round budget
+// and its control-message loss, which the registry defaults leave off.
+func TestScheduleZeroAllocDistBASRPT(t *testing.T) {
+	loss := stats.NewRNG(41)
+	for name, s := range map[string]Scheduler{
+		"rounds-4": NewDistributed(2500, 4),
+		"lossy":    NewLossyDistributed(2500, 4, func() bool { return loss.Float64() < 0.1 }),
+	} {
+		t.Run(name, func(t *testing.T) { testScheduleZeroAlloc(t, s) })
+	}
+}
+
 // The Validator must reuse its port marks across calls: after warmup,
 // validating a fresh decision allocates nothing.
 func TestValidatorZeroAlloc(t *testing.T) {

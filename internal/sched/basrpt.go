@@ -20,27 +20,21 @@ import (
 //
 // The enumeration is factorial in the number of ports — the very
 // impracticality that motivates fast BASRPT — so Schedule panics when the
-// switch exceeds the configured port limit.
+// switch exceeds DefaultExactMaxPorts.
 type ExactBASRPT struct {
-	v        float64
-	maxPorts int
+	v float64
 }
 
 var _ Scheduler = (*ExactBASRPT)(nil)
 
-// DefaultExactMaxPorts is the largest switch ExactBASRPT accepts unless
-// overridden.
+// DefaultExactMaxPorts is the largest switch ExactBASRPT accepts.
 const DefaultExactMaxPorts = 8
 
-// NewExactBASRPT returns the exhaustive BASRPT scheduler. maxPorts bounds
-// the fabric size the search will accept; 0 selects
-// DefaultExactMaxPorts. It panics on negative V.
-func NewExactBASRPT(v float64, maxPorts int) *ExactBASRPT {
+// NewExactBASRPT returns the exhaustive BASRPT scheduler. It panics on
+// negative V.
+func NewExactBASRPT(v float64) *ExactBASRPT {
 	checkV(v)
-	if maxPorts <= 0 {
-		maxPorts = DefaultExactMaxPorts
-	}
-	return &ExactBASRPT{v: v, maxPorts: maxPorts}
+	return &ExactBASRPT{v: v}
 }
 
 // Name returns "exact-basrpt(V=...)".
@@ -48,8 +42,8 @@ func (s *ExactBASRPT) Name() string { return fmt.Sprintf("exact-basrpt(V=%g)", s
 
 // Schedule exhaustively minimizes the BASRPT objective.
 func (s *ExactBASRPT) Schedule(t *flow.Table) []*flow.Flow {
-	if t.N() > s.maxPorts {
-		panic(fmt.Sprintf("sched: exact BASRPT on %d ports exceeds limit %d", t.N(), s.maxPorts))
+	if t.N() > DefaultExactMaxPorts {
+		panic(fmt.Sprintf("sched: exact BASRPT on %d ports exceeds limit %d", t.N(), DefaultExactMaxPorts))
 	}
 	if t.NumNonEmpty() == 0 {
 		return nil

@@ -2,8 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"basrpt/internal/flow"
 )
@@ -22,8 +21,14 @@ import (
 // equivalence is property-tested). Bounding Rounds models the latency
 // budget of a real distributed arbitration, trading decision quality for
 // round trips — measured by the E11 ablation.
+//
+// Because the key is global, the emulation reads its order from fast
+// BASRPT's candidate index (see Greedy) instead of ranking from scratch:
+// a host's ranked list is the index's view filtered by source, and an
+// egress compares two proposals by their positions in the view. It is
+// therefore a dirty-feed consumer exactly like the Greedy it holds.
 type Distributed struct {
-	v      float64
+	g      *Greedy // fast BASRPT: its view is the global priority order
 	rounds int
 
 	// dropGrant, when non-nil, is the control-message-loss Bernoulli
@@ -34,6 +39,15 @@ type Distributed struct {
 	grantsLost int64
 
 	totalRounds int64 // arbitration rounds executed across all decisions
+
+	// Decision scratch, reused across calls like Greedy's (see the
+	// Scheduler contract). Positions index g.view.
+	next     []int // per host: position of its current candidate, -1 once exhausted
+	chain    []int // per position: the next position with the same source, -1 at the end
+	held     []int // per egress: position of the proposal it holds, -1 when none
+	free     []int // hosts proposing this round
+	retry    []int // hosts proposing next round
+	selected []*flow.Flow
 }
 
 var _ Scheduler = (*Distributed)(nil)
@@ -44,11 +58,11 @@ var _ Scheduler = (*Distributed)(nil)
 // negative v or rounds — configuration errors, matching the sibling
 // constructors.
 func NewDistributed(v float64, rounds int) *Distributed {
-	checkV(v)
+	g := NewFastBASRPT(v)
 	if rounds < 0 {
 		panic(fmt.Sprintf("sched: negative rounds %d", rounds))
 	}
-	return &Distributed{v: v, rounds: rounds}
+	return &Distributed{g: g, rounds: rounds}
 }
 
 // NewLossyDistributed is NewDistributed with a control-message-loss
@@ -75,9 +89,9 @@ func (s *Distributed) TotalRounds() int64 { return s.totalRounds }
 // Name returns "dist-basrpt(V=..., rounds=...)", with a "+loss" suffix
 // when a control-message-loss source is attached.
 func (s *Distributed) Name() string {
-	name := fmt.Sprintf("dist-basrpt(V=%g)", s.v)
+	name := fmt.Sprintf("dist-basrpt(V=%g)", s.g.v)
 	if s.rounds != 0 {
-		name = fmt.Sprintf("dist-basrpt(V=%g,rounds=%d)", s.v, s.rounds)
+		name = fmt.Sprintf("dist-basrpt(V=%g,rounds=%d)", s.g.v, s.rounds)
 	}
 	if s.dropGrant != nil {
 		name += "+loss"
@@ -85,27 +99,21 @@ func (s *Distributed) Name() string {
 	return name
 }
 
-// hostQueue is one ingress host's locally ranked candidates.
-type hostQueue struct {
-	cands []scored // sorted best-first
-	next  int      // index of the next flow to request
-}
-
-// Schedule runs the request/grant rounds.
+// Schedule brings the shared index up to date with t and runs the
+// request/grant rounds over it.
 func (s *Distributed) Schedule(t *flow.Table) []*flow.Flow {
-	n := t.N()
-	vn := vOverN(s.v, n)
+	s.g.sync(t)
+	view, n := s.g.view, s.g.n
 
-	// Each host ranks its own VOQs' head flows locally — the only state a
-	// distributed implementation has.
-	hosts := make([]hostQueue, n)
-	t.ForEachNonEmpty(func(q *flow.VOQ) {
-		f := q.Top()
-		hosts[q.Src].cands = append(hosts[q.Src].cands, scored{key: basrptKey(vn, f, q.Backlog()), f: f})
-	})
-	for i := range hosts {
-		h := &hosts[i]
-		sort.Slice(h.cands, func(a, b int) bool { return cmpScored(h.cands[a], h.cands[b]) < 0 })
+	// Each host ranks its own VOQs' head flows — the only state a
+	// distributed implementation has. Chaining the view back to front
+	// leaves every host's list best-first, with next at its head.
+	s.next = fillInts(s.next, n, -1)
+	s.chain = slices.Grow(s.chain[:0], len(view))[:len(view)]
+	for pos := len(view) - 1; pos >= 0; pos-- {
+		src := view[pos].f.Src
+		s.chain[pos] = s.next[src]
+		s.next[src] = pos
 	}
 
 	// Deferred acceptance (Gale–Shapley with hosts proposing): each egress
@@ -115,82 +123,71 @@ func (s *Distributed) Schedule(t *flow.Table) []*flow.Flow {
 	// the stable matching is unique and equals the centralized greedy
 	// decision — so with enough rounds the emulation is exact, and the
 	// round cap measures how quickly the distributed exchange converges.
-	tentative := make([]scored, n) // per-egress held proposal (f == nil: none)
-	heldBy := make([]int, n)       // per-egress proposing host, -1 if none
-	for e := range heldBy {
-		heldBy[e] = -1
-	}
-	free := make([]int, 0, n) // hosts currently unheld with candidates left
-	for i := range hosts {
-		if len(hosts[i].cands) > 0 {
+	s.held = fillInts(s.held, n, -1)
+	free, retry := s.free[:0], s.retry[:0]
+	for i, pos := range s.next {
+		if pos >= 0 {
 			free = append(free, i)
 		}
 	}
-
 	maxRounds := s.rounds
 	if maxRounds == 0 {
 		maxRounds = n * n // GS terminates well within n² proposals
 	}
 	for round := 0; round < maxRounds && len(free) > 0; round++ {
 		s.totalRounds++
-		// A fresh slice each round: appending into free's backing array
-		// while ranging over it would corrupt the iteration.
-		nextFree := make([]int, 0, len(free))
+		// Two buffers: appending into free's backing array while ranging
+		// over it would corrupt the iteration.
+		retry = retry[:0]
 		for _, i := range free {
-			h := &hosts[i]
-			if h.next >= len(h.cands) {
+			pos := s.next[i]
+			if pos < 0 {
 				continue // exhausted: drops out
 			}
 			if s.dropGrant != nil && s.dropGrant() {
 				// Control message lost in flight: the host learns nothing
 				// and retries the same candidate next round.
 				s.grantsLost++
-				nextFree = append(nextFree, i)
+				retry = append(retry, i)
 				continue
 			}
-			prop := h.cands[h.next]
-			e := prop.f.Dst
-			if tentative[e].f == nil || cmpScored(prop, tentative[e]) < 0 {
+			// The view is strictly cmpScored-ascending, so the earlier
+			// position is the better priority.
+			e := view[pos].f.Dst
+			if prev := s.held[e]; prev < 0 || pos < prev {
 				// Egress prefers the newcomer; displace the holder.
-				if prev := heldBy[e]; prev >= 0 {
-					hosts[prev].next++
-					nextFree = append(nextFree, prev)
+				if prev >= 0 {
+					loser := view[prev].f.Src
+					s.next[loser] = s.chain[prev]
+					retry = append(retry, loser)
 				}
-				tentative[e] = prop
-				heldBy[e] = i
+				s.held[e] = pos
 			} else {
 				// Rejected: advance and retry next round.
-				h.next++
-				nextFree = append(nextFree, i)
+				s.next[i] = s.chain[pos]
+				retry = append(retry, i)
 			}
 		}
-		free = nextFree
+		free, retry = retry, free
 	}
+	s.free, s.retry = free, retry
 
-	selected := make([]*flow.Flow, 0, n)
-	for e := range tentative {
-		if tentative[e].f != nil {
-			selected = append(selected, tentative[e].f)
+	selected := s.selected[:0]
+	for _, pos := range s.held {
+		if pos >= 0 {
+			selected = append(selected, view[pos].f)
 		}
 	}
+	s.selected = selected
 	return selected
 }
 
-// DecisionAgreement measures how often two schedulers produce decisions
-// with identical objective value on the same table state — the metric the
-// distributed-emulation ablation reports. It returns the agreement
-// fraction over the given states.
-func DecisionAgreement(v float64, a, b Scheduler, states []*flow.Table) float64 {
-	if len(states) == 0 {
-		return 0
+// fillInts returns buf resized to n with every entry set to v, reusing
+// its backing array when it is large enough.
+func fillInts(buf []int, n, v int) []int {
+	buf = slices.Grow(buf[:0], n)[:n]
+	for i := range buf {
+		buf[i] = v
 	}
-	agree := 0
-	for _, t := range states {
-		oa := Objective(v, t, a.Schedule(t))
-		ob := Objective(v, t, b.Schedule(t))
-		if oa == ob || math.Abs(oa-ob) <= 1e-9*math.Max(1, math.Abs(oa)) {
-			agree++
-		}
-	}
-	return float64(agree) / float64(len(states))
+	return buf
 }

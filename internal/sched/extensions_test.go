@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,121 @@ func TestDistributedConvergesToCentralized(t *testing.T) {
 	}
 }
 
+// perHostArbitration is the reference Distributed is checked against:
+// the same request/grant rounds over per-host candidate lists gathered
+// and sorted from scratch on every call, as each host of a real
+// deployment would rank its own flows. It keeps its own round and loss
+// counters and never touches the table's dirty feed.
+type perHostArbitration struct {
+	v                       float64
+	rounds                  int
+	dropGrant               func() bool
+	totalRounds, grantsLost int64
+}
+
+func (s *perHostArbitration) Schedule(t *flow.Table) []*flow.Flow {
+	n := t.N()
+	vn := vOverN(s.v, n)
+	cands := make([][]scored, n)
+	t.ForEachNonEmpty(func(q *flow.VOQ) {
+		f := q.Top()
+		cands[q.Src] = append(cands[q.Src], scored{key: basrptKey(vn, f, q.Backlog()), f: f})
+	})
+	var free []int
+	for i, c := range cands {
+		slices.SortFunc(c, cmpScored)
+		if len(c) > 0 {
+			free = append(free, i)
+		}
+	}
+	next := make([]int, n)
+	held := make([]scored, n)
+	heldBy := make([]int, n)
+	maxRounds := s.rounds
+	if maxRounds == 0 {
+		maxRounds = n * n
+	}
+	for round := 0; round < maxRounds && len(free) > 0; round++ {
+		s.totalRounds++
+		var retry []int
+		for _, i := range free {
+			if next[i] >= len(cands[i]) {
+				continue
+			}
+			if s.dropGrant != nil && s.dropGrant() {
+				s.grantsLost++
+				retry = append(retry, i)
+				continue
+			}
+			prop := cands[i][next[i]]
+			e := prop.f.Dst
+			if held[e].f == nil || cmpScored(prop, held[e]) < 0 {
+				if held[e].f != nil {
+					next[heldBy[e]]++
+					retry = append(retry, heldBy[e])
+				}
+				held[e], heldBy[e] = prop, i
+			} else {
+				next[i]++
+				retry = append(retry, i)
+			}
+		}
+		free = retry
+	}
+	var selected []*flow.Flow
+	for _, h := range held {
+		if h.f != nil {
+			selected = append(selected, h.f)
+		}
+	}
+	return selected
+}
+
+// TestDistributedMatchesPerHostArbitration: arbitrating over the repaired
+// index makes, decision by decision, the same matching as per-host
+// ranking from scratch, in the same egress order, with the same round
+// count and the same proposals consulting the loss source — at every
+// round budget, with and without control-message loss, across long
+// random event sequences that exercise the index's delta repair.
+func TestDistributedMatchesPerHostArbitration(t *testing.T) {
+	if !IsDirtyConsumer(NewDistributed(2500, 0)) || !IsDirtyConsumer(NewOutageFallback(NewDistributed(2500, 0))) {
+		t.Fatal("dist-basrpt does not consume the dirty feed")
+	}
+	for _, rounds := range []int{0, 1, 2, 4} {
+		for _, lossy := range []bool{false, true} {
+			for seed := uint64(1); seed <= 8; seed++ {
+				got := NewDistributed(2500, rounds)
+				want := &perHostArbitration{v: 2500, rounds: rounds}
+				if lossy {
+					gotLoss, wantLoss := stats.NewRNG(seed), stats.NewRNG(seed)
+					got = NewLossyDistributed(2500, rounds, func() bool { return gotLoss.Float64() < 0.2 })
+					want.dropGrant = func() bool { return wantLoss.Float64() < 0.2 }
+				}
+				d := newTableDriver(seed, 2+int(seed%7))
+				var served []*flow.Flow
+				for step := 0; step < 150; step++ {
+					d.step(served)
+					served = got.Schedule(d.tab)
+					if ref := want.Schedule(d.tab); !identicalDecisions(served, ref) {
+						t.Fatalf("rounds %d lossy %v seed %d step %d: index %v, per-host %v",
+							rounds, lossy, seed, step, decisionIDs(served), decisionIDs(ref))
+					}
+					if got.TotalRounds() != want.totalRounds || got.GrantsLost() != want.grantsLost {
+						t.Fatalf("rounds %d lossy %v seed %d step %d: rounds/lost %d/%d, per-host %d/%d",
+							rounds, lossy, seed, step, got.TotalRounds(), got.GrantsLost(), want.totalRounds, want.grantsLost)
+					}
+					if err := CheckIndex(got, d.tab); err != nil {
+						t.Fatalf("seed %d step %d: %v", seed, step, err)
+					}
+				}
+				if st := IndexStatsOf(got); st.Repairs == 0 || st.Rebuilds != 1 {
+					t.Fatalf("seed %d: index stats %+v, want repairs after one rebuild", seed, st)
+				}
+			}
+		}
+	}
+}
+
 func TestDistributedBoundedRoundsStillValid(t *testing.T) {
 	r := stats.NewRNG(3)
 	for trial := 0; trial < 100; trial++ {
@@ -193,6 +309,25 @@ func TestDistributedName(t *testing.T) {
 	if got := NewDistributed(2500, 3).Name(); got != "dist-basrpt(V=2500,rounds=3)" {
 		t.Fatalf("name = %q", got)
 	}
+}
+
+// DecisionAgreement measures how often two schedulers produce decisions
+// with identical objective value on the same table state — the metric the
+// distributed-emulation ablation reports. It returns the agreement
+// fraction over the given states.
+func DecisionAgreement(v float64, a, b Scheduler, states []*flow.Table) float64 {
+	if len(states) == 0 {
+		return 0
+	}
+	agree := 0
+	for _, t := range states {
+		oa := Objective(v, t, a.Schedule(t))
+		ob := Objective(v, t, b.Schedule(t))
+		if oa == ob || math.Abs(oa-ob) <= 1e-9*math.Max(1, math.Abs(oa)) {
+			agree++
+		}
+	}
+	return float64(agree) / float64(len(states))
 }
 
 func TestDecisionAgreement(t *testing.T) {

@@ -16,8 +16,9 @@ type key func(vn float64, f *flow.Flow, backlog float64) float64
 
 // vOverN is Algorithm 1's weight on remaining size: the tradeoff weight V
 // normalized by the table's port count n, so that summing the key over a
-// full n-flow decision yields V·ȳ − ΣXijRij, the BASRPT objective. Greedy
-// and Distributed both derive it here.
+// full n-flow decision yields V·ȳ − ΣXijRij, the BASRPT objective.
+// Greedy.rebuild derives it here, and Distributed reads it through the
+// fast-BASRPT Greedy it holds.
 func vOverN(v float64, n int) float64 { return v / float64(n) }
 
 // basrptKey is Algorithm 1's key, (V/N)·remaining − backlog.

@@ -326,7 +326,7 @@ func TestCheckIndexDetectsCorruption(t *testing.T) {
 func TestCheckIndexNilPaths(t *testing.T) {
 	tab := flow.NewTable(3)
 	tab.Add(flow.NewFlow(1, 0, 1, flow.ClassOther, 10, 0))
-	for _, s := range []Scheduler{NewFIFOMatch(), NewRandom(3), NewExactBASRPT(10, 0)} {
+	for _, s := range []Scheduler{NewFIFOMatch(), NewRandom(3), NewExactBASRPT(10)} {
 		if err := CheckIndex(s, tab); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}

@@ -16,8 +16,6 @@ type Options struct {
 	Threshold float64
 	// Seed seeds the random scheduler (default 1).
 	Seed uint64
-	// MaxPorts bounds exact BASRPT's exhaustive search (default 8).
-	MaxPorts int
 	// Rounds bounds the distributed emulation's arbitration rounds
 	// (default 0: run to convergence).
 	Rounds int
@@ -36,9 +34,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.MaxPorts == 0 {
-		o.MaxPorts = DefaultExactMaxPorts
-	}
 	if o.NoiseLevel == 0 {
 		o.NoiseLevel = 0.25
 	}
@@ -50,7 +45,7 @@ func (o Options) withDefaults() Options {
 var builders = map[string]func(Options) Scheduler{
 	"srpt":         func(Options) Scheduler { return NewSRPT() },
 	"fast-basrpt":  func(o Options) Scheduler { return NewFastBASRPT(o.V) },
-	"exact-basrpt": func(o Options) Scheduler { return NewExactBASRPT(o.V, o.MaxPorts) },
+	"exact-basrpt": func(o Options) Scheduler { return NewExactBASRPT(o.V) },
 	"maxweight":    func(Options) Scheduler { return NewMaxWeight() },
 	"fifo":         func(Options) Scheduler { return NewFIFOMatch() },
 	"threshold":    func(o Options) Scheduler { return NewThresholdBacklog(o.Threshold) },

@@ -29,8 +29,10 @@
 // other consumer cleared the feed — e.g. interleaved scheduling of two
 // disciplines on one table — the index transparently rebuilds from
 // scratch. Either path yields bit-identical decisions (property-tested
-// against a from-scratch gather-and-sort reference); FIFOMatch, Random,
-// and ExactBASRPT rank by impure or per-call state and stay from-scratch.
+// against a from-scratch gather-and-sort reference). Distributed, the
+// request/grant emulation of fast BASRPT, arbitrates over a fast-BASRPT
+// Greedy's index instead of ranking on its own. FIFOMatch, Random, and
+// ExactBASRPT rank by impure or per-call state and stay from-scratch.
 //
 // Schedulers run on every flow arrival and completion, so the greedy core
 // reuses its scratch buffers between calls; construct disciplines with
@@ -59,17 +61,24 @@ type Scheduler interface {
 }
 
 // indexed returns the Greedy behind s, looking through the outage
-// fallback; nil when s keeps no candidate index.
+// fallback and through Distributed to the fast-BASRPT index it reads; nil
+// when s keeps no candidate index.
 func indexed(s Scheduler) *Greedy {
 	if fb, ok := s.(*OutageFallback); ok {
 		s = fb.inner
 	}
-	g, _ := s.(*Greedy)
-	return g
+	switch s := s.(type) {
+	case *Greedy:
+		return s
+	case *Distributed:
+		return s.g
+	}
+	return nil
 }
 
 // IsDirtyConsumer reports whether s consumes the table's dirty-VOQ change
-// feed (flow.Table.ClearDirty), which only the Greedy index does. The
+// feed (flow.Table.ClearDirty), which only the Greedy index does —
+// directly or, for Distributed, through the index it reads. The
 // fabric simulator uses it to decide who owns the feed: when the
 // configured scheduler is not a consumer, the simulator clears the feed
 // itself after each decision so the dirty set cannot grow without bound.

@@ -162,7 +162,7 @@ func TestDecisionsAreValidMaximalMatchings(t *testing.T) {
 	schedulers := []Scheduler{
 		NewSRPT(),
 		NewFastBASRPT(2500),
-		NewExactBASRPT(2500, 0),
+		NewExactBASRPT(2500),
 		NewMaxWeight(),
 		NewFIFOMatch(),
 		NewThresholdBacklog(500),
@@ -196,7 +196,7 @@ func TestExactBeatsOrMatchesFast(t *testing.T) {
 		r := stats.NewRNG(seed)
 		tab := randomTable(r, 2+r.Intn(3), 10)
 		v := math.Floor(r.Float64() * 5000)
-		exact := NewExactBASRPT(v, 0).Schedule(tab)
+		exact := NewExactBASRPT(v).Schedule(tab)
 		fast := NewFastBASRPT(v).Schedule(tab)
 		return Objective(v, tab, exact) <= Objective(v, tab, fast)+1e-9
 	}
@@ -218,7 +218,7 @@ func TestExactIsTrueMinimum(t *testing.T) {
 		{0, 0, 5}, // second flow in VOQ (0,0)
 	})
 	const v = 100
-	exact := NewExactBASRPT(v, 0).Schedule(tab)
+	exact := NewExactBASRPT(v).Schedule(tab)
 	got := Objective(v, tab, exact)
 
 	// Brute force: VOQ tops are (0,0)->5, (0,1)->10, (1,0)->20,
@@ -280,7 +280,7 @@ func TestExactBASRPTPanicsOnLargeFabric(t *testing.T) {
 			t.Fatal("exact BASRPT on 20 ports did not panic")
 		}
 	}()
-	NewExactBASRPT(1, 0).Schedule(tab)
+	NewExactBASRPT(1).Schedule(tab)
 }
 
 func TestFIFOMatchPrefersOldest(t *testing.T) {
@@ -388,7 +388,7 @@ func TestSchedulerNames(t *testing.T) {
 	cases := map[Scheduler]string{
 		NewSRPT():              "srpt",
 		NewFastBASRPT(2500):    "fast-basrpt(V=2500)",
-		NewExactBASRPT(10, 0):  "exact-basrpt(V=10)",
+		NewExactBASRPT(10):     "exact-basrpt(V=10)",
 		NewMaxWeight():         "maxweight",
 		NewFIFOMatch():         "fifo",
 		NewThresholdBacklog(5): "threshold(T=5)",
