@@ -298,13 +298,7 @@ type (
 	// DistributedResult measures the request/grant emulation of fast
 	// BASRPT against the centralized decisions.
 	DistributedResult = core.DistributedResult
-	// Run is the run context the theory experiment entry points take:
-	// the seed of the experiment's primary random stream.
-	Run = core.Run
 )
-
-// SeedRun wraps a bare primary seed in a Run context.
-func SeedRun(seed uint64) Run { return core.SeedRun(seed) }
 
 // Observability (see internal/obs): a deterministic instrumentation
 // registry plus a sim-time event tracer with a flight-recorder ring. A nil
@@ -314,8 +308,7 @@ type (
 	// Obs is the per-run instrumentation handle; set FabricConfig.Obs (or
 	// SwitchConfig.Obs) to attach it.
 	Obs = obs.Obs
-	// ObsOptions parameterizes NewObs (ring capacity, wall-clock stamping,
-	// event sink).
+	// ObsOptions parameterizes NewObs (wall-clock stamping, event sink).
 	ObsOptions = obs.Options
 	// ObsEvent is one sim-time-stamped trace event.
 	ObsEvent = obs.Event
@@ -416,19 +409,19 @@ func RunFig1() (*Fig1Result, error) { return core.RunFig1() }
 // RunDistributed measures how closely the request/grant distributed
 // emulation of fast BASRPT tracks the centralized decisions per
 // arbitration-round budget.
-func RunDistributed(n, trials int, v float64, rounds []int, run Run) (*DistributedResult, error) {
-	return core.RunDistributed(n, trials, v, rounds, run)
+func RunDistributed(n, trials int, v float64, rounds []int, seed uint64) (*DistributedResult, error) {
+	return core.RunDistributed(n, trials, v, rounds, seed)
 }
 
 // RunTheorem1 validates Theorem 1 on an n-port slotted switch.
-func RunTheorem1(n int, load float64, slots int64, vs []float64, run Run) (*TheoremResult, error) {
-	return core.RunTheorem1(n, load, slots, vs, run)
+func RunTheorem1(n int, load float64, slots int64, vs []float64, seed uint64) (*TheoremResult, error) {
+	return core.RunTheorem1(n, load, slots, vs, seed)
 }
 
 // RunDTMC runs the tiny-switch stationary-distribution comparison.
 func RunDTMC(capacity int, v float64) (*DTMCResult, error) { return core.RunDTMC(capacity, v) }
 
 // RunExactVsFast measures the exact-vs-fast decision gap.
-func RunExactVsFast(n, trials int, v float64, run Run) (*AblationResult, error) {
-	return core.RunExactVsFast(n, trials, v, run)
+func RunExactVsFast(n, trials int, v float64, seed uint64) (*AblationResult, error) {
+	return core.RunExactVsFast(n, trials, v, seed)
 }

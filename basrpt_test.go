@@ -144,16 +144,16 @@ func TestFacadeExperimentReexports(t *testing.T) {
 // TestFacadeExperimentPassThroughs drives every experiment re-export at
 // minimal scale.
 func TestFacadeExperimentPassThroughs(t *testing.T) {
-	if res, err := RunTheorem1(3, 0.7, 2000, []float64{4}, SeedRun(1)); err != nil || len(res.Rows) != 1 {
+	if res, err := RunTheorem1(3, 0.7, 2000, []float64{4}, 1); err != nil || len(res.Rows) != 1 {
 		t.Fatalf("RunTheorem1: %v", err)
 	}
 	if res, err := RunDTMC(4, 0); err != nil || res.Shortest == nil {
 		t.Fatalf("RunDTMC: %v", err)
 	}
-	if res, err := RunExactVsFast(3, 10, DefaultV, SeedRun(1)); err != nil || res.Trials != 10 {
+	if res, err := RunExactVsFast(3, 10, DefaultV, 1); err != nil || res.Trials != 10 {
 		t.Fatalf("RunExactVsFast: %v", err)
 	}
-	if res, err := RunDistributed(4, 10, DefaultV, []int{0}, SeedRun(1)); err != nil || res.Rows[0].Agreement != 1 {
+	if res, err := RunDistributed(4, 10, DefaultV, []int{0}, 1); err != nil || res.Rows[0].Agreement != 1 {
 		t.Fatalf("RunDistributed: %v", err)
 	}
 }

@@ -52,14 +52,14 @@ type experiment struct {
 var experiments = []experiment{
 	{"fig1", func(float64, uint64) (renderer, error) { return basrpt.RunFig1() }},
 	{"theory", func(_ float64, seed uint64) (renderer, error) {
-		return basrpt.RunTheorem1(4, 0.85, 200000, nil, basrpt.SeedRun(seed))
+		return basrpt.RunTheorem1(4, 0.85, 200000, nil, seed)
 	}},
 	{"dtmc", func(float64, uint64) (renderer, error) { return basrpt.RunDTMC(0, 0) }},
 	{"ablation", func(v float64, seed uint64) (renderer, error) {
-		return basrpt.RunExactVsFast(5, 200, v, basrpt.SeedRun(seed))
+		return basrpt.RunExactVsFast(5, 200, v, seed)
 	}},
 	{"distributed", func(v float64, seed uint64) (renderer, error) {
-		return basrpt.RunDistributed(8, 200, v, nil, basrpt.SeedRun(seed))
+		return basrpt.RunDistributed(8, 200, v, nil, seed)
 	}},
 }
 

@@ -121,7 +121,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.resume, "resume", "", "resume from this checkpoint file instead of starting at t=0 (flags must match the original run)")
 	fs.Float64Var(&o.window, "window", 0, "streaming-results window in simulated seconds: emit window.* trace events and bound in-memory series/FCT reservoirs")
 	fs.IntVar(&o.shards, "shards", 0, "fabric engine: 0 = centralized (default), >= 2 = rack-decomposed parallel cells (mixed workload only)")
-	fs.IntVar(&o.workers, "workers", 0, "with -shards >= 2: persistent worker goroutines executing the cells (0 = GOMAXPROCS; wall-clock only)")
+	fs.IntVar(&o.workers, "workers", 0, "with -shards >= 2: spans of cells each batch forks, one goroutine each (0 = GOMAXPROCS, capped at -shards; wall-clock only)")
 	fs.StringVar(&o.timeline, "timeline", "", "with -shards >= 2: write a Chrome trace_event timeline of cell/coordinator wall-clock execution to this file (open in chrome://tracing or Perfetto)")
 	fs.StringVar(&o.ops, "ops", "", "serve a live ops endpoint on this address while the run executes: Prometheus /metrics, /progress JSON, /debug/pprof")
 	if err := fs.Parse(args); err != nil {

@@ -23,7 +23,7 @@ func main() {
 
 func run() error {
 	// Decision-level agreement per arbitration-round budget.
-	res, err := basrpt.RunDistributed(8, 300, basrpt.DefaultV, []int{0, 1, 2, 4, 8}, basrpt.SeedRun(7))
+	res, err := basrpt.RunDistributed(8, 300, basrpt.DefaultV, []int{0, 1, 2, 4, 8}, 7)
 	if err != nil {
 		return err
 	}

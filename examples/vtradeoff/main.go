@@ -63,7 +63,7 @@ func run() error {
 	// switch — the delay-gap bound shrinks as 1/V while the backlog bound
 	// grows as O(V).
 	fmt.Println()
-	theorem, err := basrpt.RunTheorem1(4, 0.85, 50000, []float64{1, 8, 64, 512}, basrpt.SeedRun(7))
+	theorem, err := basrpt.RunTheorem1(4, 0.85, 50000, []float64{1, 8, 64, 512}, 7)
 	if err != nil {
 		return err
 	}

@@ -135,8 +135,8 @@ type State struct {
 	Fallback  *sched.FallbackState     `json:"fallback,omitempty"`
 	Sched     *SchedState              `json:"sched,omitempty"`
 
-	Tracer   *obs.TracerState  `json:"tracer,omitempty"`
-	Registry obs.RegistryState `json:"registry"`
+	Tracer   *obs.TracerState `json:"tracer,omitempty"`
+	Registry obs.Snapshot     `json:"registry"`
 }
 
 // Encode serializes st into the enveloped format.

@@ -35,8 +35,8 @@ type AblationResult struct {
 
 // RunExactVsFast compares the two decision rules on random backlogged
 // states of an n-port switch (n must stay within exact BASRPT's limit).
-// run.Seed drives the random states.
-func RunExactVsFast(n, trials int, v float64, run Run) (*AblationResult, error) {
+// seed drives the random states (0 selects 1).
+func RunExactVsFast(n, trials int, v float64, seed uint64) (*AblationResult, error) {
 	if n < 2 || n > sched.DefaultExactMaxPorts {
 		return nil, fmt.Errorf("ablation: n = %d outside [2, %d]", n, sched.DefaultExactMaxPorts)
 	}
@@ -46,7 +46,7 @@ func RunExactVsFast(n, trials int, v float64, run Run) (*AblationResult, error) 
 	if v < 0 {
 		return nil, fmt.Errorf("ablation: negative V %g", v)
 	}
-	r := stats.NewRNG(run.withDefaults().Seed)
+	r := stats.NewRNG(primarySeed(seed))
 	exact := sched.NewExactBASRPT(v)
 	fast := sched.NewFastBASRPT(v)
 

@@ -50,6 +50,15 @@ func (s Scale) Topology() (*topology.Topology, error) {
 	return topo, nil
 }
 
+// primarySeed is the seed of a theory experiment's primary random
+// stream: 0 selects 1.
+func primarySeed(seed uint64) uint64 {
+	if seed == 0 {
+		return 1
+	}
+	return seed
+}
+
 func (s Scale) withDefaults() Scale {
 	if s.Racks == 0 {
 		s.Racks = ScaleMedium.Racks

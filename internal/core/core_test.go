@@ -72,7 +72,7 @@ func TestRunFig1MatchesPaper(t *testing.T) {
 }
 
 func TestRunTheorem1(t *testing.T) {
-	res, err := RunTheorem1(3, 0.8, 20000, []float64{2, 32}, SeedRun(1))
+	res, err := RunTheorem1(3, 0.8, 20000, []float64{2, 32}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestRunTheorem1(t *testing.T) {
 	if !strings.Contains(res.Render(), "Theorem 1") {
 		t.Fatal("render missing title")
 	}
-	if _, err := RunTheorem1(3, 0.8, 0, nil, SeedRun(1)); err == nil {
+	if _, err := RunTheorem1(3, 0.8, 0, nil, 1); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
-	if _, err := RunTheorem1(3, 0.8, 10, []float64{0}, SeedRun(1)); err == nil {
+	if _, err := RunTheorem1(3, 0.8, 10, []float64{0}, 1); err == nil {
 		t.Fatal("zero V accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestRunDTMC(t *testing.T) {
 }
 
 func TestRunExactVsFast(t *testing.T) {
-	res, err := RunExactVsFast(4, 50, DefaultV, SeedRun(1))
+	res, err := RunExactVsFast(4, 50, DefaultV, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,10 @@ func TestRunExactVsFast(t *testing.T) {
 	if !strings.Contains(res.Render(), "Ablation") {
 		t.Fatal("render missing title")
 	}
-	if _, err := RunExactVsFast(100, 5, 1, SeedRun(1)); err == nil {
+	if _, err := RunExactVsFast(100, 5, 1, 1); err == nil {
 		t.Fatal("oversized fabric accepted")
 	}
-	if _, err := RunExactVsFast(4, 0, 1, SeedRun(1)); err == nil {
+	if _, err := RunExactVsFast(4, 0, 1, 1); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 }
@@ -153,7 +153,7 @@ func TestRunExactVsFast(t *testing.T) {
 // for bit, so a change to either scheduler or to the scoring loop that
 // moves any printed value fails here.
 func TestRunExactVsFastPinned(t *testing.T) {
-	res, err := RunExactVsFast(5, 200, DefaultV, SeedRun(1))
+	res, err := RunExactVsFast(5, 200, DefaultV, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,8 @@ type DistributedResult struct {
 
 // RunDistributed compares the distributed emulation against centralized
 // fast BASRPT over random backlogged states for each round budget (nil
-// selects {0, 1, 2, 4}). run.Seed drives the random states.
-func RunDistributed(n, trials int, v float64, rounds []int, run Run) (*DistributedResult, error) {
+// selects {0, 1, 2, 4}). seed drives the random states (0 selects 1).
+func RunDistributed(n, trials int, v float64, rounds []int, seed uint64) (*DistributedResult, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("distributed ablation: n = %d", n)
 	}
@@ -45,7 +45,7 @@ func RunDistributed(n, trials int, v float64, rounds []int, run Run) (*Distribut
 	if len(rounds) == 0 {
 		rounds = []int{0, 1, 2, 4}
 	}
-	states := randomStates(n, trials, run.withDefaults().Seed)
+	states := randomStates(n, trials, primarySeed(seed))
 	central := sched.NewFastBASRPT(v)
 	centralObj := make([]float64, len(states))
 	var norm float64 // Σ|centralized objective|, the gaps' normalizer

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunDistributed(t *testing.T) {
-	res, err := RunDistributed(5, 60, DefaultV, nil, SeedRun(1))
+	res, err := RunDistributed(5, 60, DefaultV, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRunDistributed(t *testing.T) {
 // seed 1 bit for bit. The converged gap is float noise: both decisions
 // hold the same flows, summed in a different order.
 func TestRunDistributedPinned(t *testing.T) {
-	res, err := RunDistributed(8, 200, DefaultV, nil, SeedRun(1))
+	res, err := RunDistributed(8, 200, DefaultV, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,16 +54,16 @@ func TestRunDistributedPinned(t *testing.T) {
 }
 
 func TestRunDistributedValidation(t *testing.T) {
-	if _, err := RunDistributed(1, 5, 1, nil, SeedRun(1)); err == nil {
+	if _, err := RunDistributed(1, 5, 1, nil, 1); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := RunDistributed(4, 0, 1, nil, SeedRun(1)); err == nil {
+	if _, err := RunDistributed(4, 0, 1, nil, 1); err == nil {
 		t.Fatal("zero trials accepted")
 	}
-	if _, err := RunDistributed(4, 5, -1, nil, SeedRun(1)); err == nil {
+	if _, err := RunDistributed(4, 5, -1, nil, 1); err == nil {
 		t.Fatal("negative V accepted")
 	}
-	if _, err := RunDistributed(4, 5, 1, []int{-2}, SeedRun(1)); err == nil {
+	if _, err := RunDistributed(4, 5, 1, []int{-2}, 1); err == nil {
 		t.Fatal("negative rounds accepted")
 	}
 }

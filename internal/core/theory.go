@@ -47,12 +47,12 @@ type TheoremResult struct {
 
 // RunTheorem1 executes E9. n is the slotted switch size, load the per-port
 // packet load, slots the horizon, vs the V values (nil selects a doubling
-// ladder). run.Seed drives the Bernoulli arrival streams.
-func RunTheorem1(n int, load float64, slots int64, vs []float64, run Run) (*TheoremResult, error) {
+// ladder). seed drives the Bernoulli arrival streams (0 selects 1).
+func RunTheorem1(n int, load float64, slots int64, vs []float64, seed uint64) (*TheoremResult, error) {
 	if len(vs) == 0 {
 		vs = []float64{1, 4, 16, 64, 256}
 	}
-	seed := run.withDefaults().Seed
+	seed = primarySeed(seed)
 	if slots <= 0 {
 		return nil, fmt.Errorf("theorem1: non-positive horizon %d", slots)
 	}

@@ -343,15 +343,18 @@ func closeEnough(a, b float64) bool {
 
 // recordSchedStats adds one scheduler's once-per-run counters to reg:
 // the candidate index's repairs and rebuilds when it kept an index, and
-// the request/grant rounds when it arbitrates (dist-basrpt). The
+// the request/grant rounds when it arbitrates (dist-basrpt). It returns
+// the control messages the arbitration lost, for Result.Faults. The
 // decomposed engine calls it once per cell, in rack order, so the
-// registry holds the fabric's sums.
-func recordSchedStats(reg *obs.Registry, s sched.Scheduler) {
+// registry and the result hold the fabric's sums.
+func recordSchedStats(reg *obs.Registry, s sched.Scheduler) (grantsLost int64) {
 	if ist := sched.IndexStatsOf(s); ist.Repairs+ist.Rebuilds > 0 {
 		reg.Counter("sched.index_repairs").Add(ist.Repairs)
 		reg.Counter("sched.index_rebuilds").Add(ist.Rebuilds)
 	}
-	if d, ok := s.(interface{ TotalRounds() int64 }); ok {
+	if d, ok := s.(*sched.Distributed); ok {
 		reg.Counter("sched.arbitration_rounds").Add(d.TotalRounds())
+		return d.GrantsLost()
 	}
+	return 0
 }

@@ -129,7 +129,7 @@ func (s *Sim) captureState() (*checkpoint.State, error) {
 
 		Table:     s.table.StateSnapshot(),
 		Generator: genState,
-		Registry:  deterministicRegistry(s.reg.StateSnapshot()),
+		Registry:  s.reg.Snapshot().Filter(deterministicObsName),
 		Tracer:    s.cfg.Obs.StateSnapshot(),
 	}
 	if !math.IsInf(s.nextCompletion, 1) {
@@ -389,75 +389,43 @@ func (r *Result) DeterministicDigest() string {
 			d.Reason, d.SimTime, d.BacklogBytes, d.Events, d.TableEpoch)
 		writeJSON(h, d.LastEvents)
 	}
-	for _, c := range r.Obs.Counters {
-		if deterministicObsName(c.Name) {
-			fmt.Fprintf(h, "c:%s=%d|", c.Name, c.Value)
-		}
+	det := r.Obs.Filter(deterministicObsName)
+	for _, c := range det.Counters {
+		fmt.Fprintf(h, "c:%s=%d|", c.Name, c.Value)
 	}
-	for _, g := range r.Obs.Gauges {
-		if deterministicObsName(g.Name) {
-			fmt.Fprintf(h, "g:%s=%.17g/%.17g|", g.Name, g.Value, g.Max)
-		}
+	for _, g := range det.Gauges {
+		fmt.Fprintf(h, "g:%s=%.17g/%.17g|", g.Name, g.Value, g.Max)
 	}
-	for _, hs := range r.Obs.Histograms {
-		if deterministicObsName(hs.Name) {
-			writeJSON(h, hs)
-		}
+	for _, hs := range det.Histograms {
+		writeJSON(h, hs)
 	}
 	// Per-cell deterministic-plane snapshots (decomposed runs): folding
 	// them in machine-checks the per-cell attribution contract — the same
 	// grouping invariance the top-level counters already get.
 	for i, cell := range r.ShardObs {
+		cell = cell.Filter(deterministicObsName)
 		for _, c := range cell.Counters {
-			if deterministicObsName(c.Name) {
-				fmt.Fprintf(h, "s%d:c:%s=%d|", i, c.Name, c.Value)
-			}
+			fmt.Fprintf(h, "s%d:c:%s=%d|", i, c.Name, c.Value)
 		}
 		for _, g := range cell.Gauges {
-			if deterministicObsName(g.Name) {
-				fmt.Fprintf(h, "s%d:g:%s=%.17g/%.17g|", i, g.Name, g.Value, g.Max)
-			}
+			fmt.Fprintf(h, "s%d:g:%s=%.17g/%.17g|", i, g.Name, g.Value, g.Max)
 		}
 		for _, hs := range cell.Histograms {
-			if deterministicObsName(hs.Name) {
-				fmt.Fprintf(h, "s%d:h:", i)
-				writeJSON(h, hs)
-			}
+			fmt.Fprintf(h, "s%d:h:", i)
+			writeJSON(h, hs)
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// deterministicRegistry strips wall-clock-derived instruments from a
-// registry snapshot. They carry no resumable information (the resumed
-// process re-measures its own machine), and dropping them makes the
-// checkpoint bytes themselves deterministic: two runs of the same seed
-// truncated at the same instant produce byte-identical checkpoints.
-func deterministicRegistry(st obs.RegistryState) obs.RegistryState {
-	out := obs.RegistryState{}
-	for _, c := range st.Counters {
-		if deterministicObsName(c.Name) {
-			out.Counters = append(out.Counters, c)
-		}
-	}
-	for _, g := range st.Gauges {
-		if deterministicObsName(g.Name) {
-			out.Gauges = append(out.Gauges, g)
-		}
-	}
-	for _, hs := range st.Histograms {
-		if deterministicObsName(hs.Name) {
-			out.Histograms = append(out.Histograms, hs)
-		}
-	}
-	return out
 }
 
 // deterministicObsName reports whether a registry entry is stable across
 // machines and across checkpoint/resume. The wall-clock observability
 // plane ("wall." and "runtime." names, see obs.IsWallClock) is excluded
 // wholesale; a few older wall-clock-derived names predate the naming
-// convention and are excluded individually.
+// convention and are excluded individually. Checkpoints keep only these
+// entries: the others carry no resumable information (the resumed
+// process re-measures its own machine), and dropping them makes the
+// checkpoint bytes themselves deterministic.
 func deterministicObsName(name string) bool {
 	if obs.IsWallClock(name) {
 		return false

@@ -10,6 +10,7 @@ import (
 	"basrpt/internal/faults"
 	"basrpt/internal/obs"
 	"basrpt/internal/sched"
+	"basrpt/internal/stats"
 	"basrpt/internal/topology"
 	"basrpt/internal/trace"
 	"basrpt/internal/workload"
@@ -142,6 +143,58 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGrantsLostReachesResult: a lossy dist-basrpt run reports the
+// control messages its arbitration lost in Result.Faults, and a
+// halted-and-resumed copy ends on the uninterrupted digest, which covers
+// the fault counters.
+func TestGrantsLostReachesResult(t *testing.T) {
+	topo := topology.MustNew(topology.Scaled(2, 2))
+	lossyConfig := func(drops *stats.RNG) (Config, *sched.Distributed) {
+		s := sched.NewLossyDistributed(2500, 0, func() bool { return drops.Float64() < 0.2 })
+		return Config{
+			Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(), Scheduler: s,
+			Generator: mixedGen(t, topo, 0.7, 0.3, 17), Duration: 0.3, Seed: 17,
+		}, s
+	}
+	fullCfg, s := lossyConfig(stats.NewRNG(5))
+	full := mustRun(t, fullCfg)
+	if full.Faults.GrantsLost == 0 || full.Faults.GrantsLost != s.GrantsLost() || !full.Faults.Any() {
+		t.Fatalf("Faults = %+v, scheduler lost %d grants", full.Faults, s.GrantsLost())
+	}
+
+	// The drop stream is the caller's, outside the checkpoint, so the
+	// continuation restores its position by hand.
+	haltDrops := stats.NewRNG(5)
+	haltCfg, _ := lossyConfig(haltDrops)
+	haltCfg.CheckpointEvery = 0.15
+	var ckpt []byte
+	var dropsAtHalt stats.RNGState
+	haltCfg.CheckpointSink = func(data []byte, _ float64) error {
+		ckpt, dropsAtHalt = data, haltDrops.State()
+		return ErrStopAfterCheckpoint
+	}
+	if halted := mustRun(t, haltCfg); halted.Faults.GrantsLost == 0 {
+		t.Fatalf("halted run lost no grants before t=%g", halted.Duration)
+	}
+	contDrops := stats.NewRNG(5)
+	if err := contDrops.RestoreState(dropsAtHalt); err != nil {
+		t.Fatal(err)
+	}
+	contCfg, _ := lossyConfig(contDrops)
+	sim, err := Resume(contCfg, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cont, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cont.Faults != full.Faults || cont.DeterministicDigest() != full.DeterministicDigest() {
+		t.Fatalf("resumed run: faults %+v digest %s, uninterrupted: faults %+v digest %s",
+			cont.Faults, cont.DeterministicDigest(), full.Faults, full.DeterministicDigest())
 	}
 }
 

@@ -353,6 +353,9 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("fabricsim: nil scheduler")
 	}
+	if err := sched.CheckPorts(cfg.Scheduler, cfg.Hosts); err != nil {
+		return nil, fmt.Errorf("fabricsim: %w", err)
+	}
 	if cfg.Generator == nil {
 		return nil, fmt.Errorf("fabricsim: nil generator")
 	}
@@ -592,7 +595,7 @@ func (s *Sim) finish() *Result {
 	// Once-per-run stats pulled from the subsystems that kept them.
 	s.reg.Counter("fabric.arrived_flows").Add(int64(s.res.ArrivedFlows))
 	s.reg.Counter("fabric.completed_flows").Add(int64(s.res.CompletedFlows))
-	recordSchedStats(s.reg, s.cfg.Scheduler)
+	s.res.Faults.GrantsLost = recordSchedStats(s.reg, s.cfg.Scheduler)
 	if g, ok := s.cfg.Generator.(interface{ QueueHighWater() int }); ok {
 		s.reg.Gauge("eventq.high_water").Set(float64(g.QueueHighWater()))
 	}

@@ -48,6 +48,20 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewChecksExactBASRPTPorts: exact BASRPT's port limit fails New
+// with an error, before any decision, instead of panicking mid-run.
+func TestNewChecksExactBASRPTPorts(t *testing.T) {
+	cfg := Config{Hosts: sched.DefaultExactMaxPorts, LinkBps: link, Scheduler: sched.NewExactBASRPT(1),
+		Generator: workload.NewSliceGenerator(nil), Duration: 1}
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("exact BASRPT on %d hosts rejected: %v", cfg.Hosts, err)
+	}
+	cfg.Hosts++
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "exceeds limit 8") {
+		t.Fatalf("exact BASRPT on %d hosts: err = %v, want the 8-port limit", cfg.Hosts, err)
+	}
+}
+
 func TestSingleFlowFCT(t *testing.T) {
 	// 1000 bytes at 1000 B/s: exactly 1 second.
 	gen := workload.NewSliceGenerator([]workload.Arrival{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"basrpt/internal/flow"
@@ -45,12 +46,12 @@ const timeEps = 1e-12
 //
 // Results are byte-identical across every Shards >= 2, every Workers
 // count, and every GOMAXPROCS: those only choose how rack cells are
-// grouped onto worker goroutines, never the physics. They are not
-// byte-identical to the centralized engine (New + Run): decomposition
-// replaces the fabric-global crossbar matching with per-rack matchings
-// (uplink traffic enters the destination rack through core-proxy ingress
-// ports), which is the modeling change that makes 4k+ host fabrics
-// tractable.
+// grouped into the spans each batch forks, never the physics. They are
+// not byte-identical to the centralized engine (New + Run):
+// decomposition replaces the fabric-global crossbar matching with
+// per-rack matchings (uplink traffic enters the destination rack through
+// core-proxy ingress ports), which is the modeling change that makes 4k+
+// host fabrics tractable.
 type ShardConfig struct {
 	// Topology shapes the fabric: rack boundaries are the decomposition
 	// units and CoreHopLatency is the conservative lookahead.
@@ -72,12 +73,13 @@ type ShardConfig struct {
 	// stream). Must be nonzero.
 	Seed uint64
 	// Shards must be at least 2 (the centralized engine is New + Run). It
-	// caps the worker pool: the engine runs min(Shards, racks, Workers)
-	// persistent worker goroutines (Workers defaulting to GOMAXPROCS).
+	// caps the spans: each batch forks at most min(Shards, racks, Workers)
+	// span goroutines (Workers defaulting to GOMAXPROCS).
 	Shards int
-	// Workers caps the persistent worker goroutines; 0 defaults to
-	// GOMAXPROCS. The effective pool size is min(Shards, racks, Workers).
-	// Wall-clock plane only.
+	// Workers caps the spans forked per batch, one goroutine each; 0
+	// defaults to GOMAXPROCS. The cells split into at most
+	// min(Shards, racks, Workers) contiguous rack-order spans. Wall-clock
+	// plane only.
 	Workers int
 	// Obs, when non-nil, receives the run's trace. Per-cell events are
 	// buffered during each batch and replayed in deterministic (time,
@@ -118,7 +120,7 @@ type ShardProgress struct {
 	// WindowsPerBarrier is the cumulative mean batch width so far.
 	WindowsPerBarrier float64
 	// Cells is the number of PDES cells advancing in lockstep and
-	// Workers the persistent worker-goroutine count executing them.
+	// Workers the number of spans each batch forks, one goroutine each.
 	Cells   int
 	Workers int
 	// Decisions, ArrivedFlows, and CompletedFlows are cumulative sums
@@ -140,8 +142,8 @@ type ShardImbalance struct {
 	// Cells is the number of PDES cells (racks); Windows the number of
 	// lookahead windows the run advanced through; Barriers the number of
 	// coordinator barriers that synchronized them (Windows/8, up to
-	// rounding); WindowsPerBarrier their ratio; Workers the
-	// persistent worker-goroutine count.
+	// rounding); WindowsPerBarrier their ratio; Workers the number of
+	// spans each batch forks, one goroutine each.
 	Cells             int     `json:"cells"`
 	Windows           int     `json:"windows"`
 	Barriers          int     `json:"barriers"`
@@ -158,16 +160,16 @@ type ShardImbalance struct {
 	// ties).
 	SlowestCell int `json:"slowest_cell"`
 	// BarrierWaitFraction is total worker barrier wait over total worker
-	// (busy + wait) time — the fraction of the pool's wall clock lost to
+	// (busy + wait) time — the fraction of the spans' wall clock lost to
 	// the lockstep, in [0, 1]. 0 when a single worker runs every cell. It
 	// counts only waits inside a batch, not the coordinator's serial work
 	// between batches; SerialFraction reports that.
 	BarrierWaitFraction float64 `json:"barrier_wait_fraction"`
-	// CoordinatorNs is the run loop's wall time outside the worker pool's
-	// batches: routing, folding, accounting, and heartbeats, during which
-	// every worker idles. SerialFraction is CoordinatorNs over the run
+	// CoordinatorNs is the run loop's wall time outside the batches'
+	// fork/join: routing, folding, accounting, and heartbeats, during
+	// which no span runs. SerialFraction is CoordinatorNs over the run
 	// loop's wall time, in [0, 1] — the Amdahl serial share that caps the
-	// pool's speedup at 1/SerialFraction.
+	// spans' speedup at 1/SerialFraction.
 	CoordinatorNs  int64   `json:"coordinator_ns"`
 	SerialFraction float64 `json:"serial_fraction"`
 	// SkewRatio is the maximum per-cell busy time over the mean — 1.0
@@ -188,7 +190,7 @@ func (im *ShardImbalance) String() string {
 		workerWait += ns
 	}
 	return fmt.Sprintf(
-		"imbalance: %d cells x %d windows over %d barriers (%.1f windows/barrier, %d workers); busy %.1fms; worker wait %.1fms (%.1f%% of pool time); coordinator serial %.1fms (%.1f%% of the run loop); skew ratio %.2f; slowest cell %d (busy %.1fms)",
+		"imbalance: %d cells x %d windows over %d barriers (%.1f windows/barrier, %d workers); busy %.1fms; worker wait %.1fms (%.1f%% of span time); coordinator serial %.1fms (%.1f%% of the run loop); skew ratio %.2f; slowest cell %d (busy %.1fms)",
 		im.Cells, im.Windows, im.Barriers, im.WindowsPerBarrier, im.Workers,
 		float64(totalBusy)/1e6, float64(workerWait)/1e6, 100*im.BarrierWaitFraction,
 		float64(im.CoordinatorNs)/1e6, 100*im.SerialFraction,
@@ -320,10 +322,10 @@ type shardCell struct {
 	cMsgsDelivered *obs.Counter
 	cWindows       *obs.Counter
 
-	// Wall-clock plane: the worker stamps each window's start/duration
-	// (nanoseconds since the run origin) into winStarts/winDurs; the
-	// coordinator reads them after the barrier join, so no extra
-	// synchronization beyond the join is needed.
+	// Wall-clock plane: the span goroutine stamps each window's
+	// start/duration (nanoseconds since the run origin) into
+	// winStarts/winDurs; the coordinator reads them after the barrier
+	// join, so no extra synchronization beyond the join is needed.
 	winStarts []int64
 	winDurs   []int64
 	busyNs    int64
@@ -557,7 +559,7 @@ func (c *shardCell) runTimedWindow(capT float64, origin time.Time) {
 
 // runBatch advances the cell through every window of one batch, then
 // prefetches the next batch's workload (prefetchTo < 0 skips — final
-// batch). Runs on a pool worker; touches only cell-local state.
+// batch). Runs on its span's goroutine; touches only cell-local state.
 func (c *shardCell) runBatch(capTs []float64, prefetchTo float64, origin time.Time) {
 	for _, capT := range capTs {
 		if c.err != nil {
@@ -570,23 +572,12 @@ func (c *shardCell) runBatch(capTs []float64, prefetchTo float64, origin time.Ti
 	}
 }
 
-// poolCmd is one batch descriptor fed to every pool worker: the batch's
-// window caps (shared read-only) and the next batch's prefetch horizon.
-type poolCmd struct {
-	capTs      []float64
-	prefetchTo float64
-}
-
-// poolWorker is one persistent worker goroutine of the decomposed
-// engine: it owns a contiguous rack-order span of cells and executes
-// batch commands from the coordinator. Lifetime spans the whole run — no
-// per-window goroutine churn. The stamps and accumulators are
-// wall-clock plane; the coordinator reads them between the ack and the
-// next command, which the channel handoffs order.
+// poolWorker is one span of the decomposed engine: a contiguous
+// rack-order run of cells that one goroutine advances per batch. The
+// stamps and accumulators are wall-clock plane; the coordinator reads
+// them after the batch's join, which orders them.
 type poolWorker struct {
 	cells []*shardCell
-	cmds  chan poolCmd
-	ack   chan struct{}
 
 	startNs int64 // current batch start (since run origin)
 	endNs   int64 // current batch end
@@ -594,90 +585,56 @@ type poolWorker struct {
 	waitNs  int64 // cumulative barrier-blocked time
 }
 
-// exec runs one batch over the worker's cells, stamping the batch span.
-func (wk *poolWorker) exec(cmd poolCmd, origin time.Time) {
+// exec runs one batch over the span's cells, stamping the batch span.
+func (wk *poolWorker) exec(capTs []float64, prefetchTo float64, origin time.Time) {
 	wk.startNs = time.Since(origin).Nanoseconds()
 	for _, c := range wk.cells {
-		c.runBatch(cmd.capTs, cmd.prefetchTo, origin)
+		c.runBatch(capTs, prefetchTo, origin)
 	}
 	wk.endNs = time.Since(origin).Nanoseconds()
 }
 
-// shardPool is the decomposed engine's persistent worker pool. With one
-// worker the coordinator executes batches inline (no goroutines); with
-// more, each worker loops on its command channel until stop closes it.
-// batchNs accumulates the coordinator's wall time inside runBatch, from
-// dispatch to the last ack.
+// shardPool is the decomposed engine's barrier: the cells split into
+// spans, and each batch forks one goroutine per span and joins them all.
+// No goroutine outlives its batch. batchNs accumulates the coordinator's
+// wall time inside runBatch, from the fork to the join.
 type shardPool struct {
 	workers []*poolWorker
 	origin  time.Time
-	inline  bool
 	batchNs int64
 }
 
-// newShardPool partitions the cells into contiguous rack-order spans
-// across `workers` persistent goroutines and starts them. The grouping
-// affects wall clock only, never results.
+// newShardPool partitions the cells into at most `workers` contiguous
+// rack-order spans. The grouping affects wall clock only, never results.
 func newShardPool(cells []*shardCell, workers int, origin time.Time) *shardPool {
-	p := &shardPool{origin: origin, inline: workers <= 1}
+	p := &shardPool{origin: origin}
 	per := (len(cells) + workers - 1) / workers
 	for lo := 0; lo < len(cells); lo += per {
-		hi := lo + per
-		if hi > len(cells) {
-			hi = len(cells)
-		}
-		wk := &poolWorker{
-			cells: cells[lo:hi:hi],
-			cmds:  make(chan poolCmd),
-			ack:   make(chan struct{}),
-		}
-		p.workers = append(p.workers, wk)
-	}
-	if !p.inline {
-		for _, wk := range p.workers {
-			go func(wk *poolWorker) {
-				for cmd := range wk.cmds {
-					wk.exec(cmd, origin)
-					wk.ack <- struct{}{}
-				}
-			}(wk)
-		}
+		hi := min(lo+per, len(cells))
+		p.workers = append(p.workers, &poolWorker{cells: cells[lo:hi:hi]})
 	}
 	return p
 }
 
-// runBatch dispatches one batch to every worker and blocks until all
-// have finished — the coordinator barrier.
+// runBatch forks one goroutine per span to run one batch and blocks
+// until all have finished — the coordinator barrier.
 func (p *shardPool) runBatch(capTs []float64, prefetchTo float64) {
 	start := time.Now()
-	cmd := poolCmd{capTs: capTs, prefetchTo: prefetchTo}
-	if p.inline {
-		p.workers[0].exec(cmd, p.origin)
-	} else {
-		for _, wk := range p.workers {
-			wk.cmds <- cmd
-		}
-		for _, wk := range p.workers {
-			<-wk.ack
-		}
-	}
-	p.batchNs += time.Since(start).Nanoseconds()
-}
-
-// stop terminates the worker goroutines. Safe to call once, after the
-// final barrier.
-func (p *shardPool) stop() {
-	if p.inline {
-		return
-	}
+	var wg sync.WaitGroup
+	wg.Add(len(p.workers))
 	for _, wk := range p.workers {
-		close(wk.cmds)
+		go func() {
+			defer wg.Done()
+			wk.exec(capTs, prefetchTo, p.origin)
+		}()
 	}
+	wg.Wait()
+	p.batchNs += time.Since(start).Nanoseconds()
 }
 
 // runDecomposed is RunShard with the window batch as a parameter: one
 // cell per rack advancing in lockstep lookahead windows, batched `batch`
-// windows per coordinator barrier, executed by a persistent worker pool.
+// windows per coordinator barrier, each batch forked across the spans.
 // Every barrier-side fold (message routing, trace replay, series and
 // metric merges) runs on the calling goroutine in rack order, so results are a pure function of the configuration —
 // independent of shard count, batch size, worker count, and GOMAXPROCS.
@@ -734,6 +691,9 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 		opts.Seed = runner.DeriveSeed(seedBase, r)
 		scheduler, err := sched.New(cfg.Scheduler, opts)
 		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
+		}
+		if err := sched.CheckPorts(scheduler, hpr+tc.Cores); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
 		}
 		gen, err := workload.NewMixed(workload.MixedConfig{
@@ -793,7 +753,6 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 	// optional Timeline.
 	origin := time.Now()
 	pool := newShardPool(cells, workers, origin)
-	defer pool.stop()
 
 	capTs := make([]float64, 0, batch)
 	w, windows, barriers := 0, 0, 0
@@ -1057,7 +1016,7 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 		res.LeftoverFlows += c.table.NumFlows()
 		res.Decisions += c.cDecisions.Value()
 		res.SchedNanos += c.cSchedNanos.Value()
-		recordSchedStats(reg, c.scheduler)
+		res.Faults.GrantsLost += recordSchedStats(reg, c.scheduler)
 		if hw := c.gen.QueueHighWater(); hw > highWater {
 			highWater = hw
 		}

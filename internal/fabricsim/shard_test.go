@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"basrpt/internal/flow"
@@ -155,6 +156,26 @@ func TestRunShardConfigValidation(t *testing.T) {
 	}
 	if _, err := RunShard(ok); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestRunShardChecksExactBASRPTPorts: a rack cell has its hosts plus one
+// proxy port per core (3 here), so exact BASRPT runs on 5 hosts per rack
+// and is refused with ErrShardConfig on 6, instead of panicking on a
+// span goroutine.
+func TestRunShardChecksExactBASRPTPorts(t *testing.T) {
+	run := func(hpr int) error {
+		_, err := RunShard(ShardConfig{
+			Topology: shardTopo(t, 2, hpr), Scheduler: "exact-basrpt", Load: 0.5,
+			Duration: 0.002, Seed: 1, Shards: 2,
+		})
+		return err
+	}
+	if err := run(5); err != nil {
+		t.Fatalf("8-port cells rejected: %v", err)
+	}
+	if err := run(6); !errors.Is(err, ErrShardConfig) || !strings.Contains(err.Error(), "exceeds limit 8") {
+		t.Fatalf("9-port cells: err = %v, want ErrShardConfig naming the 8-port limit", err)
 	}
 }
 

@@ -25,6 +25,9 @@ func shardObsConfig(t *testing.T, shards int) ShardConfig {
 	}
 }
 
+// notWall keeps the deterministic-plane instruments (obs.Snapshot.Filter).
+func notWall(name string) bool { return !obs.IsWallClock(name) }
+
 // maskWall strips the wall-clock plane from per-cell snapshots and
 // JSON-encodes the remainder — the byte string the grouping-invariance
 // property compares.
@@ -32,7 +35,7 @@ func maskWall(t *testing.T, snaps []obs.Snapshot) string {
 	t.Helper()
 	det := make([]obs.Snapshot, len(snaps))
 	for i, s := range snaps {
-		det[i] = s.WithoutWall()
+		det[i] = s.Filter(notWall)
 	}
 	b, err := json.Marshal(det)
 	if err != nil {
@@ -106,8 +109,8 @@ func TestShardObsCellAttribution(t *testing.T) {
 		if !found {
 			t.Errorf("cell %d snapshot lacks wall.busy_ns", i)
 		}
-		if det := snap.WithoutWall(); det.Counter("wall.busy_ns") != 0 {
-			t.Errorf("cell %d: WithoutWall kept a wall counter", i)
+		if det := snap.Filter(notWall); det.Counter("wall.busy_ns") != 0 {
+			t.Errorf("cell %d: the deterministic view kept a wall counter", i)
 		}
 	}
 	if decisions != res.Decisions {

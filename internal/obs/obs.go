@@ -48,16 +48,12 @@ type EventSink interface {
 	WriteEvent(Event) error
 }
 
-// DefaultRingCapacity is the flight-recorder depth when Options leaves
-// RingCapacity zero: enough context to explain a truncation without
-// holding a whole run in memory.
-const DefaultRingCapacity = 256
+// RingCapacity is the flight recorder's depth: enough context to
+// explain a truncation without holding a whole run in memory.
+const RingCapacity = 256
 
 // Options parameterizes New.
 type Options struct {
-	// RingCapacity bounds the flight recorder (0 selects
-	// DefaultRingCapacity, negative disables the ring entirely).
-	RingCapacity int
 	// WallClock additionally stamps events with wall-clock nanoseconds.
 	// Machine-dependent: leave off for deterministic traces.
 	WallClock bool
@@ -69,7 +65,7 @@ type Options struct {
 // tracer. The nil handle is the disabled implementation.
 type Obs struct {
 	reg     *Registry
-	ring    []Event
+	ring    [RingCapacity]Event
 	next    int // ring write position
 	filled  int // events currently in the ring
 	seq     uint64
@@ -80,15 +76,7 @@ type Obs struct {
 
 // New builds an enabled handle.
 func New(opts Options) *Obs {
-	capacity := opts.RingCapacity
-	if capacity == 0 {
-		capacity = DefaultRingCapacity
-	}
-	o := &Obs{reg: NewRegistry(), wall: opts.WallClock, sink: opts.Sink}
-	if capacity > 0 {
-		o.ring = make([]Event, capacity)
-	}
-	return o
+	return &Obs{reg: NewRegistry(), wall: opts.WallClock, sink: opts.Sink}
 }
 
 // Registry returns the instrument registry (nil for a disabled handle —
@@ -128,15 +116,10 @@ func (o *Obs) Emit(t float64, kind string, port int, value float64, detail strin
 			o.sinkErr = err
 		}
 	}
-	if len(o.ring) > 0 {
-		o.ring[o.next] = ev
-		o.next++
-		if o.next == len(o.ring) {
-			o.next = 0
-		}
-		if o.filled < len(o.ring) {
-			o.filled++
-		}
+	o.ring[o.next] = ev
+	o.next = (o.next + 1) % RingCapacity
+	if o.filled < RingCapacity {
+		o.filled++
 	}
 }
 
@@ -172,12 +155,9 @@ func (o *Obs) LastEvents(k int) []Event {
 	out := make([]Event, k)
 	// Oldest retained event sits at next-filled (mod len) when the ring has
 	// wrapped; the last k start k before next.
-	start := o.next - k
-	if start < 0 {
-		start += len(o.ring)
-	}
+	start := o.next - k + RingCapacity
 	for i := 0; i < k; i++ {
-		out[i] = o.ring[(start+i)%len(o.ring)]
+		out[i] = o.ring[(start+i)%RingCapacity]
 	}
 	return out
 }

@@ -120,36 +120,54 @@ func TestSnapshotSortedAndDeterministic(t *testing.T) {
 }
 
 func TestRingRetainsLastEventsInOrder(t *testing.T) {
-	o := New(Options{RingCapacity: 4})
-	for i := 1; i <= 10; i++ {
+	o := New(Options{})
+	const emitted = RingCapacity + 6
+	for i := 1; i <= emitted; i++ {
 		o.Emit(float64(i), "e", i, float64(i), "")
 	}
-	if o.EventCount() != 10 {
+	if o.EventCount() != emitted {
 		t.Fatalf("event count = %d", o.EventCount())
 	}
 	got := o.LastEvents(0)
-	if len(got) != 4 {
-		t.Fatalf("retained %d events, want 4", len(got))
+	if len(got) != RingCapacity {
+		t.Fatalf("retained %d events, want %d", len(got), RingCapacity)
 	}
 	for i, ev := range got {
 		if want := uint64(7 + i); ev.Seq != want {
 			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
 		}
 	}
-	if two := o.LastEvents(2); len(two) != 2 || two[1].Seq != 10 {
+	if two := o.LastEvents(2); len(two) != 2 || two[1].Seq != emitted {
 		t.Fatalf("LastEvents(2) = %+v", two)
 	}
 	// Before the ring wraps, only what was emitted comes back.
-	o2 := New(Options{RingCapacity: 8})
+	o2 := New(Options{})
 	o2.Emit(1, "a", -1, 0, "")
 	if evs := o2.LastEvents(5); len(evs) != 1 || evs[0].Kind != "a" {
 		t.Fatalf("partial ring = %+v", evs)
 	}
-	// RingCapacity < 0 disables retention but not counting.
-	o3 := New(Options{RingCapacity: -1})
-	o3.Emit(1, "a", -1, 0, "")
-	if o3.LastEvents(1) != nil || o3.EventCount() != 1 {
-		t.Fatal("ringless handle retained or missed events")
+}
+
+// TestRestoreTrimsOversizedTail: a checkpoint is outside input, so a
+// tracer tail longer than the ring restores as its most recent
+// RingCapacity events, and recording continues after them.
+func TestRestoreTrimsOversizedTail(t *testing.T) {
+	var st TracerState
+	for i := 1; i <= RingCapacity+10; i++ {
+		st.Events = append(st.Events, Event{Seq: uint64(i), Kind: "e"})
+	}
+	st.Seq = RingCapacity + 10
+	o := New(Options{})
+	if err := o.RestoreState(&st); err != nil {
+		t.Fatal(err)
+	}
+	got := o.LastEvents(0)
+	if len(got) != RingCapacity || got[0].Seq != 11 || got[RingCapacity-1].Seq != st.Seq {
+		t.Fatalf("restored %d events, seqs %d..%d", len(got), got[0].Seq, got[len(got)-1].Seq)
+	}
+	o.Emit(1, "next", -1, 0, "")
+	if got := o.LastEvents(0); len(got) != RingCapacity || got[0].Seq != 12 || got[RingCapacity-1].Seq != st.Seq+1 {
+		t.Fatalf("after one more event: %d events, seqs %d..%d", len(got), got[0].Seq, got[len(got)-1].Seq)
 	}
 }
 
@@ -179,7 +197,7 @@ func TestSinkReceivesEventsAndErrorIsSticky(t *testing.T) {
 	}
 
 	failing := &collectSink{failAt: 2}
-	o2 := New(Options{Sink: failing, RingCapacity: 8})
+	o2 := New(Options{Sink: failing})
 	o2.Emit(1, "a", -1, 0, "")
 	o2.Emit(2, "b", -1, 0, "")
 	o2.Emit(3, "c", -1, 0, "")
@@ -210,7 +228,7 @@ func TestWallClockOptIn(t *testing.T) {
 
 func TestEmitDeterministicSequence(t *testing.T) {
 	mk := func() []Event {
-		o := New(Options{RingCapacity: 64})
+		o := New(Options{})
 		for i := 0; i < 20; i++ {
 			o.Emit(float64(i)*0.25, fmt.Sprintf("k%d", i%3), i%4, float64(i*i), "")
 		}

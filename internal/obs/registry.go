@@ -250,11 +250,15 @@ type CounterSnapshot struct {
 	Value int64  `json:"value"`
 }
 
-// GaugeSnapshot is one gauge's value and high-water mark.
+// GaugeSnapshot is one gauge's value and high-water mark. Set records
+// whether the gauge was ever set, which Max semantics depend on: the
+// first Set after a restore must not clobber a restored high-water mark,
+// and an untouched gauge must restore as untouched.
 type GaugeSnapshot struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
 	Max   float64 `json:"max"`
+	Set   bool    `json:"set"`
 }
 
 // HistogramSnapshot is one histogram's summary and non-empty buckets.
@@ -266,7 +270,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of every instrument in a registry,
-// sorted by name so rendering and serialization are deterministic.
+// sorted by name so rendering and serialization are deterministic. It is
+// also the registry's checkpoint form (see RestoreState).
 type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`
 	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
@@ -296,7 +301,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for _, name := range sortedKeys(r.gauges) {
 		g := r.gauges[name]
-		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Value: g.Value(), Max: g.Max()})
+		s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Value: g.v, Max: g.max, Set: g.set})
 	}
 	for _, name := range sortedKeys(r.hists) {
 		h := r.hists[name]
@@ -305,6 +310,30 @@ func (r *Registry) Snapshot() Snapshot {
 		})
 	}
 	return s
+}
+
+// Filter returns a copy of the snapshot holding only the instruments
+// whose names keep accepts — e.g. the deterministic-plane view, which
+// drops every IsWallClock name. Slices are freshly allocated; the
+// receiver is not modified.
+func (s Snapshot) Filter(keep func(name string) bool) Snapshot {
+	var out Snapshot
+	for _, c := range s.Counters {
+		if keep(c.Name) {
+			out.Counters = append(out.Counters, c)
+		}
+	}
+	for _, g := range s.Gauges {
+		if keep(g.Name) {
+			out.Gauges = append(out.Gauges, g)
+		}
+	}
+	for _, h := range s.Histograms {
+		if keep(h.Name) {
+			out.Histograms = append(out.Histograms, h)
+		}
+	}
+	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -5,57 +5,6 @@ import (
 	"math"
 )
 
-// GaugeState is a gauge's full internal state — unlike GaugeSnapshot it
-// carries the set flag, which Max semantics depend on (the first Set after
-// restore must not clobber a restored high-water mark, and an untouched
-// gauge must restore as untouched).
-type GaugeState struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Max   float64 `json:"max"`
-	Set   bool    `json:"set"`
-}
-
-// HistogramState is a histogram's full state; Buckets reuses the sparse
-// snapshot encoding (bucket upper edges are exact powers of two, so the
-// dense counts array reconstructs losslessly).
-type HistogramState struct {
-	Name    string   `json:"name"`
-	Count   int64    `json:"count"`
-	Sum     float64  `json:"sum"`
-	Buckets []Bucket `json:"buckets,omitempty"`
-}
-
-// RegistryState is every instrument in a registry, sorted by name.
-type RegistryState struct {
-	Counters   []CounterSnapshot `json:"counters,omitempty"`
-	Gauges     []GaugeState      `json:"gauges,omitempty"`
-	Histograms []HistogramState  `json:"histograms,omitempty"`
-}
-
-// StateSnapshot captures the registry for checkpointing. A nil registry
-// snapshots empty.
-func (r *Registry) StateSnapshot() RegistryState {
-	var st RegistryState
-	if r == nil {
-		return st
-	}
-	for _, name := range sortedKeys(r.counters) {
-		st.Counters = append(st.Counters, CounterSnapshot{Name: name, Value: r.counters[name].Value()})
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		g := r.gauges[name]
-		st.Gauges = append(st.Gauges, GaugeState{Name: name, Value: g.v, Max: g.max, Set: g.set})
-	}
-	for _, name := range sortedKeys(r.hists) {
-		h := r.hists[name]
-		st.Histograms = append(st.Histograms, HistogramState{
-			Name: name, Count: h.Count(), Sum: h.Sum(), Buckets: h.Buckets(),
-		})
-	}
-	return st
-}
-
 // bucketIndexOf inverts Bucket.Le (math.Ldexp(1, i)) back to the bucket
 // index, rejecting edges that are not exact in-range powers of two.
 func bucketIndexOf(le float64) (int, error) {
@@ -71,7 +20,7 @@ func bucketIndexOf(le float64) (int, error) {
 // valid — callers that resolved a counter before the restore observe the
 // restored value afterwards — which is what lets a live simulator restore
 // its registry in place.
-func (r *Registry) RestoreState(st RegistryState) error {
+func (r *Registry) RestoreState(st Snapshot) error {
 	if r == nil {
 		return fmt.Errorf("obs: restore into nil registry")
 	}
@@ -120,7 +69,7 @@ type TracerState struct {
 }
 
 // StateSnapshot captures the tracer (nil for a disabled handle). The
-// registry is snapshotted separately via Registry().StateSnapshot.
+// registry is snapshotted separately via Registry().Snapshot.
 func (o *Obs) StateSnapshot() *TracerState {
 	if o == nil {
 		return nil
@@ -129,10 +78,10 @@ func (o *Obs) StateSnapshot() *TracerState {
 }
 
 // RestoreState rewinds the tracer: the sequence counter resumes at
-// st.Seq and the ring refills with the snapshotted tail (truncated to the
-// current ring capacity, keeping the most recent events, exactly as the
-// ring itself would have). The sink is untouched — resume wiring decides
-// where continued events stream.
+// st.Seq and the ring refills with the snapshotted tail (a checkpoint
+// file is outside input, so a tail longer than RingCapacity keeps its
+// most recent events, exactly as the ring itself would have). The sink
+// is untouched — resume wiring decides where continued events stream.
 func (o *Obs) RestoreState(st *TracerState) error {
 	if o == nil {
 		return fmt.Errorf("obs: restore into nil tracer")
@@ -150,21 +99,12 @@ func (o *Obs) RestoreState(st *TracerState) error {
 		}
 		last = ev.Seq
 	}
-	o.seq = st.Seq
-	o.next, o.filled = 0, 0
-	if len(o.ring) > 0 {
-		evs := st.Events
-		if len(evs) > len(o.ring) {
-			evs = evs[len(evs)-len(o.ring):]
-		}
-		for _, ev := range evs {
-			o.ring[o.next] = ev
-			o.next++
-			if o.next == len(o.ring) {
-				o.next = 0
-			}
-			o.filled++
-		}
+	evs := st.Events
+	if len(evs) > RingCapacity {
+		evs = evs[len(evs)-RingCapacity:]
 	}
+	o.seq = st.Seq
+	o.filled = copy(o.ring[:], evs)
+	o.next = o.filled % RingCapacity
 	return nil
 }

@@ -21,28 +21,3 @@ const WallPrefix = "wall."
 func IsWallClock(name string) bool {
 	return strings.HasPrefix(name, WallPrefix) || strings.HasPrefix(name, "runtime.")
 }
-
-// WithoutWall returns a copy of the snapshot with every wall-clock
-// instrument (per IsWallClock) removed. The result is the
-// deterministic-plane view: byte-identical across reruns, shard counts,
-// and GOMAXPROCS for the same seeded run. Slices are freshly allocated;
-// the receiver is not modified.
-func (s Snapshot) WithoutWall() Snapshot {
-	var out Snapshot
-	for _, c := range s.Counters {
-		if !IsWallClock(c.Name) {
-			out.Counters = append(out.Counters, c)
-		}
-	}
-	for _, g := range s.Gauges {
-		if !IsWallClock(g.Name) {
-			out.Gauges = append(out.Gauges, g)
-		}
-	}
-	for _, h := range s.Histograms {
-		if !IsWallClock(h.Name) {
-			out.Histograms = append(out.Histograms, h)
-		}
-	}
-	return out
-}

@@ -28,6 +28,9 @@ func TestIsWallClock(t *testing.T) {
 	}
 }
 
+// notWall keeps the deterministic-plane instruments.
+func notWall(name string) bool { return !IsWallClock(name) }
+
 func TestSnapshotWithoutWall(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("cell.decisions").Add(7)
@@ -37,14 +40,14 @@ func TestSnapshotWithoutWall(t *testing.T) {
 	reg.Histogram("fabric.decision_size").Observe(3)
 	reg.Histogram("wall.window_ns").Observe(999)
 
-	got := reg.Snapshot().WithoutWall()
+	got := reg.Snapshot().Filter(notWall)
 	want := Snapshot{
 		Counters:   []CounterSnapshot{{Name: "cell.decisions", Value: 7}},
-		Gauges:     []GaugeSnapshot{{Name: "cell.eventq_high_water", Value: 42, Max: 42}},
+		Gauges:     []GaugeSnapshot{{Name: "cell.eventq_high_water", Value: 42, Max: 42, Set: true}},
 		Histograms: []HistogramSnapshot{{Name: "fabric.decision_size", Count: 1, Sum: 3, Buckets: []Bucket{{Le: 4, Count: 1}}}},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("WithoutWall mismatch:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("Filter(notWall) mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -53,8 +56,8 @@ func TestSnapshotWithoutWallDoesNotMutate(t *testing.T) {
 	reg.Counter("a.x").Inc()
 	reg.Counter("wall.y").Inc()
 	snap := reg.Snapshot()
-	_ = snap.WithoutWall()
+	_ = snap.Filter(notWall)
 	if len(snap.Counters) != 2 {
-		t.Fatalf("WithoutWall mutated the receiver: %+v", snap)
+		t.Fatalf("Filter mutated the receiver: %+v", snap)
 	}
 }

@@ -55,18 +55,18 @@ func (r RunState) PercentDone() float64 {
 	return 100 * r.SimTimeS / r.DurationS
 }
 
-// ShardState is the decomposed engine's pool-level position, published
-// at barriers (wire fabricsim.ShardConfig.OnWindow to PublishShard) and
-// rendered into /metrics as the basrpt_shard_* family. Everything here
-// is wall-clock plane: barrier cadence, worker-pool shape, and per-cell
-// busy attribution.
+// ShardState is the decomposed engine's barrier-level position,
+// published at barriers (wire fabricsim.ShardConfig.OnWindow to
+// PublishShard) and rendered into /metrics as the basrpt_shard_* family.
+// Everything here is wall-clock plane: barrier cadence, span count, and
+// per-cell busy attribution.
 type ShardState struct {
 	// Barriers is the number of coordinator barriers completed and
 	// WindowsPerBarrier the cumulative mean batch width.
 	Barriers          int     `json:"barriers"`
 	WindowsPerBarrier float64 `json:"windows_per_barrier"`
-	// Cells and Workers are the PDES cell count and the persistent
-	// worker-goroutine count executing them.
+	// Cells is the PDES cell count and Workers the number of spans each
+	// batch forks, one goroutine each.
 	Cells   int `json:"cells"`
 	Workers int `json:"workers"`
 	// CellBusyNs is each cell's cumulative wall-clock busy nanoseconds
@@ -165,7 +165,7 @@ func (s *Server) PublishRun(r RunState) {
 	s.mu.Unlock()
 }
 
-// PublishShard replaces the sharded-engine pool state served by
+// PublishShard replaces the sharded-engine barrier state served by
 // /metrics and /progress. The per-cell slices are retained, not copied
 // — hand the server its own copies (ShardProgress already does).
 func (s *Server) PublishShard(st ShardState) {
@@ -338,8 +338,8 @@ func WriteMetrics(w io.Writer, snap obs.Snapshot, run *RunState, unitsDone, unit
 	return nil
 }
 
-// WriteShardMetrics renders the sharded engine's pool state as the
-// basrpt_shard_* Prometheus family: barrier cadence and pool shape as
+// WriteShardMetrics renders the sharded engine's barrier state as the
+// basrpt_shard_* Prometheus family: barrier cadence and span count as
 // scalar gauges, plus per-cell busy seconds as a cell-labeled gauge
 // series (one sample per rack, labeled cell="<rack>").
 func WriteShardMetrics(w io.Writer, st *ShardState) error {

@@ -279,14 +279,15 @@ func (s *Spec) Validate() error {
 	if len(s.Schedulers) == 0 {
 		return specErrf("schedulers", "empty")
 	}
-	validNames := map[string]bool{}
-	for _, n := range sched.Names() {
-		validNames[n] = true
-	}
+	hosts := s.Topology.Racks * s.Topology.HostsPerRack
 	for i, sc := range s.Schedulers {
-		if !validNames[sc.Name] {
+		probe, err := sched.New(sc.Name, sched.Options{})
+		if err != nil {
 			return specErrf(fmt.Sprintf("schedulers[%d].name", i),
 				"unknown scheduler %q (valid: %v)", sc.Name, sched.Names())
+		}
+		if err := sched.CheckPorts(probe, hosts); err != nil {
+			return specErrf(fmt.Sprintf("schedulers[%d].name", i), "%v", err)
 		}
 		// Zero selects a registry default and a negative value means
 		// nothing. Rejecting it here fails the spec before the grid

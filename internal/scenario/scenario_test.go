@@ -199,6 +199,26 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateExactBASRPTPortLimit: a spec that puts exact-basrpt on
+// more hosts than its 8-port limit fails validation, naming the entry,
+// instead of failing every unit of the grid; 8 hosts pass.
+func TestValidateExactBASRPTPortLimit(t *testing.T) {
+	parse := func(racks, hpr int) error {
+		_, err := ParseSpec(mutate(t, func(m map[string]any) {
+			m["topology"] = map[string]any{"racks": racks, "hosts_per_rack": hpr}
+			m["schedulers"] = []any{map[string]any{"name": "srpt"}, map[string]any{"name": "exact-basrpt"}}
+		}))
+		return err
+	}
+	if err := parse(2, 4); err != nil {
+		t.Fatalf("exact-basrpt on 8 hosts rejected: %v", err)
+	}
+	var se *SpecError
+	if err := parse(3, 3); !errors.As(err, &se) || se.Field != "schedulers[1].name" || !strings.Contains(se.Reason, "exceeds limit 8") {
+		t.Fatalf("exact-basrpt on 9 hosts: err = %v, want a SpecError on schedulers[1].name naming the 8-port limit", err)
+	}
+}
+
 func TestCellNamesSweep(t *testing.T) {
 	data := mutate(t, func(m map[string]any) {
 		m["loads"] = []any{0.3, 0.8}

@@ -19,8 +19,9 @@ import (
 // but increases ȳ, so the reduction is exact.
 //
 // The enumeration is factorial in the number of ports — the very
-// impracticality that motivates fast BASRPT — so Schedule panics when the
-// switch exceeds DefaultExactMaxPorts.
+// impracticality that motivates fast BASRPT — so it accepts at most
+// DefaultExactMaxPorts; CheckPorts reports a larger switch up front, and
+// Schedule panics on one as the last guard.
 type ExactBASRPT struct {
 	v float64
 }
@@ -29,6 +30,16 @@ var _ Scheduler = (*ExactBASRPT)(nil)
 
 // DefaultExactMaxPorts is the largest switch ExactBASRPT accepts.
 const DefaultExactMaxPorts = 8
+
+// CheckPorts reports whether s can schedule an n-port switch. Only
+// ExactBASRPT has a limit, DefaultExactMaxPorts; every entry point that
+// pairs a scheduler with a fabric calls this before any work.
+func CheckPorts(s Scheduler, n int) error {
+	if _, ok := s.(*ExactBASRPT); ok && n > DefaultExactMaxPorts {
+		return fmt.Errorf("sched: exact BASRPT on %d ports exceeds limit %d", n, DefaultExactMaxPorts)
+	}
+	return nil
+}
 
 // NewExactBASRPT returns the exhaustive BASRPT scheduler. It panics on
 // negative V.
@@ -42,8 +53,8 @@ func (s *ExactBASRPT) Name() string { return fmt.Sprintf("exact-basrpt(V=%g)", s
 
 // Schedule exhaustively minimizes the BASRPT objective.
 func (s *ExactBASRPT) Schedule(t *flow.Table) []*flow.Flow {
-	if t.N() > DefaultExactMaxPorts {
-		panic(fmt.Sprintf("sched: exact BASRPT on %d ports exceeds limit %d", t.N(), DefaultExactMaxPorts))
+	if err := CheckPorts(s, t.N()); err != nil {
+		panic(err.Error())
 	}
 	if t.NumNonEmpty() == 0 {
 		return nil

@@ -283,6 +283,32 @@ func TestExactBASRPTPanicsOnLargeFabric(t *testing.T) {
 	NewExactBASRPT(1).Schedule(tab)
 }
 
+// TestCheckPorts pins the one port-limit check the fabric entry points
+// call: exact BASRPT accepts DefaultExactMaxPorts and rejects one more,
+// and every other discipline accepts any size.
+func TestCheckPorts(t *testing.T) {
+	exact := NewExactBASRPT(1)
+	if err := CheckPorts(exact, DefaultExactMaxPorts); err != nil {
+		t.Fatalf("exact BASRPT on %d ports rejected: %v", DefaultExactMaxPorts, err)
+	}
+	err := CheckPorts(exact, DefaultExactMaxPorts+1)
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit 8") {
+		t.Fatalf("exact BASRPT on %d ports: err = %v, want the 8-port limit", DefaultExactMaxPorts+1, err)
+	}
+	for _, name := range Names() {
+		if name == "exact-basrpt" {
+			continue
+		}
+		s, err := New(name, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckPorts(s, 4128); err != nil {
+			t.Fatalf("%s on 4128 ports rejected: %v", name, err)
+		}
+	}
+}
+
 func TestFIFOMatchPrefersOldest(t *testing.T) {
 	tab := flow.NewTable(2)
 	newer := flow.NewFlow(1, 0, 0, flow.ClassOther, 5, 10) // small but new

@@ -15,8 +15,9 @@ import (
 // responses from many back-end servers to produce results". Each job picks
 // an aggregator host, fans a request out to Fanout random backends, and
 // all Fanout responses (fixed-size, like the paper's 20KB queries) arrive
-// back at the aggregator essentially simultaneously — the classic incast
-// pattern, and the hardest case for the aggregator's egress port.
+// back at the aggregator at the job instant — the classic synchronized
+// incast pattern, and the hardest case for the aggregator's egress port.
+// Every response is QueryBytes.
 type IncastConfig struct {
 	// Topology places hosts and fixes the port rate.
 	Topology *topology.Topology
@@ -24,11 +25,6 @@ type IncastConfig struct {
 	JobsPerSecond float64
 	// Fanout is the number of backends per job (must fit the fabric).
 	Fanout int
-	// ResponseBytes is the per-backend response size (default: QueryBytes).
-	ResponseBytes float64
-	// Jitter is the standard deviation (seconds) of each response's start
-	// time around the job instant; 0 means perfectly synchronized incast.
-	Jitter float64
 	// BackgroundLoad, when positive, adds the usual rack-local background
 	// traffic at that per-port utilization.
 	BackgroundLoad float64
@@ -85,15 +81,6 @@ func NewIncast(cfg IncastConfig) (*Incast, error) {
 	}
 	if cfg.Fanout < 1 || cfg.Fanout >= cfg.Topology.NumHosts() {
 		return nil, fmt.Errorf("%w: fanout %d outside [1, hosts)", ErrBadConfig, cfg.Fanout)
-	}
-	if cfg.ResponseBytes == 0 {
-		cfg.ResponseBytes = QueryBytes
-	}
-	if cfg.ResponseBytes <= 0 {
-		return nil, fmt.Errorf("%w: response size %g", ErrBadConfig, cfg.ResponseBytes)
-	}
-	if cfg.Jitter < 0 {
-		return nil, fmt.Errorf("%w: negative jitter", ErrBadConfig)
 	}
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("%w: duration %g", ErrBadConfig, cfg.Duration)
@@ -154,29 +141,17 @@ func (g *Incast) Next() (Arrival, bool) {
 	}
 }
 
-// expandJob schedules the job's Fanout responses as individual arrivals.
+// expandJob schedules the job's Fanout responses as individual arrivals
+// at the job instant t (Next only pops jobs at or before Duration).
 func (g *Incast) expandJob(t float64) {
-	n := g.topo.NumHosts()
-	aggregator := g.rng.Intn(n)
+	aggregator := g.rng.Intn(g.topo.NumHosts())
 	// Sample Fanout distinct backends other than the aggregator.
-	backends := g.sampleBackends(aggregator)
-	for _, b := range backends {
-		at := t
-		if g.cfg.Jitter > 0 {
-			at += g.rng.Norm(0, g.cfg.Jitter)
-			if at < t {
-				// Responses cannot precede the request; fold jitter forward.
-				at = t + (t - at)
-			}
-		}
-		if at > g.cfg.Duration {
-			continue
-		}
-		g.queue.Schedule(at, incastEvent{a: Arrival{
-			Time:  at,
+	for _, b := range g.sampleBackends(aggregator) {
+		g.queue.Schedule(t, incastEvent{a: Arrival{
+			Time:  t,
 			Src:   b,
 			Dst:   aggregator,
-			Size:  g.cfg.ResponseBytes,
+			Size:  QueryBytes,
 			Class: flow.ClassQuery,
 		}})
 	}

@@ -20,8 +20,6 @@ func TestNewIncastValidation(t *testing.T) {
 		func(c IncastConfig) IncastConfig { c.JobsPerSecond = 0; return c },
 		func(c IncastConfig) IncastConfig { c.Fanout = 0; return c },
 		func(c IncastConfig) IncastConfig { c.Fanout = topo.NumHosts(); return c },
-		func(c IncastConfig) IncastConfig { c.ResponseBytes = -1; return c },
-		func(c IncastConfig) IncastConfig { c.Jitter = -1; return c },
 		func(c IncastConfig) IncastConfig { c.Duration = 0; return c },
 		func(c IncastConfig) IncastConfig { c.Seed = 0; return c }, // 0 used to alias to 1
 	}
@@ -88,13 +86,12 @@ func TestIncastStructure(t *testing.T) {
 	}
 }
 
-func TestIncastWithJitterAndBackground(t *testing.T) {
+func TestIncastWithBackground(t *testing.T) {
 	topo := topology.MustNew(topology.Scaled(2, 4))
 	g, err := NewIncast(IncastConfig{
 		Topology:       topo,
 		JobsPerSecond:  100,
 		Fanout:         3,
-		Jitter:         1e-4,
 		BackgroundLoad: 0.3,
 		Duration:       1,
 		Seed:           9,
@@ -157,8 +154,8 @@ func TestIncastDeterministic(t *testing.T) {
 	}
 }
 
-// TestIncastCheckpointRoundTrip: an incast generator with jitter and
-// background traffic, checkpointed while its calendar holds a job tick
+// TestIncastCheckpointRoundTrip: an incast generator with background
+// traffic, checkpointed while its calendar holds a job tick
 // and expanded responses still waiting their turn, restores into a fresh
 // generator that re-snapshots to the same state and then yields exactly
 // the remaining arrivals.
@@ -167,7 +164,6 @@ func TestIncastCheckpointRoundTrip(t *testing.T) {
 		Topology:       topology.MustNew(topology.Scaled(2, 4)),
 		JobsPerSecond:  200,
 		Fanout:         5,
-		Jitter:         2e-4,
 		BackgroundLoad: 0.3,
 		Duration:       0.5,
 		Seed:           13,

@@ -51,8 +51,9 @@ await_live() {
 # --- live endpoint: long enough run to be mid-flight when we poll -------
 # (2 s simulated keeps the batched engine busy through every assertion
 # below; the run is killed once the checks pass, so wall cost is bounded
-# by the polling, not the horizon)
-"$OUT/basrptsim" -shards 4 -racks 8 -hosts 6 -duration 2 -load 0.7 \
+# by the polling, not the horizon). -workers 3 splits the 8 cells into
+# uneven 3-3-2 spans, one goroutine each per batch.
+"$OUT/basrptsim" -shards 4 -racks 8 -hosts 6 -duration 2 -load 0.7 -workers 3 \
     -ops 127.0.0.1:0 >"$OUT/run.log" 2>&1 &
 SIM_PID=$!
 trap 'kill "$SIM_PID" 2>/dev/null || true' EXIT
@@ -61,12 +62,13 @@ await_live "$OUT/run.log" "$OUT/metrics.txt"
 grep -qE '^basrpt_run_sim_time_seconds [0-9]' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_run_sim_time_seconds"
 grep -qE '^basrpt_run_percent_done [0-9]' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_run_percent_done"
 
-# The sharded engine's pool plane must be live mid-run: barrier cadence
-# (windows per barrier > 0) and per-cell busy attribution for the first
-# and last cell of the 8-rack fixture.
+# The sharded engine's barrier plane must be live mid-run: barrier
+# cadence (windows per barrier > 0), the three spans -workers asked for,
+# and per-cell busy attribution for the first and last cell of the 8-rack
+# fixture.
 grep -qE '^basrpt_shard_windows_per_barrier [0-9.]+' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_shard_windows_per_barrier"
 grep -qE '^basrpt_shard_barriers [1-9]' "$OUT/metrics.txt" || fail "/metrics lacks live basrpt_shard_barriers"
-grep -qE '^basrpt_shard_workers [1-9]' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_shard_workers"
+grep -qE '^basrpt_shard_workers 3$' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_shard_workers 3"
 grep -qE '^basrpt_shard_cell_busy_seconds\{cell="0"\} [0-9.]' "$OUT/metrics.txt" || fail "/metrics lacks per-cell busy attribution"
 grep -qE '^basrpt_shard_cell_busy_seconds\{cell="7"\} [0-9.]' "$OUT/metrics.txt" || fail "/metrics lacks busy attribution for the last cell"
 
