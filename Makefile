@@ -84,11 +84,12 @@ scenarios:
 
 # Documentation lint: package comments everywhere, command comments on
 # every cmd, and doc comments on every exported symbol of the packages
-# other code consumes (scenario, obs, ops, fabricsim, sched).
+# other code consumes (scenario, obs, ops, fabricsim, sched, flow).
 doccheck:
 	bash scripts/doccheck.sh
 
-# Short fuzzing passes over the parsing-adjacent substrates.
+# Short fuzzing passes over the parsing-adjacent substrates, plus the
+# flow table against its dense reference model.
 fuzz:
 	$(GO) test -fuzz FuzzGreedyMaximal -fuzztime 15s ./internal/matching/
 	$(GO) test -fuzz FuzzHungarianFeasible -fuzztime 15s ./internal/matching/
@@ -99,11 +100,12 @@ fuzz:
 	$(GO) test -fuzz FuzzCheckpointLoad -fuzztime 15s ./internal/checkpoint/
 	$(GO) test -fuzz FuzzParseSpec -fuzztime 15s ./internal/scenario/
 	$(GO) test -fuzz FuzzShardRouting -fuzztime 15s ./internal/fabricsim/
+	$(GO) test -fuzz FuzzTableAgainstDense -fuzztime 15s ./internal/flow/
 
 clean:
 	$(GO) clean ./...
 	rm -rf internal/matching/testdata internal/stats/testdata internal/faults/testdata \
 		internal/trace/testdata internal/checkpoint/testdata internal/scenario/testdata \
-		internal/fabricsim/testdata \
+		internal/fabricsim/testdata internal/flow/testdata \
 		soak_out scenario_out ops_smoke_out stability_out
 	rm -f trace_smoke_a.jsonl trace_smoke_b.jsonl

@@ -73,13 +73,13 @@ type ShardConfig struct {
 	// stream). Must be nonzero.
 	Seed uint64
 	// Shards must be at least 2 (the centralized engine is New + Run). It
-	// caps the spans: each batch forks at most min(Shards, racks, Workers)
-	// span goroutines (Workers defaulting to GOMAXPROCS).
+	// caps the spans: each batch forks min(Shards, racks, Workers) span
+	// goroutines (Workers defaulting to GOMAXPROCS).
 	Shards int
-	// Workers caps the spans forked per batch, one goroutine each; 0
-	// defaults to GOMAXPROCS. The cells split into at most
-	// min(Shards, racks, Workers) contiguous rack-order spans. Wall-clock
-	// plane only.
+	// Workers sets the spans forked per batch, one goroutine each; 0
+	// defaults to GOMAXPROCS. The cells split into min(Shards, racks,
+	// Workers) contiguous rack-order spans whose sizes differ by at most
+	// one. Wall-clock plane only.
 	Workers int
 	// Obs, when non-nil, receives the run's trace. Per-cell events are
 	// buffered during each batch and replayed in deterministic (time,
@@ -604,13 +604,13 @@ type shardPool struct {
 	batchNs int64
 }
 
-// newShardPool partitions the cells into at most `workers` contiguous
-// rack-order spans. The grouping affects wall clock only, never results.
+// newShardPool partitions the cells into `workers` contiguous rack-order
+// spans (workers never exceeds the cell count) whose sizes differ by at
+// most one. The grouping affects wall clock only, never results.
 func newShardPool(cells []*shardCell, workers int, origin time.Time) *shardPool {
 	p := &shardPool{origin: origin}
-	per := (len(cells) + workers - 1) / workers
-	for lo := 0; lo < len(cells); lo += per {
-		hi := min(lo+per, len(cells))
+	for k := 0; k < workers; k++ {
+		lo, hi := k*len(cells)/workers, (k+1)*len(cells)/workers
 		p.workers = append(p.workers, &poolWorker{cells: cells[lo:hi:hi]})
 	}
 	return p

@@ -132,14 +132,13 @@ func TestRunShardWorkerPoolDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		// The pool partitions the 6 cells into contiguous ceil-sized spans,
-		// so the realized worker count is ceil(cells/ceil(cells/requested)).
+		// The pool splits the 6 cells into one balanced span per
+		// requested worker, capped at the cell count.
 		requested := workers
 		if requested == 0 {
 			requested = 4 // GOMAXPROCS
 		}
-		per := (6 + requested - 1) / requested
-		wantWorkers := (6 + per - 1) / per
+		wantWorkers := min(requested, 6)
 		if res.Imbalance.Workers != wantWorkers {
 			t.Fatalf("workers=%d: pool size %d, want %d",
 				workers, res.Imbalance.Workers, wantWorkers)

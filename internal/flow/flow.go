@@ -23,8 +23,14 @@
 //     consumer must observe. A single fabric event dirties O(decision
 //     size) VOQs, so the set is the per-event delta a consumer needs —
 //     VOQs outside it are bit-for-bit unchanged.
-//   - ClearDirty() empties the set and stamps DirtyBasis() with the
-//     current epoch.
+//   - ClearDirty() empties the set, stamps DirtyBasis() with the current
+//     epoch, and releases every dirty VOQ that holds no flows.
+//
+// The table holds a VOQ only while it is non-empty or dirty. A released
+// VOQ's slot (VOQ.Slot) and memory serve the next pair that needs a VOQ,
+// so a consumer that keeps per-slot state must retire an emptied VOQ's
+// entry when it sees the VOQ in the dirty set, before it calls
+// ClearDirty; after that the slot may name a different pair.
 //
 // The feed supports exactly one owning consumer at a time: whoever calls
 // ClearDirty owns the delta. A consumer remembers the (table, DirtyBasis)
@@ -103,21 +109,22 @@ func (f *Flow) Attached() bool { return f.heapIndex >= 0 }
 //
 // The read methods (Len, Backlog, Top, Flows, ForEachFlow) accept a nil
 // receiver and read it as an empty queue: Table.VOQ returns nil for a
-// pair that has never carried a flow.
+// pair whose queue the table does not hold.
 type VOQ struct {
 	Src, Dst int
 
 	flows   []*Flow
 	backlog float64
 
-	slot        int32 // dense table slot, fixed once assigned
+	slot        int32 // dense table slot, fixed while the table holds the VOQ
 	nonEmptyPos int32 // position in the table's non-empty list; -1 if absent
 	dirtyPos    int32 // position in the table's dirty list; -1 if clean
 }
 
 // Slot returns the VOQ's dense table slot: a small integer in
-// [0, Table.NumSlots()) assigned when the pair first carried a flow and
-// never changed afterwards, so per-VOQ side arrays can be indexed by it.
+// [0, Table.NumSlots()) that stays fixed while the table holds the VOQ,
+// so per-VOQ side arrays can be indexed by it. Once ClearDirty releases
+// the emptied VOQ, another pair may take the slot.
 func (q *VOQ) Slot() int { return int(q.slot) }
 
 // Len returns the number of flows queued.

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -147,8 +148,14 @@ func pairsOf(n int, qs []*VOQ) []int {
 }
 
 // diffRef reports the first way tab disagrees with the reference, or "".
-func diffRef(tab *Table, r *denseRef, used map[int]bool) string {
+// The table must hold a VOQ for exactly the reference's non-empty and
+// dirty pairs, visit them in (src, dst) order, and have handed out peak
+// slots: the most VOQs it has held at once.
+func diffRef(tab *Table, r *denseRef, peak int) string {
 	n := r.n
+	held := heldIn(r)
+	var visited []int
+	tab.ForEachVOQ(func(q *VOQ) { visited = append(visited, q.Src*n+q.Dst) })
 	switch {
 	case !slices.Equal(pairsOf(n, tab.NonEmpty(nil)), r.nonEmpty):
 		return "non-empty order differs"
@@ -160,8 +167,10 @@ func diffRef(tab *Table, r *denseRef, used map[int]bool) string {
 		return "flow count differs"
 	case math.Float64bits(tab.TotalBacklog()) != math.Float64bits(r.totalBacklog()):
 		return "total backlog differs"
-	case tab.NumSlots() != len(used):
-		return "slot count differs from the number of pairs used"
+	case tab.NumSlots() != peak:
+		return "slot count differs from the peak number of VOQs held"
+	case !slices.Equal(visited, held):
+		return "ForEachVOQ does not visit exactly the non-empty and dirty pairs in pair order"
 	}
 	for p := 0; p < n; p++ {
 		if math.Float64bits(tab.IngressBacklog(p)) != math.Float64bits(r.ingress[p]) ||
@@ -171,8 +180,8 @@ func diffRef(tab *Table, r *denseRef, used map[int]bool) string {
 	}
 	for p := 0; p < n*n; p++ {
 		q := tab.VOQ(p/n, p%n)
-		if (q != nil) != used[p] {
-			return "VOQ materialized for an unused pair, or missing for a used one"
+		if _, ok := slices.BinarySearch(held, p); (q != nil) != ok {
+			return "table holds a VOQ for an empty, clean pair, or none for a non-empty or dirty one"
 		}
 		if q.Len() != r.count[p] || math.Float64bits(q.Backlog()) != math.Float64bits(r.backlog[p]) {
 			return "VOQ contents differ"
@@ -181,74 +190,83 @@ func diffRef(tab *Table, r *denseRef, used map[int]bool) string {
 	return ""
 }
 
-// TestSparseTableMatchesDenseReference drives random Add/Drain/Remove/
-// ClearDirty sequences through the sparse table and the dense reference
-// and requires them to agree after every step. At random points it
-// round-trips the table through StateSnapshot and RestoreTable, checks
+// driveAgainstDense drives a random Add/Drain/Remove/ClearDirty sequence
+// drawn from seed through the sparse table and the dense reference, and
+// reports the first step at which they disagree, or "". At random points
+// it round-trips the table through StateSnapshot and RestoreTable, checks
 // that the snapshot's Dirty list holds pair indices, and carries on
 // driving the restored table.
+func driveAgainstDense(seed uint64) string {
+	rng := splitmix(seed)
+	n := 2 + rng.intn(7)
+	tab, ref := NewTable(n), newDenseRef(n)
+	peak := 0
+	var live []*Flow
+	for step := 0; step < 400; step++ {
+		switch op := rng.intn(20); {
+		case op < 8 || len(live) == 0: // add, on a narrow pair range so VOQs share flows
+			src, dst := rng.intn(n), rng.intn(1+rng.intn(n))
+			f := NewFlow(ID(step+1), src, dst, ClassOther, 1+rng.float64()*1000, float64(step))
+			tab.Add(f)
+			ref.add(f)
+			live = append(live, f)
+		case op < 15: // drain, sometimes past the end or by nothing
+			f := live[rng.intn(len(live))]
+			amount := rng.float64() * f.Remaining * 1.3
+			if rng.intn(6) == 0 {
+				amount = 0
+			}
+			if got, want := tab.Drain(f, amount), ref.drain(f, amount); got != want {
+				return fmt.Sprintf("step %d: Drain returned %g, reference %g", step, got, want)
+			}
+		case op < 18: // remove
+			i := rng.intn(len(live))
+			tab.Remove(live[i])
+			ref.remove(live[i])
+			live = slices.Delete(live, i, i+1)
+		default:
+			tab.ClearDirty()
+			ref.clearDirty()
+		}
+		// One step holds at most one more VOQ, so the peak after each
+		// step is the table's peak.
+		peak = max(peak, len(heldIn(ref)))
+		if d := diffRef(tab, ref, peak); d != "" {
+			return fmt.Sprintf("step %d: %s", step, d)
+		}
+		if rng.intn(25) != 0 {
+			continue
+		}
+		st := tab.StateSnapshot()
+		if !slices.Equal(st.Dirty, ref.dirty) {
+			return fmt.Sprintf("step %d: snapshot Dirty %v, want pair indices %v", step, st.Dirty, ref.dirty)
+		}
+		restored, byID, err := RestoreTable(st)
+		if err != nil {
+			return fmt.Sprintf("step %d: restore: %v", step, err)
+		}
+		// The restored table holds only the pairs the snapshot names, so
+		// its peak starts at their count.
+		peak = len(heldIn(ref))
+		if d := diffRef(restored, ref, peak); d != "" {
+			return fmt.Sprintf("step %d: restored table: %s", step, d)
+		}
+		tab = restored
+		for i, f := range live {
+			live[i] = byID[f.ID]
+		}
+	}
+	return ""
+}
+
+// TestSparseTableMatchesDenseReference requires the sparse table to agree
+// with the dense reference after every step of random event sequences,
+// snapshot round trips included.
 func TestSparseTableMatchesDenseReference(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := splitmix(seed)
-		n := 2 + rng.intn(7)
-		tab, ref := NewTable(n), newDenseRef(n)
-		used := map[int]bool{}
-		var live []*Flow
-		for step := 0; step < 400; step++ {
-			switch op := rng.intn(20); {
-			case op < 8 || len(live) == 0: // add, on a narrow pair range so VOQs share flows
-				src, dst := rng.intn(n), rng.intn(1+rng.intn(n))
-				f := NewFlow(ID(step+1), src, dst, ClassOther, 1+rng.float64()*1000, float64(step))
-				tab.Add(f)
-				ref.add(f)
-				used[src*n+dst] = true
-				live = append(live, f)
-			case op < 15: // drain, sometimes past the end or by nothing
-				f := live[rng.intn(len(live))]
-				amount := rng.float64() * f.Remaining * 1.3
-				if rng.intn(6) == 0 {
-					amount = 0
-				}
-				if got, want := tab.Drain(f, amount), ref.drain(f, amount); got != want {
-					t.Logf("step %d: Drain returned %g, reference %g", step, got, want)
-					return false
-				}
-			case op < 18: // remove
-				i := rng.intn(len(live))
-				tab.Remove(live[i])
-				ref.remove(live[i])
-				live = slices.Delete(live, i, i+1)
-			default:
-				tab.ClearDirty()
-				ref.clearDirty()
-			}
-			if d := diffRef(tab, ref, used); d != "" {
-				t.Logf("seed %d step %d: %s", seed, step, d)
-				return false
-			}
-			if rng.intn(25) != 0 {
-				continue
-			}
-			st := tab.StateSnapshot()
-			if !slices.Equal(st.Dirty, ref.dirty) {
-				t.Logf("step %d: snapshot Dirty %v, want pair indices %v", step, st.Dirty, ref.dirty)
-				return false
-			}
-			restored, byID, err := RestoreTable(st)
-			if err != nil {
-				t.Logf("step %d: restore: %v", step, err)
-				return false
-			}
-			// The restored table materializes only the pairs the snapshot
-			// names, so it may hold fewer slots than the original.
-			if d := diffRef(restored, ref, usedIn(n, ref)); d != "" {
-				t.Logf("step %d: restored table: %s", step, d)
-				return false
-			}
-			tab, used = restored, usedIn(n, ref)
-			for i, f := range live {
-				live[i] = byID[f.ID]
-			}
+		if d := driveAgainstDense(seed); d != "" {
+			t.Logf("seed %d %s", seed, d)
+			return false
 		}
 		return true
 	}
@@ -257,17 +275,25 @@ func TestSparseTableMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// usedIn is the set of pairs a table restored from ref's state holds: the
-// non-empty and the dirty ones.
-func usedIn(n int, ref *denseRef) map[int]bool {
-	used := map[int]bool{}
-	for _, p := range ref.nonEmpty {
-		used[p] = true
+// FuzzTableAgainstDense runs the event sequences of
+// TestSparseTableMatchesDenseReference with the fuzzer choosing the seed.
+func FuzzTableAgainstDense(f *testing.F) {
+	for _, seed := range []uint64{1, 7, 0x6ef2f6894ec7af7a} {
+		f.Add(seed)
 	}
-	for _, p := range ref.dirty {
-		used[p] = true
-	}
-	return used
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		if d := driveAgainstDense(seed); d != "" {
+			t.Fatalf("seed %d %s", seed, d)
+		}
+	})
+}
+
+// heldIn is the set of pairs the table must hold in ref's state — the
+// non-empty and the dirty ones — as ascending pair indices.
+func heldIn(ref *denseRef) []int {
+	held := append(slices.Clone(ref.nonEmpty), ref.dirty...)
+	slices.Sort(held)
+	return slices.Compact(held)
 }
 
 // TestSparseTableMemory guards against any N² array creeping back into
@@ -294,6 +320,45 @@ func TestSparseTableMemory(t *testing.T) {
 	}
 	if tab.NumSlots() > adds {
 		t.Fatalf("%d slots for %d adds", tab.NumSlots(), adds)
+	}
+}
+
+// TestSparseTableChurnRecyclesSlots runs a 4128-port table through 100k
+// add-and-remove cycles over random pairs, clearing the dirty set after
+// each, with about 1,000 flows live at a time. Released slots must be
+// reused: the table may hand out no more slots than the peak number of
+// non-empty plus dirty VOQs, and must hold under 1 MB. A table that kept
+// every pair it had used would hold ~100k VOQs, over 8 MB.
+func TestSparseTableChurnRecyclesSlots(t *testing.T) {
+	const n, cycles, window = 4128, 100_000, 1_000
+	rng := splitmix(11)
+	before := liveHeap()
+	tab := NewTable(n)
+	live := make([]*Flow, 0, window+1)
+	peak := 0
+	for i := 0; i < cycles; i++ {
+		f := NewFlow(ID(i+1), rng.intn(n), rng.intn(n), ClassOther, 1+rng.float64()*1e6, 0)
+		tab.Add(f)
+		live = append(live, f)
+		if len(live) > window {
+			k := rng.intn(len(live))
+			tab.Remove(live[k])
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		peak = max(peak, tab.NumNonEmpty()+tab.NumDirty())
+		tab.ClearDirty()
+	}
+	held := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(tab)
+	runtime.KeepAlive(live)
+	t.Logf("%d ports, %d cycles: %d slots, peak %d non-empty plus dirty, %d bytes held",
+		n, cycles, tab.NumSlots(), peak, held)
+	if tab.NumSlots() > peak {
+		t.Fatalf("%d slots, but at most %d VOQs were non-empty or dirty at once", tab.NumSlots(), peak)
+	}
+	if held > 1<<20 {
+		t.Fatalf("table holds %d bytes after %d cycles, want under 1 MB", held, cycles)
 	}
 }
 

@@ -33,9 +33,9 @@ type VOQState struct {
 // nonEmpty-list order (which restore reproduces — scheduler index rebuilds
 // iterate that order), Dirty preserves the dirty-list order, and every
 // float accumulator is verbatim. Dirty names each VOQ by its pair index
-// src*N+dst, never by table slot: slots depend on the order pairs were
-// first used, which a checkpoint does not record and a resumed table does
-// not reproduce.
+// src*N+dst, never by table slot: slots depend on the order VOQs were
+// materialized and released, which a checkpoint does not record and a
+// resumed table does not reproduce.
 type TableState struct {
 	N              int        `json:"n"`
 	Epoch          uint64     `json:"epoch"`

@@ -6,14 +6,15 @@ import "fmt"
 // non-empty (for fast scheduler iteration), per-ingress-port backlogs
 // (what the paper plots as "queue length at a port"), and total counts.
 //
-// The table is sparse: a VOQ is materialized the first time a flow for its
-// (src, dst) pair is added, and receives the next dense slot. Slots are
-// never reassigned, and VOQs live in fixed-size chunks, so both a VOQ's
-// slot and its address stay valid for the table's lifetime. Memory is
-// proportional to the pairs a run has used, not to N². Only Add and
-// RestoreTable create slots, and VOQ looks a pair up without creating
-// one. Every other path reaches a VOQ through a flow's cached slot or the
-// slot lists below.
+// The table is sparse: it holds a VOQ only while the VOQ is non-empty or
+// dirty. A VOQ is materialized when a flow for its (src, dst) pair is
+// added, and ClearDirty releases it once it is both empty and clean; its
+// slot then serves the next pair that needs one. Memory is proportional
+// to the peak number of VOQs held at once, not to the pairs a run has
+// used or to N². A VOQ's slot and address stay valid until it is
+// released. Only Add and RestoreTable create VOQs, and VOQ looks a pair
+// up without creating one. Every other path reaches a VOQ through a
+// flow's cached slot or the slot lists below.
 //
 // The table also carries a change-tracking layer for incremental
 // consumers (see the package doc's "Change tracking" contract): every
@@ -23,8 +24,9 @@ type Table struct {
 	n int
 
 	chunks   [][]VOQ   // slot s lives at chunks[s>>chunkShift][s&chunkMask]
-	numSlots int       // slots handed out so far
-	rows     [][]int32 // per source port: slots of its VOQs, by ascending Dst
+	numSlots int       // slots handed out so far: the peak number of VOQs held
+	free     []int32   // released slots, reused last-in first-out
+	rows     [][]int32 // per source port: slots of its held VOQs, by ascending Dst
 
 	nonEmpty []int32 // slots of VOQs with at least one flow
 
@@ -39,12 +41,12 @@ type Table struct {
 	numFlows       int
 }
 
+// Chunk geometry and the per-VOQ heap seed.
 const (
-	// A chunk holds 1024 VOQs (64 KiB). That is large enough for the
-	// runtime to allocate it as whole pages with no per-object header, so
-	// no size-class rounding is wasted. A table with fewer than 1024 pairs
-	// allocates a single chunk of exactly n² VOQs instead.
-	chunkShift = 10
+	// A chunk holds 64 VOQs (4 KiB, one page). Released slots are reused
+	// before new ones are handed out, so chunks only grow with the peak
+	// number of VOQs held, and a small chunk keeps a small table small.
+	chunkShift = 6
 	chunkMask  = 1<<chunkShift - 1
 	// voqSeedCap is the heap capacity every VOQ starts with, carved from
 	// its chunk's arena.
@@ -73,8 +75,9 @@ func (t *Table) N() int { return t.n }
 // NumFlows returns the number of active flows across all VOQs.
 func (t *Table) NumFlows() int { return t.numFlows }
 
-// NumSlots returns how many VOQs the table has materialized: the number of
-// distinct (src, dst) pairs that have carried a flow.
+// NumSlots returns how many slots the table has handed out: the peak
+// number of VOQs it has held at once. Every held VOQ's slot is below it,
+// so per-VOQ side arrays sized to NumSlots cover the whole table.
 func (t *Table) NumSlots() int { return t.numSlots }
 
 // at returns the VOQ in slot s.
@@ -108,36 +111,42 @@ func (t *Table) find(src, dst int) (*VOQ, int) {
 	return nil, lo
 }
 
-// materialize returns the VOQ for (src, dst), assigning it the next slot
-// on first use. A new chunk is seeded from one arena, so a cold VOQ's
-// first pushes never allocate (the dominant residual allocation site in
-// steady state otherwise). The three-index slice caps each seed, so a VOQ
-// that outgrows it reallocates privately instead of clobbering its
-// neighbor — and the grown capacity is retained thereafter because remove
-// only reslices.
+// materialize returns the VOQ for (src, dst), holding it in a released
+// slot if there is one and in the next new slot otherwise. A new chunk is
+// seeded from one arena, so a cold VOQ's first pushes never allocate (the
+// dominant residual allocation site in steady state otherwise). The
+// three-index slice caps each seed, so a VOQ that outgrows it reallocates
+// privately instead of clobbering its neighbor — and the grown capacity
+// is retained thereafter, across releases too, because remove only
+// reslices.
 func (t *Table) materialize(src, dst int) *VOQ {
 	q, i := t.find(src, dst)
 	if q != nil {
 		return q
 	}
-	s := int32(t.numSlots)
-	if s&chunkMask == 0 {
-		size := min(chunkMask+1, t.n*t.n)
-		chunk := make([]VOQ, size)
-		arena := make([]*Flow, size*voqSeedCap)
-		for k := range chunk {
-			chunk[k].flows = arena[k*voqSeedCap : k*voqSeedCap : (k+1)*voqSeedCap]
+	var s int32
+	if last := len(t.free) - 1; last >= 0 {
+		s = t.free[last]
+		t.free = t.free[:last]
+	} else {
+		s = int32(t.numSlots)
+		if s&chunkMask == 0 {
+			chunk := make([]VOQ, chunkMask+1)
+			arena := make([]*Flow, len(chunk)*voqSeedCap)
+			for k := range chunk {
+				chunk[k].flows = arena[k*voqSeedCap : k*voqSeedCap : (k+1)*voqSeedCap]
+			}
+			t.chunks = append(t.chunks, chunk)
 		}
-		t.chunks = append(t.chunks, chunk)
+		t.numSlots++
 	}
-	t.numSlots++
 	q = t.at(s)
 	q.Src, q.Dst = src, dst
 	q.slot, q.nonEmptyPos, q.dirtyPos = s, -1, -1
 
 	// Rows grow by an eighth rather than by append's doubling: under a
-	// dense traffic matrix every row ends up holding nearly all n
-	// destinations, and doubling would leave up to half of each unused.
+	// dense backlog a row can hold nearly all n destinations, and
+	// doubling would leave up to half of each unused.
 	row := t.rows[src]
 	if len(row) == cap(row) {
 		row = append(make([]int32, 0, len(row)+len(row)/8+4), row...)
@@ -149,20 +158,24 @@ func (t *Table) materialize(src, dst int) *VOQ {
 	return q
 }
 
-// VOQ returns the queue for (src, dst), or nil when no flow for that pair
-// has ever been added; a nil VOQ reads as empty. It never materializes a
-// queue. A non-nil pointer stays valid for the table's lifetime.
+// VOQ returns the queue for (src, dst), or nil when the table does not
+// hold one (the pair is empty and clean); a nil VOQ reads as empty. It
+// never materializes a queue. A non-nil pointer stays valid until the
+// queue is released: the next ClearDirty that finds it empty.
 func (t *Table) VOQ(src, dst int) *VOQ {
 	t.checkPort(src, dst)
 	q, _ := t.find(src, dst)
 	return q
 }
 
-// ForEachVOQ calls fn for every materialized VOQ, empty ones included, in
-// slot order. fn must not add or remove flows.
+// ForEachVOQ calls fn for every VOQ the table holds — the non-empty ones
+// and the emptied ones still dirty — in (src, dst) order. fn must not add
+// or remove flows.
 func (t *Table) ForEachVOQ(fn func(q *VOQ)) {
-	for s := 0; s < t.numSlots; s++ {
-		fn(t.at(int32(s)))
+	for _, row := range t.rows {
+		for _, s := range row {
+			fn(t.at(s))
+		}
 	}
 }
 
@@ -312,16 +325,30 @@ func (t *Table) ForEachDirty(fn func(q *VOQ)) {
 	}
 }
 
-// ClearDirty empties the dirty set and records the current epoch as the
-// new dirty basis. The consumer that owns the table's change feed calls
-// this after applying the delta; see the package doc for the single-
-// consumer contract.
+// ClearDirty empties the dirty set, records the current epoch as the new
+// dirty basis, and releases every dirty VOQ that holds no flows. The
+// consumer that owns the table's change feed calls this after applying
+// the delta, so it has already seen each released VOQ empty; see the
+// package doc for the single-consumer contract.
 func (t *Table) ClearDirty() {
 	for _, s := range t.dirty {
-		t.at(s).dirtyPos = -1
+		q := t.at(s)
+		q.dirtyPos = -1
+		if len(q.flows) == 0 {
+			t.release(q)
+		}
 	}
 	t.dirty = t.dirty[:0]
 	t.dirtyBasis = t.epoch
+}
+
+// release drops empty, clean VOQ q from its source row and frees its
+// slot for the next pair materialize holds.
+func (t *Table) release(q *VOQ) {
+	_, i := t.find(q.Src, q.Dst)
+	row := t.rows[q.Src]
+	t.rows[q.Src] = append(row[:i], row[i+1:]...)
+	t.free = append(t.free, q.slot)
 }
 
 // IngressBacklog returns the total remaining size queued at ingress port i —

@@ -26,7 +26,9 @@ func (g *Greedy) synced(t *flow.Table) bool {
 
 // sync brings the index up to date with t and consumes the dirty feed:
 // a delta repair over the dirty VOQs when the index is current, a full
-// rebuild otherwise.
+// rebuild otherwise. Either way every emptied VOQ's entry is gone before
+// ClearDirty releases its slot, so no entry names a slot another pair may
+// take next.
 func (g *Greedy) sync(t *flow.Table) {
 	// Fresh zeroed stamps can never equal a repair generation: repair
 	// pre-increments gen, so the current generation is always positive and

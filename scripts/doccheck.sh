@@ -8,8 +8,10 @@
 #      spec/findings API other tools consume), internal/obs (the
 #      instrumentation API), internal/ops (the live-endpoint API),
 #      internal/fabricsim (the engine API the benchmark and the CLIs
-#      consume), and internal/sched (the scheduler API the facade,
-#      fabricsim, core and switchsim consume) carries a doc comment.
+#      consume), internal/sched (the scheduler API the facade,
+#      fabricsim, core and switchsim consume), and internal/flow (the
+#      flow-table API both simulators and the schedulers consume)
+#      carries a doc comment.
 #
 # Stdlib tooling only: grep + awk over non-test Go sources.
 set -euo pipefail
@@ -44,7 +46,7 @@ done
 # documented: any top-level `func F`, method on any receiver, `type T`,
 # or `const`/`var` (single exported name or grouped block) must be
 # preceded by a comment.
-for f in internal/scenario/*.go internal/obs/*.go internal/ops/*.go internal/fabricsim/*.go internal/sched/*.go; do
+for f in internal/scenario/*.go internal/obs/*.go internal/ops/*.go internal/fabricsim/*.go internal/sched/*.go internal/flow/*.go; do
     case "$f" in *_test.go) continue ;; esac
     awk -v file="$f" '
         /^(func|type) [A-Z]/ || /^func \([^)]+\) [A-Z]/ || /^(const|var) ([A-Z]|\()/ {
@@ -62,4 +64,4 @@ if [ "$fail" -ne 0 ]; then
     echo "doccheck: FAIL" >&2
     exit 1
 fi
-echo "doccheck: OK (package comments, command comments, scenario/obs/ops/fabricsim/sched exported symbols)"
+echo "doccheck: OK (package comments, command comments, scenario/obs/ops/fabricsim/sched/flow exported symbols)"
