@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench trace-smoke ops-smoke soak cover experiments stability fuzz scenarios doccheck clean
+.PHONY: all build test race vet bench bench-pins trace-smoke ops-smoke soak cover experiments stability fuzz scenarios doccheck clean
 
 all: build test
 
@@ -28,6 +28,13 @@ vet:
 # `go test -bench . -benchmem ./...`.
 bench:
 	bash bench/run.sh
+
+# The benchmark's digest gate without its timing budget: every workload
+# at its full horizon, one warm-up plus three repetitions, no per-layer
+# pass. Exits 1 when any repetition's digest differs from its workload's
+# pin (about a minute on 2 vCPUs).
+bench-pins:
+	bash bench/run.sh -seconds 0 -trace 0
 
 # Trace-export smoke check: two fixed-seed traced runs must produce
 # byte-identical JSONL (the determinism contract CI also enforces).

@@ -50,22 +50,43 @@ func TestRunJSONOutput(t *testing.T) {
 }
 
 func TestRunRejectsBadArgs(t *testing.T) {
-	cases := [][]string{
-		{"-scheduler", "bogus"},
-		{"-load", "1.5", "-racks", "2", "-hosts", "3"},
-		{"-racks", "0"},
-		{"-unknownflag"},
+	cases := []struct {
+		args []string
+		want string // a substring the error must carry, when set
+	}{
+		{args: []string{"-scheduler", "bogus"}},
+		{args: []string{"-load", "1.5", "-racks", "2", "-hosts", "3"}},
+		{args: []string{"-racks", "0"}},
+		{args: []string{"-unknownflag"}},
 		// Each engine rejects the flags only the other one reads.
-		{"-checkpoint", "ck.bin", "-shards", "2", "-racks", "2", "-hosts", "3"},
-		{"-halt-after-checkpoint", "-shards", "2", "-racks", "2", "-hosts", "3"},
-		{"-halt-after-checkpoint", "-racks", "2", "-hosts", "3"},
-		{"-workers", "3", "-racks", "2", "-hosts", "3"},
-		{"-timeline", "tl.json", "-racks", "2", "-hosts", "3"},
+		{args: []string{"-checkpoint", "ck.bin", "-shards", "2", "-racks", "2", "-hosts", "3"}},
+		{args: []string{"-halt-after-checkpoint", "-shards", "2", "-racks", "2", "-hosts", "3"}},
+		{args: []string{"-halt-after-checkpoint", "-racks", "2", "-hosts", "3"}},
+		{args: []string{"-workers", "3", "-racks", "2", "-hosts", "3"}},
+		{args: []string{"-timeline", "tl.json", "-racks", "2", "-hosts", "3"}},
+		// Non-finite and negative values fail up front, naming the value,
+		// instead of hanging, panicking or running.
+		{args: []string{"-duration", "NaN", "-racks", "2", "-hosts", "3"}, want: "NaN"},
+		{args: []string{"-duration", "Inf", "-racks", "2", "-hosts", "3"}, want: "Inf"},
+		{args: []string{"-duration", "NaN", "-shards", "2", "-racks", "2", "-hosts", "3"}, want: "NaN"},
+		{args: []string{"-load", "NaN", "-racks", "2", "-hosts", "3"}, want: "NaN"},
+		{args: []string{"-queryfrac", "NaN", "-racks", "2", "-hosts", "3"}, want: "NaN"},
+		{args: []string{"-window", "NaN", "-racks", "2", "-hosts", "3"}, want: "NaN"},
+		{args: []string{"-v", "-1", "-racks", "2", "-hosts", "3"}, want: "-1"},
+		{args: []string{"-v", "NaN", "-racks", "2", "-hosts", "3"}, want: "NaN"},
+		{args: []string{"-v", "Inf", "-racks", "2", "-hosts", "3"}, want: "Inf"},
+		{args: []string{"-scheduler", "threshold", "-threshold", "NaN", "-racks", "2", "-hosts", "3"}, want: "NaN"},
 	}
-	for _, args := range cases {
+	for _, tc := range cases {
 		var buf bytes.Buffer
-		if err := run(append(args, "-duration", "0.1"), &buf); err == nil {
-			t.Fatalf("args %v accepted", args)
+		// The short default horizon goes first, so a row's own -duration
+		// wins.
+		err := run(append([]string{"-duration", "0.1"}, tc.args...), &buf)
+		if err == nil {
+			t.Fatalf("args %v accepted", tc.args)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %q does not name %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -87,9 +87,6 @@ func RunCell(c Cell) (runner.Sample, error) {
 	if c.Incast && c.QueryFraction != 0 {
 		return nil, fmt.Errorf("cell: incast cells take no query fraction (got %g)", c.QueryFraction)
 	}
-	if c.Options.NoiseLevel < 0 {
-		return nil, fmt.Errorf("cell: negative noise level %g", c.Options.NoiseLevel)
-	}
 	if c.Options.Seed == 0 {
 		c.Options.Seed = scale.Seed
 	}

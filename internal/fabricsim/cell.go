@@ -11,17 +11,29 @@ import (
 	"basrpt/internal/sched"
 )
 
+// timeEps is the simulated-clock slack used when matching event times:
+// an arrival within timeEps of now is admitted at now.
+const timeEps = 1e-12
+
 // cell is the flow-level physics both engines run: one VOQ table, the
-// scheduler that matches it, and the primitives that move it from one
-// event to the next — admit a flow, drain the transmitting flows, collect
-// completions, recompute the decision. The centralized engine (Sim)
-// drives one cell spanning every host; the decomposed engine drives one
-// per rack (shardCell). Each engine owns its calendar — which event
-// comes next, when to sample, when to stop — and the cell owns what
-// happens at an event, so both engines share one physics.
+// scheduler that matches it, and step, which moves it from one event to
+// the next — drain the transmitting flows, apply fault transitions,
+// collect completions, admit arrivals, take a sample tick, recompute the
+// decision. The centralized engine (Sim) drives one cell spanning every
+// host; the decomposed engine drives one per rack (shardCell). Each
+// engine owns its calendar — where its arrivals come from, what a sample
+// tick records, and how far a step may go — and the cell owns the event
+// order, so both engines share one event step as well as one physics.
 type cell struct {
 	table *flow.Table
 	now   float64
+
+	// horizon is the run's end: no arrival is admitted at or after it and
+	// no decision is recomputed there. A sample tick falls every interval
+	// seconds, the next one at nextSample.
+	horizon    float64
+	interval   float64
+	nextSample float64
 
 	// scheduler is the configured discipline, wrapped in fallback when
 	// faults are injected: during a scheduler outage the fallback serves
@@ -41,9 +53,10 @@ type cell struct {
 	// engines read it instead of rescanning the decision every event.
 	nextCompletion float64
 
-	// faults degrades link rates and takes the scheduler down; nil in rack
-	// cells.
+	// faults degrades link rates and takes the scheduler down; trace
+	// receives the fault.* boundary events. Both are nil in rack cells.
 	faults *faults.Injector
+	trace  *obs.Obs
 
 	// Steady-state allocation avoidance: completed flows recycle through
 	// pool into the next arrivals, decisions are re-checked by a
@@ -74,11 +87,14 @@ type cell struct {
 	hDecisionNs *obs.Histogram
 }
 
-// newCell builds a cell over a fresh ports-wide table. A non-nil injector
-// wraps the scheduler in the outage fallback and turns the flow pool off.
-func newCell(ports int, byteRate float64, s sched.Scheduler, inj *faults.Injector, res *Result) cell {
+// newCell builds a cell over a fresh ports-wide table that runs to
+// horizon and samples every interval seconds. A non-nil injector wraps
+// the scheduler in the outage fallback and turns the flow pool off.
+func newCell(ports int, byteRate, horizon, interval float64, s sched.Scheduler, inj *faults.Injector, res *Result) cell {
 	c := cell{
 		table:          flow.NewTable(ports),
+		horizon:        horizon,
+		interval:       interval,
 		scheduler:      s,
 		byteRate:       byteRate,
 		nextCompletion: math.Inf(1),
@@ -92,6 +108,98 @@ func newCell(ports int, byteRate float64, s sched.Scheduler, inj *faults.Injecto
 	}
 	c.clearsDirty = !sched.IsDirtyConsumer(c.scheduler)
 	return c
+}
+
+// calendar is what an engine feeds cell.step: its arrival stream and what
+// it records at a sample tick. The cell keeps everything else — the
+// horizon, the sample clock, completions and fault boundaries.
+type calendar interface {
+	// nextArrival returns the time of the next arrival to admit (+Inf:
+	// none is pending).
+	nextArrival() float64
+	// admitArrival admits that arrival into the cell. An error means the
+	// stream broke its contract (out of order, malformed).
+	admitArrival() error
+	// sample records one sample tick at the cell's clock.
+	sample()
+}
+
+// step advances the cell by one event, to the earliest of capT, the next
+// arrival, the next sample tick, the next completion and the next fault
+// boundary, and returns that instant. There it applies the fault
+// transitions, then collects completions strictly before admitting
+// arrivals (a departing flow frees its ports for the newcomer's decision;
+// nothing is admitted at the horizon), takes a due sample tick, and
+// recomputes the decision once if the fault state or the flow population
+// changed. A calendar or validation error is returned bare; each engine
+// wraps it in its own replay context.
+func (c *cell) step(capT float64, cal calendar) (float64, error) {
+	t := capT
+	next := cal.nextArrival()
+	if next < t {
+		t = next
+	}
+	if c.nextSample < t {
+		t = c.nextSample
+	}
+	if c.nextCompletion < t {
+		t = c.nextCompletion
+	}
+	changed := false
+	if c.faults != nil {
+		if fb, ok := c.faults.NextBoundaryAfter(c.now); ok && fb <= t {
+			t = fb
+			changed = true
+		}
+	}
+	c.advanceTo(t)
+	if changed {
+		c.faultTransitions()
+	}
+	if c.collectCompletions() {
+		changed = true
+	}
+	done := t >= c.horizon
+	// Negated so that a NaN arrival time reaches admitArrival, which
+	// rejects it, instead of stalling the stream.
+	for !done && !(next > c.now+timeEps) {
+		if err := cal.admitArrival(); err != nil {
+			return t, err
+		}
+		next = cal.nextArrival()
+		changed = true
+	}
+	if c.now >= c.nextSample {
+		cal.sample()
+		c.nextSample += c.interval
+	}
+	if done || !changed {
+		return t, nil
+	}
+	return t, c.reschedule()
+}
+
+// faultTransitions accounts the fault windows that open and close at the
+// current instant (a link went down or recovered, the scheduler's
+// reachability flipped) and emits one fault.* event per kind that did.
+func (c *cell) faultTransitions() {
+	ls, le, os, oe := c.faults.TransitionsAt(c.now)
+	c.res.Faults.LinkFaultStarts += int64(ls)
+	c.res.Faults.LinkFaultEnds += int64(le)
+	c.res.Faults.OutageStarts += int64(os)
+	c.res.Faults.OutageEnds += int64(oe)
+	if ls > 0 {
+		c.trace.Emit(c.now, "fault.link.start", -1, float64(ls), "")
+	}
+	if le > 0 {
+		c.trace.Emit(c.now, "fault.link.end", -1, float64(le), "")
+	}
+	if os > 0 {
+		c.trace.Emit(c.now, "fault.outage.start", -1, float64(os), "")
+	}
+	if oe > 0 {
+		c.trace.Emit(c.now, "fault.outage.end", -1, float64(oe), "")
+	}
 }
 
 // add admits one flow and accounts its arrival.

@@ -412,9 +412,13 @@ func TestCheckpointConfigValidation(t *testing.T) {
 		mutate func(Config) Config
 	}{
 		{"negative cadence", func(c Config) Config { c.CheckpointEvery = -1; return c }},
+		{"NaN cadence", func(c Config) Config { c.CheckpointEvery = math.NaN(); c.CheckpointSink = sink; return c }},
+		{"infinite cadence", func(c Config) Config { c.CheckpointEvery = math.Inf(1); c.CheckpointSink = sink; return c }},
 		{"cadence without sink", func(c Config) Config { c.CheckpointEvery = 0.1; return c }},
 		{"sink without cadence", func(c Config) Config { c.CheckpointSink = sink; return c }},
 		{"negative window", func(c Config) Config { c.StreamWindow = -1; return c }},
+		{"NaN window", func(c Config) Config { c.StreamWindow = math.NaN(); return c }},
+		{"infinite window", func(c Config) Config { c.StreamWindow = math.Inf(1); return c }},
 		{"negative keep", func(c Config) Config { c.StreamKeep = -1; return c }},
 		{"non-checkpointable generator", func(c Config) Config {
 			c.Generator = plainGenerator{}

@@ -308,9 +308,10 @@ func (r *Result) AverageGbps() float64 {
 }
 
 // Sim is a single fabric simulation. Build with New, execute with Run. It
-// drives one cell spanning every host and keeps what only the centralized
-// engine has: the generator feed, fault boundaries, checkpoints,
-// streaming windows, and the watchdog.
+// steps one cell spanning every host, and is that cell's calendar (the
+// generator feed and the sample tick with its watchdog test). It keeps
+// what only the centralized engine has: checkpoints, streaming windows,
+// and the watchdog.
 type Sim struct {
 	cell
 	cfg    Config
@@ -318,7 +319,6 @@ type Sim struct {
 
 	pendingArrival workload.Arrival
 	hasPending     bool
-	nextSample     float64
 
 	// Checkpoint/streaming machinery. pendingTruncate defers a watchdog
 	// stop to the next event-loop top — the only place the state is
@@ -359,8 +359,21 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Generator == nil {
 		return nil, fmt.Errorf("fabricsim: nil generator")
 	}
-	if cfg.Duration <= 0 {
+	if !positiveFinite(cfg.Duration) {
 		return nil, fmt.Errorf("fabricsim: invalid duration %g", cfg.Duration)
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"sample interval", cfg.SampleInterval},
+		{"throughput bucket", cfg.ThroughputBucket},
+		{"stream window", cfg.StreamWindow},
+		{"checkpoint interval", cfg.CheckpointEvery},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return nil, fmt.Errorf("fabricsim: invalid %s %g", p.name, p.v)
+		}
 	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = cfg.Duration / samplesPerRun
@@ -406,7 +419,7 @@ func New(cfg Config) (*Sim, error) {
 		newFCT = func() *metrics.FCT { return metrics.NewBoundedFCT(cfg.StreamKeep) }
 	}
 	s := &Sim{
-		cell: newCell(cfg.Hosts, cfg.LinkBps/8, cfg.Scheduler, cfg.Faults, &Result{
+		cell: newCell(cfg.Hosts, cfg.LinkBps/8, cfg.Duration, cfg.SampleInterval, cfg.Scheduler, cfg.Faults, &Result{
 			FCT:        newFCT(),
 			Throughput: metrics.NewThroughput(cfg.ThroughputBucket),
 			Duration:   cfg.Duration,
@@ -423,6 +436,7 @@ func New(cfg Config) (*Sim, error) {
 	s.validate = cfg.ValidateDecisions
 	s.deepEvery = cfg.DeepValidateEvery
 	s.done = s.recordDone
+	s.trace = cfg.Obs
 	s.reg = cfg.Obs.Registry()
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -447,7 +461,10 @@ func (s *Sim) errorf(format string, args ...any) error {
 // Invalid-configuration and internal-invariant failures return an error
 // carrying the run context (seed, simulated time, event count); a tripped
 // watchdog is not an error — it returns the partial Result with a
-// populated Diagnosis.
+// populated Diagnosis. Each iteration is one cell.step; around it the
+// loop adds only what the centralized engine alone has: deferred
+// truncations and checkpoints at the loop top, and streaming windows,
+// whose boundaries cap the step and are flushed after it.
 func (s *Sim) Run() (*Result, error) {
 	if !s.resumed {
 		s.fetchArrival()
@@ -475,108 +492,24 @@ func (s *Sim) Run() (*Result, error) {
 				return nil, s.errorf("checkpoint sink: %v", err)
 			}
 		}
-		// Next event time: earliest of arrival, completion, sample, window
-		// boundary, fault boundary, end.
-		t := s.cfg.Duration
-		if s.hasPending && s.pendingArrival.Time < t {
-			t = s.pendingArrival.Time
+		capT := s.cfg.Duration
+		if s.cfg.StreamWindow > 0 && s.nextWindow < capT {
+			capT = s.nextWindow
 		}
-		if s.nextSample < t {
-			t = s.nextSample
+		t, err := s.step(capT, s)
+		if err != nil {
+			return nil, s.errorf("%w", err)
 		}
-		if s.cfg.StreamWindow > 0 && s.nextWindow < t {
-			t = s.nextWindow
+		for s.cfg.StreamWindow > 0 && s.now >= s.nextWindow {
+			s.flushWindow()
+			s.nextWindow += s.cfg.StreamWindow
 		}
-		if s.nextCompletion < t {
-			t = s.nextCompletion
-		}
-		faultBoundary := false
-		if s.cfg.Faults != nil {
-			if fb, ok := s.cfg.Faults.NextBoundaryAfter(s.now); ok && fb <= t {
-				t = fb
-				faultBoundary = true
-			}
-		}
-
-		s.advanceTo(t)
-
-		done := t >= s.cfg.Duration
-		reschedule := false
-
-		if faultBoundary {
-			// The fault state changed (a link went down, recovered, or the
-			// scheduler's reachability flipped): account the boundary and
-			// force a fresh decision under the new conditions.
-			ls, le, os, oe := s.cfg.Faults.TransitionsAt(s.now)
-			s.res.Faults.LinkFaultStarts += int64(ls)
-			s.res.Faults.LinkFaultEnds += int64(le)
-			s.res.Faults.OutageStarts += int64(os)
-			s.res.Faults.OutageEnds += int64(oe)
-			if ls > 0 {
-				s.cfg.Obs.Emit(s.now, "fault.link.start", -1, float64(ls), "")
-			}
-			if le > 0 {
-				s.cfg.Obs.Emit(s.now, "fault.link.end", -1, float64(le), "")
-			}
-			if os > 0 {
-				s.cfg.Obs.Emit(s.now, "fault.outage.start", -1, float64(os), "")
-			}
-			if oe > 0 {
-				s.cfg.Obs.Emit(s.now, "fault.outage.end", -1, float64(oe), "")
-			}
-			reschedule = true
-		}
-
-		// Completions strictly before arrivals at the same instant: the
-		// departing flow frees its ports for the newcomer's decision.
-		if s.collectCompletions() {
-			reschedule = true
-		}
-		for s.hasPending && s.pendingArrival.Time <= s.now+1e-12 && !done {
-			if s.pendingArrival.Time < s.now-1e-9 {
-				// The event loop always advances to the earliest pending
-				// arrival, so an arrival in the past means the generator
-				// violated its time-ordering contract.
-				return nil, s.errorf("generator produced out-of-order arrival at t=%g",
-					s.pendingArrival.Time)
-			}
-			if err := s.admit(s.pendingArrival); err != nil {
-				return nil, err
-			}
-			s.fetchArrival()
-			reschedule = true
-		}
-		if s.now >= s.nextSample {
-			s.sample()
-			s.nextSample += s.cfg.SampleInterval
-			if wd := s.cfg.Watchdog; wd != nil && wd.MaxBacklogBytes > 0 {
-				if backlog := s.table.TotalBacklog(); backlog > wd.MaxBacklogBytes {
-					// Deferred to the next loop top (after this iteration's
-					// reschedule) so the truncation Diagnosis can carry a
-					// consistent, resumable checkpoint.
-					s.pendingTruncate = "backlog-bound"
-				}
-			}
-		}
-		if s.cfg.StreamWindow > 0 {
-			for s.now >= s.nextWindow {
-				s.flushWindow()
-				s.nextWindow += s.cfg.StreamWindow
-			}
-		}
-		if done {
-			if s.pendingTruncate != "" {
-				return s.truncate(s.pendingTruncate), nil
-			}
-			break
-		}
-		if reschedule {
-			if err := s.reschedule(); err != nil {
-				return nil, s.errorf("%w", err)
-			}
+		// The horizon ends the run; a truncation requested by its last
+		// sample tick lands at the loop top first.
+		if t >= s.cfg.Duration && s.pendingTruncate == "" {
+			return s.finish(), nil
 		}
 	}
-	return s.finish(), nil
 }
 
 // finish seals the result at the current simulated time: copy the
@@ -648,16 +581,37 @@ func (s *Sim) fetchArrival() {
 	s.pendingArrival, s.hasPending = a, ok
 }
 
-// admit adds an arrived flow to the fabric. A malformed arrival means the
-// generator violated its contract; the run fails with context rather than
-// panicking mid-sweep.
-func (s *Sim) admit(a workload.Arrival) error {
-	if a.Src < 0 || a.Src >= s.cfg.Hosts || a.Dst < 0 || a.Dst >= s.cfg.Hosts || a.Src == a.Dst || a.Size <= 0 {
-		return s.errorf("generator produced invalid arrival %+v", a)
+// nextArrival is the pending generator arrival's time (+Inf once the
+// stream is exhausted).
+func (s *Sim) nextArrival() float64 {
+	if !s.hasPending {
+		return math.Inf(1)
+	}
+	return s.pendingArrival.Time
+}
+
+// admitArrival adds the pending arrival to the fabric and pulls the next
+// one. An arrival in the past (the step always advances to the earliest
+// pending one) or a malformed one means the generator violated its
+// contract; the run fails with context rather than panicking mid-sweep.
+func (s *Sim) admitArrival() error {
+	a := s.pendingArrival
+	if !(a.Time >= s.now-1e-9) {
+		return fmt.Errorf("generator produced out-of-order arrival at t=%g", a.Time)
+	}
+	if a.Src < 0 || a.Src >= s.cfg.Hosts || a.Dst < 0 || a.Dst >= s.cfg.Hosts || a.Src == a.Dst || !positiveFinite(a.Size) {
+		return fmt.Errorf("generator produced invalid arrival %+v", a)
 	}
 	s.add(s.nextID, a.Src, a.Dst, a.Class, a.Size, a.Time)
 	s.nextID++
+	s.fetchArrival()
 	return nil
+}
+
+// positiveFinite reports whether x is a usable duration, interval or
+// size: positive and finite (NaN is neither).
+func positiveFinite(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
 }
 
 // recordDone is the centralized cell's completion hook: it feeds the
@@ -667,9 +621,10 @@ func (s *Sim) recordDone(f *flow.Flow, fct float64) {
 	s.cfg.Obs.Emit(s.now, "flow.done", f.Src, fct, f.Class.String())
 }
 
-// sample records the queue-length series and the matching trace events.
-// When the run is instrumented it also snapshots the Go runtime's GC
-// state into gauges, so a trace can correlate backlog spikes with
+// sample records the queue-length series and the matching trace events,
+// then arms a deferred truncation if the backlog passed the watchdog's
+// bound. When the run is instrumented it also snapshots the Go runtime's
+// GC state into gauges, so a trace can correlate backlog spikes with
 // collection activity. The GC numbers are machine-dependent, which is why
 // they live only in registry gauges (never in trace events, whose byte-
 // determinism the trace contract guarantees) and only when the caller
@@ -709,5 +664,11 @@ func (s *Sim) sample() {
 			CompletedFlows: s.res.CompletedFlows,
 			BacklogBytes:   total,
 		})
+	}
+	if wd := s.cfg.Watchdog; wd != nil && wd.MaxBacklogBytes > 0 && total > wd.MaxBacklogBytes {
+		// Deferred to the next loop top (after this step's reschedule) so
+		// the truncation Diagnosis can carry a consistent, resumable
+		// checkpoint.
+		s.pendingTruncate = "backlog-bound"
 	}
 }

@@ -40,6 +40,12 @@ func TestNewValidation(t *testing.T) {
 		func(c Config) Config { c.Scheduler = nil; return c },
 		func(c Config) Config { c.Generator = nil; return c },
 		func(c Config) Config { c.Duration = 0; return c },
+		func(c Config) Config { c.Duration = math.NaN(); return c },
+		func(c Config) Config { c.Duration = math.Inf(1); return c },
+		func(c Config) Config { c.SampleInterval = math.NaN(); return c },
+		func(c Config) Config { c.SampleInterval = math.Inf(1); return c },
+		func(c Config) Config { c.ThroughputBucket = math.NaN(); return c },
+		func(c Config) Config { c.ThroughputBucket = math.Inf(1); return c },
 	}
 	for i, mutate := range cases {
 		if _, err := New(mutate(good)); err == nil {
@@ -372,6 +378,9 @@ func TestBadArrivalReturnsError(t *testing.T) {
 	for name, bad := range map[string]workload.Arrival{
 		"self loop":     {Time: 0, Src: 0, Dst: 0, Size: 100, Class: flow.ClassOther},
 		"negative size": {Time: 0, Src: 0, Dst: 1, Size: -1, Class: flow.ClassOther},
+		"NaN size":      {Time: 0, Src: 0, Dst: 1, Size: math.NaN(), Class: flow.ClassOther},
+		"infinite size": {Time: 0, Src: 0, Dst: 1, Size: math.Inf(1), Class: flow.ClassOther},
+		"NaN time":      {Time: math.NaN(), Src: 0, Dst: 1, Size: 100, Class: flow.ClassOther},
 		"port range":    {Time: 0, Src: 0, Dst: 7, Size: 100, Class: flow.ClassOther},
 	} {
 		gen := workload.NewSliceGenerator([]workload.Arrival{bad})

@@ -13,9 +13,10 @@ import (
 )
 
 // TestEngineGoldens pins both engines' output bytes across commits: the
-// Result digest and the FNV-64a of the full JSONL trace, for four
+// Result digest and the FNV-64a of the full JSONL trace, for six
 // centralized runs (one with faults and deep validation, one halted at a
-// checkpoint with faults on, one under dist-basrpt) and three decomposed
+// checkpoint with faults on, one under dist-basrpt, one streaming windows
+// with faults on, one truncated by the watchdog) and three decomposed
 // runs (one under dist-basrpt); for the halted run also the FNV-64a of
 // the checkpoint it wrote. The other byte-gates
 // compare two runs of the same build, and the benchmark pins only Result
@@ -32,6 +33,8 @@ func TestEngineGoldens(t *testing.T) {
 		shards        int     // 0: New+Run, else RunShard
 		faulted       bool    // centralized only
 		haltAt        float64 // centralized only: checkpoint interval; halt at the first
+		window        float64 // centralized only: StreamWindow
+		watchdog      float64 // centralized only: Watchdog.MaxBacklogBytes; the run must trip it
 		digest, trace string
 		checkpoint    string // FNV-64a of the halted run's checkpoint
 	}
@@ -50,6 +53,10 @@ func TestEngineGoldens(t *testing.T) {
 			digest: "ca78e3fcbb49796d", trace: "dcab3ed43017e809"},
 		{name: "decomposed-dist", racks: 4, hpr: 4, scheduler: "dist-basrpt", load: 0.7, dur: 0.01, seed: 13, shards: 2,
 			digest: "ec2f41fbed417b39", trace: "58396a588a7ff34e"},
+		{name: "centralized-stream", racks: 2, hpr: 3, scheduler: "fast-basrpt", load: 0.9, dur: 0.2, seed: 5, faulted: true, window: 0.02,
+			digest: "339af896df95e593", trace: "0bd0e4a0d7dd4d75"},
+		{name: "centralized-watchdog", racks: 2, hpr: 3, scheduler: "srpt", load: 0.95, dur: 1, seed: 5, watchdog: 2e7,
+			digest: "dc0bba5017c6dbbd", trace: "d932090352be40da"},
 	}
 	for _, g := range cases {
 		t.Run(g.name, func(t *testing.T) {
@@ -78,7 +85,10 @@ func TestEngineGoldens(t *testing.T) {
 				cfg := Config{
 					Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(), Scheduler: scheduler,
 					Generator: mixedGen(t, topo, g.load, g.dur, g.seed),
-					Duration:  g.dur, Seed: g.seed, Obs: o,
+					Duration:  g.dur, Seed: g.seed, Obs: o, StreamWindow: g.window,
+				}
+				if g.watchdog > 0 {
+					cfg.Watchdog = &Watchdog{MaxBacklogBytes: g.watchdog}
 				}
 				if g.faulted {
 					schedule, ferr := faults.Generate(faults.Params{
@@ -116,6 +126,12 @@ func TestEngineGoldens(t *testing.T) {
 			}
 			if got := fmt.Sprintf("%016x", h.Sum64()); got != g.trace {
 				t.Errorf("trace hash %s, want %s (%d bytes)", got, g.trace, buf.Len())
+			}
+			if g.window > 0 && !bytes.Contains(buf.Bytes(), []byte(`"window.completed"`)) {
+				t.Error("streaming run emitted no window events")
+			}
+			if g.watchdog > 0 && (res.Diagnosis == nil || res.Diagnosis.Reason != "backlog-bound") {
+				t.Errorf("run was not truncated by the watchdog: %+v", res.Diagnosis)
 			}
 			if g.haltAt > 0 {
 				if res.Diagnosis == nil || res.Diagnosis.Reason != "checkpoint-stop" || len(ckpt) == 0 {

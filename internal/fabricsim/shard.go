@@ -3,6 +3,7 @@ package fabricsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -29,11 +30,6 @@ var ErrShardConfig = errors.New("fabricsim: invalid shard configuration")
 // simulated clock — see the prefetch contract on shardCell.prefetch). 8
 // was the fastest of {1, 8, 32} in EXPERIMENTS E18.
 const barrierEvery = 8
-
-// timeEps is the simulated-clock slack used when matching event times:
-// arrivals within timeEps of `now` are admitted at `now` (identical to
-// the centralized engine's admission slack).
-const timeEps = 1e-12
 
 // ShardConfig parameterizes a run of the rack-decomposed engine
 // (RunShard): one conservative-PDES cell per rack, cross-rack arrivals
@@ -267,9 +263,10 @@ type localArrival struct {
 // shardCell is one rack's private simulator: a cell over the rack's
 // hosts plus one core-proxy ingress port per core switch, with its own
 // scheduler instance, workload stream, metrics, and flow pool. The cell
-// is the same physics the centralized engine runs; shardCell adds the
-// rack's calendar — prefetched local arrivals, delivered cross-rack
-// messages, lookahead windows — and the buffers the barrier folds. Cells
+// is the same physics and event step the centralized engine runs;
+// shardCell is its calendar — prefetched local arrivals merged with
+// delivered cross-rack messages, sample ticks into the barrier buffer —
+// and adds the lookahead windows and the buffers the barrier folds. Cells
 // only ever touch their own state inside a batch; all cross-cell traffic
 // moves through the outbox/inbox exchange at barriers on the main
 // goroutine. Both are plain slices: the outbox is a FIFO in delivery
@@ -283,10 +280,8 @@ type shardCell struct {
 	hpr     int // local host ports [0, hpr)
 	uplinks int // core-proxy ingress ports [hpr, hpr+uplinks)
 
-	dur      float64
-	look     float64
-	interval float64
-	monitor  int // local monitor port, -1 unless this cell owns it
+	look    float64
+	monitor int // local monitor port, -1 unless this cell owns it
 
 	// Workload prefetch state: the cell pulls its stream eagerly up to
 	// each batch's horizon (see prefetch), queueing intra-rack arrivals
@@ -303,8 +298,7 @@ type shardCell struct {
 	inboxPos int
 	outbox   []routedMsg
 
-	nextSample float64
-	nextSeq    uint64 // per-rack flow counter; see cellIDShift
+	nextSeq uint64 // per-rack flow counter; see cellIDShift
 
 	// Barrier buffers: samples feed the series on every run; dones and
 	// remoteSrc (a proxy-admitted flow's global source) only on traced
@@ -388,7 +382,7 @@ func (c *shardCell) prefetch(to float64) {
 			continue
 		}
 		deliver := a.Time + c.look
-		if deliver >= c.dur {
+		if deliver >= c.horizon {
 			continue
 		}
 		c.outbox = append(c.outbox, routedMsg{deliver: deliver, srcCell: c.rack, msg: shardMsg{
@@ -409,32 +403,51 @@ func (c *shardCell) addFlow(id flow.ID, src, dst int, class flow.Class, size, ar
 	}
 }
 
-// admitLocal admits the local queue's head arrival.
-func (c *shardCell) admitLocal() {
+// nextArrival is the earlier of the local queue's head and the inbox's
+// next delivery (+Inf: neither holds one).
+func (c *shardCell) nextArrival() float64 {
+	t := math.Inf(1)
+	if c.localPos < len(c.localQ) {
+		t = c.localQ[c.localPos].a.Time
+	}
+	if c.inboxPos < len(c.inbox) && c.inbox[c.inboxPos].deliver < t {
+		t = c.inbox[c.inboxPos].deliver
+	}
+	return t
+}
+
+// admitArrival admits the next arrival in (time, source cell) order — a
+// local arrival's source cell is this rack, so a delivery at the same
+// instant goes first only from a lower rack. A delivered cross-rack
+// arrival enters through the core-proxy ingress port assigned to its
+// source (globalSrc mod uplinks — the static core-switch hash of the
+// multi-rooted tree).
+func (c *shardCell) admitArrival() error {
+	remote := c.inboxPos < len(c.inbox)
+	if remote && c.localPos < len(c.localQ) {
+		in, local := c.inbox[c.inboxPos], c.localQ[c.localPos].a.Time
+		remote = in.deliver < local || (in.deliver == local && in.srcCell < c.rack)
+	}
+	if remote {
+		m := c.inbox[c.inboxPos].msg
+		c.inboxPos++
+		dst := m.dst - c.base
+		if dst < 0 || dst >= c.hpr || !positiveFinite(m.size) {
+			return fmt.Errorf("misrouted cross-rack arrival %+v", m)
+		}
+		c.addFlow(m.id, c.hpr+m.src%c.uplinks, dst, m.class, m.size, m.genTime, m.src)
+		c.cMsgsDelivered.Inc()
+		return nil
+	}
 	la := c.localQ[c.localPos]
 	c.localPos++
 	a := la.a
 	src, dst := a.Src-c.base, a.Dst-c.base
-	if src < 0 || src >= c.hpr || dst < 0 || dst >= c.hpr || src == dst || a.Size <= 0 {
-		c.err = c.errorf("generator produced invalid local arrival %+v", a)
-		return
+	if src < 0 || src >= c.hpr || dst < 0 || dst >= c.hpr || src == dst || !positiveFinite(a.Size) {
+		return fmt.Errorf("generator produced invalid local arrival %+v", a)
 	}
 	c.addFlow(la.id, src, dst, a.Class, a.Size, a.Time, a.Src)
-}
-
-// admitRemote admits a delivered cross-rack arrival through the
-// core-proxy ingress port assigned to its source (globalSrc mod
-// uplinks — the static core-switch hash of the multi-rooted tree).
-func (c *shardCell) admitRemote(rm routedMsg) {
-	m := rm.msg
-	dst := m.dst - c.base
-	if dst < 0 || dst >= c.hpr || m.size <= 0 {
-		c.err = c.errorf("misrouted cross-rack arrival %+v", m)
-		return
-	}
-	src := c.hpr + m.src%c.uplinks
-	c.addFlow(m.id, src, dst, m.class, m.size, m.genTime, m.src)
-	c.cMsgsDelivered.Inc()
+	return nil
 }
 
 // bufferDone is a traced cell's completion hook: it buffers the flow.done
@@ -468,77 +481,20 @@ func (c *shardCell) sample() {
 	c.samples = append(c.samples, s)
 }
 
-// runWindow advances the cell to capT, the current window's end. The
-// event loop mirrors the centralized engine: completions strictly
-// before admissions at one instant, local and delivered arrivals
-// interleaved by (time, source cell), samples after admissions,
-// rescheduling only when the flow population changed. Events at
-// exactly capT are processed inside this window; window boundaries are
-// global multiples of the lookahead, so the split is identical for
-// every shard count and batch size. The inbox may hold deliveries
-// beyond capT (routing runs once per batch with the batch-end horizon);
-// they are invisible here because every consultation is gated on the
-// simulated clock.
+// runWindow advances the cell to capT, the current window's end, one
+// cell.step at a time. Events at exactly capT are processed inside this
+// window; window boundaries are global multiples of the lookahead, so the
+// split is identical for every shard count and batch size. The inbox may
+// hold deliveries beyond capT (routing runs once per batch with the
+// batch-end horizon); they are invisible here because the step consults
+// the calendar by simulated time.
 func (c *shardCell) runWindow(capT float64) {
 	c.cWindows.Inc()
 	for {
-		t := capT
-		if c.localPos < len(c.localQ) && c.localQ[c.localPos].a.Time < t {
-			t = c.localQ[c.localPos].a.Time
-		}
-		if c.inboxPos < len(c.inbox) && c.inbox[c.inboxPos].deliver < t {
-			t = c.inbox[c.inboxPos].deliver
-		}
-		if c.nextSample < t {
-			t = c.nextSample
-		}
-		if c.nextCompletion < t {
-			t = c.nextCompletion
-		}
-
-		c.advanceTo(t)
-		done := t >= c.dur
-		reschedule := false
-		if c.collectCompletions() {
-			reschedule = true
-		}
-		for !done && c.err == nil {
-			localReady := c.localPos < len(c.localQ) && c.localQ[c.localPos].a.Time <= c.now+timeEps
-			inboxReady := c.inboxPos < len(c.inbox) && c.inbox[c.inboxPos].deliver <= c.now+timeEps
-			if !localReady && !inboxReady {
-				break
-			}
-			pickLocal := localReady
-			if localReady && inboxReady {
-				in := c.inbox[c.inboxPos]
-				if in.deliver < c.localQ[c.localPos].a.Time ||
-					(in.deliver == c.localQ[c.localPos].a.Time && in.srcCell < c.rack) {
-					pickLocal = false
-				}
-			}
-			if pickLocal {
-				c.admitLocal()
-			} else {
-				c.admitRemote(c.inbox[c.inboxPos])
-				c.inboxPos++
-			}
-			reschedule = true
-		}
-		if c.err != nil {
+		t, err := c.step(capT, c)
+		if err != nil {
+			c.err = c.errorf("%w", err)
 			return
-		}
-		if c.now >= c.nextSample {
-			c.sample()
-			c.nextSample += c.interval
-		}
-		if done {
-			return
-		}
-		if reschedule {
-			if err := c.reschedule(); err != nil {
-				c.err = c.errorf("%w", err)
-				return
-			}
 		}
 		if t >= capT {
 			return
@@ -645,11 +601,14 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 	if cfg.Shards < 2 {
 		return nil, fmt.Errorf("%w: shards %d < 2 (the centralized engine is New + Run)", ErrShardConfig, cfg.Shards)
 	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("%w: duration %g <= 0", ErrShardConfig, cfg.Duration)
+	if !positiveFinite(cfg.Duration) {
+		return nil, fmt.Errorf("%w: duration %g not positive and finite", ErrShardConfig, cfg.Duration)
 	}
-	if cfg.Load <= 0 || cfg.Load >= 1 {
+	if !(cfg.Load > 0 && cfg.Load < 1) {
 		return nil, fmt.Errorf("%w: load %g outside (0, 1)", ErrShardConfig, cfg.Load)
+	}
+	if !(cfg.QueryByteFraction >= 0 && cfg.QueryByteFraction <= 1) {
+		return nil, fmt.Errorf("%w: query byte fraction %g outside [0, 1]", ErrShardConfig, cfg.QueryByteFraction)
 	}
 	if cfg.Seed == 0 {
 		return nil, fmt.Errorf("%w: seed must be nonzero", ErrShardConfig)
@@ -709,19 +668,17 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 			return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
 		}
 		c := &shardCell{
-			cell: newCell(hpr+tc.Cores, topo.HostLinkBps()/8, scheduler, nil, &Result{
+			cell: newCell(hpr+tc.Cores, topo.HostLinkBps()/8, cfg.Duration, cfg.Duration/samplesPerRun, scheduler, nil, &Result{
 				FCT:        metrics.NewFCT(),
 				Throughput: metrics.NewThroughput(cfg.Duration / bucketsPerRun),
 			}),
-			rack:     r,
-			base:     r * hpr,
-			hpr:      hpr,
-			uplinks:  tc.Cores,
-			dur:      cfg.Duration,
-			look:     look,
-			interval: cfg.Duration / samplesPerRun,
-			monitor:  -1,
-			gen:      gen,
+			rack:    r,
+			base:    r * hpr,
+			hpr:     hpr,
+			uplinks: tc.Cores,
+			look:    look,
+			monitor: -1,
+			gen:     gen,
 		}
 		c.validate = cfg.ValidateDecisions
 		if monitorPort/hpr == r {

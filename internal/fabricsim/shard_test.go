@@ -143,7 +143,13 @@ func TestRunShardConfigValidation(t *testing.T) {
 		{"one shard", func(c *ShardConfig) { c.Shards = 1 }},
 		{"negative shards", func(c *ShardConfig) { c.Shards = -2 }},
 		{"zero duration", func(c *ShardConfig) { c.Duration = 0 }},
+		{"NaN duration", func(c *ShardConfig) { c.Duration = math.NaN() }},
+		{"infinite duration", func(c *ShardConfig) { c.Duration = math.Inf(1) }},
 		{"bad load", func(c *ShardConfig) { c.Load = 1.5 }},
+		{"NaN load", func(c *ShardConfig) { c.Load = math.NaN() }},
+		{"NaN query fraction", func(c *ShardConfig) { c.QueryByteFraction = math.NaN() }},
+		{"negative V", func(c *ShardConfig) { c.Scheduler = "fast-basrpt"; c.SchedOpts.V = -1 }},
+		{"NaN V", func(c *ShardConfig) { c.Scheduler = "fast-basrpt"; c.SchedOpts.V = math.NaN() }},
 		{"zero seed", func(c *ShardConfig) { c.Seed = 0 }},
 		{"unknown scheduler", func(c *ShardConfig) { c.Scheduler = "nope" }},
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -55,11 +56,24 @@ var builders = map[string]func(Options) Scheduler{
 }
 
 // New constructs a scheduler by registry name. Unknown names return an
-// error listing the valid ones.
+// error listing the valid ones, and so does an option no discipline
+// defines (a negative or non-finite V, Threshold or NoiseLevel, or a
+// negative Rounds), so a bad value never reaches a constructor's panic.
 func New(name string, opts Options) (Scheduler, error) {
 	build, ok := builders[name]
 	if !ok {
 		return nil, fmt.Errorf("sched: unknown scheduler %q (valid: %v)", name, Names())
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"V", opts.V}, {"threshold", opts.Threshold}, {"noise level", opts.NoiseLevel}} {
+		if !(p.v >= 0) || math.IsInf(p.v, 1) {
+			return nil, fmt.Errorf("sched: invalid %s %g: want a finite value >= 0", p.name, p.v)
+		}
+	}
+	if opts.Rounds < 0 {
+		return nil, fmt.Errorf("sched: invalid rounds %d: want >= 0", opts.Rounds)
 	}
 	return build(opts.withDefaults()), nil
 }

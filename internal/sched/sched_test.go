@@ -400,6 +400,26 @@ func TestRegistry(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "srpt") {
 		t.Fatalf("error should list valid names: %v", err)
 	}
+	// Options no discipline defines fail with an error naming the value,
+	// not a constructor panic or a run under a NaN weight.
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"fast-basrpt", Options{V: -1}, "V -1"},
+		{"fast-basrpt", Options{V: math.NaN()}, "V NaN"},
+		{"fast-basrpt", Options{V: math.Inf(1)}, "V +Inf"},
+		{"threshold", Options{Threshold: math.NaN()}, "threshold NaN"},
+		{"threshold", Options{Threshold: -5}, "threshold -5"},
+		{"noisy-basrpt", Options{NoiseLevel: -0.5}, "noise level -0.5"},
+		{"noisy-basrpt", Options{NoiseLevel: math.Inf(1)}, "noise level +Inf"},
+		{"dist-basrpt", Options{Rounds: -1}, "rounds -1"},
+	} {
+		if _, err := New(tc.name, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%q, %+v): error %v, want one naming %q", tc.name, tc.opts, err, tc.want)
+		}
+	}
 	// Defaults applied.
 	s, err := New("fast-basrpt", Options{})
 	if err != nil {

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"basrpt/internal/eventq"
 	"basrpt/internal/flow"
@@ -127,20 +128,27 @@ type streamEvent struct {
 	class flow.Class
 }
 
+// positiveFinite reports whether x is a usable rate or horizon: positive
+// and finite (NaN is neither).
+func positiveFinite(x float64) bool {
+	return x > 0 && !math.IsInf(x, 1)
+}
+
 // NewMixed validates the configuration and builds the generator.
 func NewMixed(cfg MixedConfig) (*Mixed, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("%w: nil topology", ErrBadConfig)
 	}
-	if cfg.Load <= 0 || cfg.Load >= 1 {
+	// Each range check is negated so that NaN fails it.
+	if !(cfg.Load > 0 && cfg.Load < 1) {
 		return nil, fmt.Errorf("%w: load %g outside (0, 1)", ErrBadConfig, cfg.Load)
 	}
-	if cfg.QueryByteFraction < 0 || cfg.QueryByteFraction > 1 {
+	if !(cfg.QueryByteFraction >= 0 && cfg.QueryByteFraction <= 1) {
 		return nil, fmt.Errorf("%w: query byte fraction %g outside [0, 1]", ErrBadConfig, cfg.QueryByteFraction)
 	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("%w: duration %g <= 0", ErrBadConfig, cfg.Duration)
+	if !positiveFinite(cfg.Duration) {
+		return nil, fmt.Errorf("%w: duration %g not positive and finite", ErrBadConfig, cfg.Duration)
 	}
 	if cfg.Topology.Config().HostsPerRack < 2 && cfg.QueryByteFraction < 1 {
 		return nil, fmt.Errorf("%w: background flows need at least 2 hosts per rack", ErrBadConfig)

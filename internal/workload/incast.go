@@ -26,7 +26,7 @@ type IncastConfig struct {
 	// Fanout is the number of backends per job (must fit the fabric).
 	Fanout int
 	// BackgroundLoad, when positive, adds the usual rack-local background
-	// traffic at that per-port utilization.
+	// traffic at that per-port utilization; it must lie in [0, 1).
 	BackgroundLoad float64
 	// BackgroundSizes defaults to WebSearchBytes().
 	BackgroundSizes stats.Sampler
@@ -76,13 +76,16 @@ func NewIncast(cfg IncastConfig) (*Incast, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("%w: nil topology", ErrBadConfig)
 	}
-	if cfg.JobsPerSecond <= 0 {
+	if !positiveFinite(cfg.JobsPerSecond) {
 		return nil, fmt.Errorf("%w: job rate %g", ErrBadConfig, cfg.JobsPerSecond)
+	}
+	if !(cfg.BackgroundLoad >= 0 && cfg.BackgroundLoad < 1) {
+		return nil, fmt.Errorf("%w: background load %g outside [0, 1)", ErrBadConfig, cfg.BackgroundLoad)
 	}
 	if cfg.Fanout < 1 || cfg.Fanout >= cfg.Topology.NumHosts() {
 		return nil, fmt.Errorf("%w: fanout %d outside [1, hosts)", ErrBadConfig, cfg.Fanout)
 	}
-	if cfg.Duration <= 0 {
+	if !positiveFinite(cfg.Duration) {
 		return nil, fmt.Errorf("%w: duration %g", ErrBadConfig, cfg.Duration)
 	}
 	if cfg.Seed == 0 {

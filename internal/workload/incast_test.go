@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -22,6 +23,12 @@ func TestNewIncastValidation(t *testing.T) {
 		func(c IncastConfig) IncastConfig { c.Fanout = topo.NumHosts(); return c },
 		func(c IncastConfig) IncastConfig { c.Duration = 0; return c },
 		func(c IncastConfig) IncastConfig { c.Seed = 0; return c }, // 0 used to alias to 1
+		func(c IncastConfig) IncastConfig { c.JobsPerSecond = math.NaN(); return c },
+		func(c IncastConfig) IncastConfig { c.JobsPerSecond = math.Inf(1); return c },
+		func(c IncastConfig) IncastConfig { c.BackgroundLoad = math.NaN(); return c },
+		func(c IncastConfig) IncastConfig { c.BackgroundLoad = math.Inf(1); return c },
+		func(c IncastConfig) IncastConfig { c.Duration = math.NaN(); return c },
+		func(c IncastConfig) IncastConfig { c.Duration = math.Inf(1); return c },
 	}
 	for i, mutate := range cases {
 		if _, err := NewIncast(mutate(good)); !errors.Is(err, ErrBadConfig) {

@@ -92,6 +92,7 @@ func TestSliceGenerator(t *testing.T) {
 
 func TestNewMixedValidation(t *testing.T) {
 	topo := testTopo(t, 2, 4)
+	nan := math.NaN()
 	cases := []MixedConfig{
 		{Load: 0.5, Duration: 1, Seed: 1},                                            // nil topology
 		{Topology: topo, Load: 0, Duration: 1, Seed: 1},                              // zero load
@@ -100,6 +101,10 @@ func TestNewMixedValidation(t *testing.T) {
 		{Topology: topo, Load: 0.5, Duration: 1, QueryByteFraction: 2, Seed: 1},      // bad fraction
 		{Topology: topo, Load: 0.5, Duration: 1, QueryByteFraction: -0.001, Seed: 1}, // bad fraction
 		{Topology: topo, Load: 0.5, Duration: 1},                                     // seed 0 used to alias to 1
+		{Topology: topo, Load: nan, Duration: 1, Seed: 1},                            // NaN load
+		{Topology: topo, Load: 0.5, Duration: 1, QueryByteFraction: nan, Seed: 1},    // NaN fraction
+		{Topology: topo, Load: 0.5, Duration: nan, Seed: 1},                          // NaN duration
+		{Topology: topo, Load: 0.5, Duration: math.Inf(1), Seed: 1},                  // endless stream
 	}
 	for i, cfg := range cases {
 		if _, err := NewMixed(cfg); !errors.Is(err, ErrBadConfig) {
