@@ -19,8 +19,9 @@ race:
 	$(GO) test -race ./...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestRunShardDecomposed|TestRunShardBatch|TestRunShardWorkerPool' ./internal/fabricsim/
 
+# bench/ is its own Go module, so the root vet skips it.
 vet:
-	gofmt -l . && $(GO) vet ./...
+	gofmt -l . && $(GO) vet ./... && cd bench && $(GO) vet ./...
 
 # The repository's benchmark: both fabric engines on the four workloads
 # BENCHMARK.json declares, digest-checked, end-to-end plus per-layer

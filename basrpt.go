@@ -191,16 +191,21 @@ type (
 	// (RunShardedFabric): one cell per rack, conservative-lookahead
 	// windows (see ARCHITECTURE.md "Sharded fabric").
 	ShardConfig = fabricsim.ShardConfig
-	// ShardImbalance is the decomposed engine's post-run wall-clock
-	// attribution report (FabricResult.Imbalance): per-cell busy and
-	// barrier-wait time, slowest-cell attribution, and the skew ratio.
-	// Wall-clock plane only — never part of deterministic digests.
+	// ShardImbalance is the decomposed engine's wall-clock attribution
+	// report, live in each ShardProgress and final in
+	// FabricResult.Imbalance: per-cell busy time, per-span barrier wait,
+	// the coordinator's serial share, slowest-cell attribution, and the
+	// skew ratio. Wall-clock plane only — never part of deterministic
+	// digests.
 	ShardImbalance = fabricsim.ShardImbalance
-	// RunProgress is the centralized engine's sample-tick heartbeat
-	// payload (FabricConfig.OnProgress).
+	// RunProgress is a fabric run's live position: the centralized
+	// engine's sample-tick heartbeat payload (FabricConfig.OnProgress),
+	// embedded in the decomposed engine's ShardProgress, and what
+	// OpsServer.PublishRun serves.
 	RunProgress = fabricsim.RunProgress
-	// ShardProgress is the decomposed engine's per-window heartbeat
-	// payload (ShardConfig.OnWindow).
+	// ShardProgress is the decomposed engine's per-barrier heartbeat
+	// payload (ShardConfig.OnWindow): a RunProgress plus the live
+	// ShardImbalance.
 	ShardProgress = fabricsim.ShardProgress
 )
 
@@ -379,13 +384,6 @@ type (
 	// OpsServer serves /metrics, /progress, and /debug/pprof for a
 	// running simulation or experiment sweep.
 	OpsServer = ops.Server
-	// OpsRunState is the live position of a single fabric run as
-	// published to an OpsServer.
-	OpsRunState = ops.RunState
-	// OpsShardState is the decomposed engine's pool-level position —
-	// barrier cadence, worker count, per-cell busy/wait — as published
-	// to an OpsServer (rendered as the basrpt_shard_* metric family).
-	OpsShardState = ops.ShardState
 	// OpsSeedState is one experiment unit's lifecycle state as exposed
 	// by the /progress endpoint.
 	OpsSeedState = ops.SeedState

@@ -110,7 +110,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.fanout, "fanout", 8, "incast: backends per job")
 	fs.Float64Var(&o.jobRate, "jobs", 500, "incast: partition/aggregate jobs per second")
 	fs.BoolVar(&o.faults, "faults", false, "inject a deterministic fault schedule (link faults + a scheduler outage)")
-	fs.Uint64Var(&o.faultSeed, "faultseed", 1, "seed of the injected fault schedule")
+	fs.Uint64Var(&o.faultSeed, "faultseed", 1, "seed of the injected fault schedule (nonzero)")
 	fs.BoolVar(&o.json, "json", false, "emit a JSON summary instead of text")
 	fs.StringVar(&o.series, "series", "", "also write the run's time series as PREFIX_{queue,maxport,total_backlog,throughput}.csv (centralized engine only)")
 	fs.StringVar(&o.trace, "trace", "", "write a schema-versioned JSONL event trace to this file (byte-identical across fixed-seed runs)")
@@ -119,7 +119,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.Float64Var(&o.checkpointEvery, "checkpointevery", 0, "simulated seconds between checkpoints (default duration/4 when -checkpoint is set)")
 	fs.BoolVar(&o.haltAfter, "halt-after-checkpoint", false, "stop cleanly right after the first persisted checkpoint (resume later with -resume)")
 	fs.StringVar(&o.resume, "resume", "", "resume from this checkpoint file instead of starting at t=0 (flags must match the original run)")
-	fs.Float64Var(&o.window, "window", 0, "streaming-results window in simulated seconds: emit window.* trace events and bound in-memory series/FCT reservoirs")
+	fs.Float64Var(&o.window, "window", 0, "streaming-results window in simulated seconds: emit window.* trace events and bound the in-memory FCT samples to a per-class tail")
 	fs.IntVar(&o.shards, "shards", 0, "fabric engine: 0 = centralized (default), >= 2 = rack-decomposed parallel cells (mixed workload only)")
 	fs.IntVar(&o.workers, "workers", 0, "with -shards >= 2: spans of cells each batch forks, one goroutine each (0 = GOMAXPROCS, capped at -shards; wall-clock only)")
 	fs.StringVar(&o.timeline, "timeline", "", "with -shards >= 2: write a Chrome trace_event timeline of cell/coordinator wall-clock execution to this file (open in chrome://tracing or Perfetto)")
@@ -159,6 +159,9 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.haltAfter && o.checkpoint == "" {
 		return nil, fmt.Errorf("-halt-after-checkpoint requires -checkpoint")
+	}
+	if o.checkpointEvery < 0 {
+		return nil, fmt.Errorf("-checkpointevery %g: want a positive interval, or 0 for duration/4", o.checkpointEvery)
 	}
 	return o, nil
 }
@@ -382,12 +385,7 @@ func centralizedRun(o *options, topo *basrpt.Topology, scheduler basrpt.Schedule
 		Obs:          tracer,
 	}
 	if opsSrv != nil {
-		cfg.OnProgress = func(p basrpt.RunProgress) {
-			opsSrv.PublishRun(basrpt.OpsRunState{
-				SimTimeS: p.SimTime, DurationS: p.Duration, Windows: p.Windows,
-				Decisions: p.Decisions, ArrivedFlows: p.ArrivedFlows, CompletedFlows: p.CompletedFlows,
-			})
-		}
+		cfg.OnProgress = opsSrv.PublishRun
 	}
 	if o.checkpoint != "" {
 		every := o.checkpointEvery
@@ -455,17 +453,8 @@ func decomposedRun(o *options, topo *basrpt.Topology, schedOpts basrpt.Scheduler
 	}
 	if opsSrv != nil {
 		cfg.OnWindow = func(p basrpt.ShardProgress) {
-			opsSrv.PublishRun(basrpt.OpsRunState{
-				SimTimeS: p.SimTime, DurationS: p.Duration, Windows: p.Window + 1,
-				Decisions: p.Decisions, ArrivedFlows: p.ArrivedFlows, CompletedFlows: p.CompletedFlows,
-			})
-			opsSrv.PublishShard(basrpt.OpsShardState{
-				Barriers:          p.Barrier + 1,
-				WindowsPerBarrier: p.WindowsPerBarrier,
-				Cells:             p.Cells,
-				Workers:           p.Workers,
-				CellBusyNs:        p.CellBusyNs,
-			})
+			opsSrv.PublishRun(p.RunProgress)
+			opsSrv.PublishShard(p.Imbalance)
 		}
 	}
 	return basrpt.RunShardedFabric(cfg)

@@ -76,6 +76,9 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{args: []string{"-v", "NaN", "-racks", "2", "-hosts", "3"}, want: "NaN"},
 		{args: []string{"-v", "Inf", "-racks", "2", "-hosts", "3"}, want: "Inf"},
 		{args: []string{"-scheduler", "threshold", "-threshold", "NaN", "-racks", "2", "-hosts", "3"}, want: "NaN"},
+		{args: []string{"-checkpoint", "ck.bin", "-checkpointevery", "-1", "-racks", "2", "-hosts", "3"}, want: "-1"},
+		// Seed 0 would otherwise share another seed's schedule.
+		{args: []string{"-faults", "-faultseed", "0", "-racks", "2", "-hosts", "3"}, want: "seed must be nonzero"},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer

@@ -77,8 +77,7 @@ func (s *Sim) stopAtCheckpoint(data []byte) *Result {
 
 // flushWindow emits one streaming-results window: completions, goodput,
 // and mean FCT over the window just ended (cumulative deltas against the
-// previous flush) plus the instantaneous fabric backlog, then trims the
-// in-memory series to their retention bound.
+// previous flush) plus the instantaneous fabric backlog.
 func (s *Sim) flushWindow() {
 	completed := s.res.CompletedFlows - s.winCompleted0
 	departed := s.res.DepartedBytes - s.winDeparted0
@@ -94,9 +93,6 @@ func (s *Sim) flushWindow() {
 	s.winCompleted0 = s.res.CompletedFlows
 	s.winDeparted0 = s.res.DepartedBytes
 	s.winFCTSum0 = s.fctSum
-	s.res.QueueSeries.TrimToTail(s.cfg.StreamKeep)
-	s.res.TotalBacklogSeries.TrimToTail(s.cfg.StreamKeep)
-	s.res.MaxPortSeries.TrimToTail(s.cfg.StreamKeep)
 }
 
 // captureState assembles the checkpoint payload from live state.
@@ -355,10 +351,15 @@ func restoreSeries(name string, st metrics.Series) (metrics.Series, error) {
 // compatibility is enforced structurally by the generator's own restore
 // validation, keyed through Seed and the scheduler/fabric shape here.
 func (s *Sim) configDigest() string {
+	// keep is the FCT tail bound, which streaming mode alone applies.
+	keep := 0
+	if s.cfg.StreamWindow > 0 {
+		keep = streamKeep
+	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "hosts=%d|link=%g|dur=%g|sample=%g|monitor=%d|bucket=%g|seed=%d|sched=%s|pool=%t|window=%g|keep=%d|",
 		s.cfg.Hosts, s.cfg.LinkBps, s.cfg.Duration, s.cfg.SampleInterval, monitorPort,
-		s.cfg.ThroughputBucket, s.cfg.Seed, s.res.SchedulerName, s.poolOn, s.cfg.StreamWindow, s.cfg.StreamKeep)
+		s.cfg.ThroughputBucket, s.cfg.Seed, s.res.SchedulerName, s.poolOn, s.cfg.StreamWindow, keep)
 	if s.cfg.Faults != nil {
 		fmt.Fprintf(h, "faults=%s|", s.cfg.Faults.Schedule().String())
 	}

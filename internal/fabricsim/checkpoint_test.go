@@ -8,6 +8,7 @@ import (
 
 	"basrpt/internal/checkpoint"
 	"basrpt/internal/faults"
+	"basrpt/internal/flow"
 	"basrpt/internal/obs"
 	"basrpt/internal/sched"
 	"basrpt/internal/stats"
@@ -318,15 +319,26 @@ func TestResumeRejectsMismatch(t *testing.T) {
 }
 
 // TestStreamingWindowsBounded: streaming mode emits periodic window.*
-// events and keeps the in-memory series and FCT reservoirs bounded.
+// events and keeps the per-class FCT tails bounded. The run completes
+// more than 2 × streamKeep queries, so the tail trim fires.
 func TestStreamingWindowsBounded(t *testing.T) {
-	buf, ew := soakTraceWriter(t, 31)
-	o := obs.New(obs.Options{Sink: ew})
-	cfg := soakConfig(t, 31, false, o)
-	cfg.StreamWindow = 0.03
-	cfg.StreamKeep = 8
-	cfg.SampleInterval = 0.002
-	res := mustRun(t, cfg)
+	const seed, dur = 31, 0.3
+	topo := topology.MustNew(topology.Scaled(2, 3))
+	streamCfg := func(o *obs.Obs) Config {
+		return Config{
+			Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(), Scheduler: sched.NewFastBASRPT(2500),
+			Generator: mixedGen(t, topo, 0.8, dur, seed), Duration: dur, Seed: seed,
+			Obs: o, StreamWindow: 0.03,
+		}
+	}
+	var buf bytes.Buffer
+	ew, err := trace.NewEventWriter(&buf, trace.TraceHeader{
+		Seed: seed, Scheduler: "fast-basrpt", Hosts: topo.NumHosts(), Load: 0.8, DurationSec: dur,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mustRun(t, streamCfg(obs.New(obs.Options{Sink: ew})))
 	if err := ew.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -344,32 +356,21 @@ func TestStreamingWindowsBounded(t *testing.T) {
 	if windows < 4 {
 		t.Fatalf("saw %d window flushes in the trace, want >= 4", windows)
 	}
-	// Series stay bounded: at most the retained tail plus one window's
-	// worth of samples accumulated since the last flush (the amortized
-	// trim fires once the series doubles past the keep bound).
-	bound := 2*cfg.StreamKeep + int(cfg.StreamWindow/cfg.SampleInterval) + 2
-	for name, s := range map[string][]float64{
-		"queue":   res.QueueSeries.Times,
-		"total":   res.TotalBacklogSeries.Times,
-		"maxport": res.MaxPortSeries.Times,
-	} {
-		if len(s) > bound {
-			t.Fatalf("%s series holds %d samples, bound is %d", name, len(s), bound)
-		}
+	if n := res.FCT.Count(flow.ClassQuery); n <= 2*streamKeep {
+		t.Fatalf("run completed %d queries, need more than %d for the tail trim to fire", n, 2*streamKeep)
 	}
 	for _, cs := range res.FCT.StateSnapshot().Classes {
-		if len(cs.Samples) > 2*cfg.StreamKeep {
-			t.Fatalf("class %d holds %d FCT samples, bound is %d", cs.Class, len(cs.Samples), 2*cfg.StreamKeep)
+		if len(cs.Samples) > 2*streamKeep {
+			t.Fatalf("class %d holds %d FCT samples, bound is %d", cs.Class, len(cs.Samples), 2*streamKeep)
 		}
 		if cs.Count == 0 {
 			t.Fatalf("class %d lost its completion count", cs.Class)
 		}
 	}
 
-	// Streaming runs resume bit-for-bit too (window trackers are state).
-	cfg2 := soakConfig(t, 31, false, nil)
-	cfg2.StreamWindow = 0.03
-	cfg2.StreamKeep = 8
+	// Streaming runs resume bit-for-bit too: the window trackers and the
+	// FCT tail bound are state, and the trim fires after the resume.
+	cfg2 := streamCfg(nil)
 	cfg2.CheckpointEvery = 0.15
 	var ckpt []byte
 	cfg2.CheckpointSink = func(data []byte, simTime float64) error {
@@ -377,10 +378,7 @@ func TestStreamingWindowsBounded(t *testing.T) {
 		return ErrStopAfterCheckpoint
 	}
 	mustRun(t, cfg2)
-	cont := soakConfig(t, 31, false, nil)
-	cont.StreamWindow = 0.03
-	cont.StreamKeep = 8
-	sim, err := Resume(cont, ckpt)
+	sim, err := Resume(streamCfg(nil), ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,10 +387,7 @@ func TestStreamingWindowsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference streaming run without an Obs attached, like the resume.
-	refCfg := soakConfig(t, 31, false, nil)
-	refCfg.StreamWindow = 0.03
-	refCfg.StreamKeep = 8
-	ref := mustRun(t, refCfg)
+	ref := mustRun(t, streamCfg(nil))
 	if got, want := resumed.DeterministicDigest(), ref.DeterministicDigest(); got != want {
 		t.Fatalf("streaming resume digest %s != reference %s", got, want)
 	}
@@ -419,7 +414,6 @@ func TestCheckpointConfigValidation(t *testing.T) {
 		{"negative window", func(c Config) Config { c.StreamWindow = -1; return c }},
 		{"NaN window", func(c Config) Config { c.StreamWindow = math.NaN(); return c }},
 		{"infinite window", func(c Config) Config { c.StreamWindow = math.Inf(1); return c }},
-		{"negative keep", func(c Config) Config { c.StreamKeep = -1; return c }},
 		{"non-checkpointable generator", func(c Config) Config {
 			c.Generator = plainGenerator{}
 			c.CheckpointEvery = 0.1

@@ -7,8 +7,38 @@ import (
 	"basrpt/internal/flow"
 	"basrpt/internal/sched"
 	"basrpt/internal/stats"
+	"basrpt/internal/topology"
 	"basrpt/internal/workload"
 )
+
+// TestLivenessAfterArrivalsStop: below saturation every discipline
+// drains the fabric once arrivals stop. The mixed workload runs for
+// T = 0.2 s and the engine for T + 0.3 s; the table must then be empty.
+// 2×3 hosts (six ports) keep exact-basrpt inside its port limit.
+func TestLivenessAfterArrivalsStop(t *testing.T) {
+	const (
+		seed     = 3
+		arrivals = 0.2 // T: the workload's horizon
+		drain    = 0.3 // simulated seconds the engine runs past T
+	)
+	topo := topology.MustNew(topology.Scaled(2, 3))
+	for _, name := range sched.Names() {
+		for _, rho := range []float64{0.5, 0.8} {
+			s, err := sched.New(name, sched.Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := mustRun(t, Config{
+				Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(), Scheduler: s,
+				Generator: mixedGen(t, topo, rho, arrivals, seed), Duration: arrivals + drain, Seed: seed,
+			})
+			if res.ArrivedFlows == 0 || res.LeftoverFlows != 0 || res.LeftoverBytes != 0 {
+				t.Errorf("%s at ρ %g: %d of %d flows (%g bytes) left %g s after arrivals stopped",
+					name, rho, res.LeftoverFlows, res.ArrivedFlows, res.LeftoverBytes, drain)
+			}
+		}
+	}
+}
 
 // TestWorkConservationAtOneEgress checks the engine against a queueing
 // identity instead of against itself. When every flow goes to one host,

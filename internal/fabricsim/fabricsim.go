@@ -108,13 +108,11 @@ type Config struct {
 	// StreamWindow, when positive, turns on streaming results mode for
 	// long horizons: every StreamWindow simulated seconds the run emits
 	// window.completed / window.gbps / window.fct_avg_ms / window.backlog
-	// events through Obs, FCT sample retention switches to a bounded tail
-	// (see StreamKeep), and the queue series are trimmed to their tails —
-	// bounded memory regardless of horizon.
+	// events through Obs, and FCT sample retention switches to a bounded
+	// tail of streamKeep samples per class, so the one record that grows
+	// with the horizon stays bounded. (The series need no bound: they
+	// hold Duration/SampleInterval + 1 points, about 500 by default.)
 	StreamWindow float64
-	// StreamKeep bounds per-class FCT samples and per-series points kept
-	// in streaming mode (default 4096). Ignored when StreamWindow is 0.
-	StreamKeep int
 	// OnProgress, when non-nil, receives the run's live position at every
 	// sample tick — the centralized engine's heartbeat for ops endpoints
 	// and progress displays. It belongs to the wall-clock observability
@@ -124,25 +122,38 @@ type Config struct {
 	OnProgress func(RunProgress)
 }
 
-// RunProgress is the live heartbeat handed to Config.OnProgress at each
-// sample tick: where the simulated clock stands and how much work the
-// engine has done so far. Wall-clock plane only — values are consistent
-// at the tick but the callback cadence follows SampleInterval.
+// RunProgress is a run's live position: where the simulated clock
+// stands and how much work the engine has done so far. The centralized
+// engine hands it to Config.OnProgress at each sample tick; the
+// decomposed engine embeds it in the ShardProgress it hands to
+// ShardConfig.OnWindow after each barrier. The ops endpoint serves it as
+// is. Wall-clock plane only — values are consistent at the beat, but the
+// cadence follows the engine's sample ticks or barriers.
 type RunProgress struct {
 	// SimTime is the simulated clock in seconds; Duration the configured
 	// horizon.
-	SimTime  float64
-	Duration float64
-	// Windows counts streaming windows flushed so far (0 outside
-	// streaming mode).
-	Windows int
+	SimTime  float64 `json:"sim_time_s"`
+	Duration float64 `json:"duration_s"`
+	// Windows counts the windows completed so far: streaming windows
+	// flushed on the centralized engine (0 outside streaming mode),
+	// lookahead windows on the decomposed one.
+	Windows int `json:"windows"`
 	// Decisions, ArrivedFlows, and CompletedFlows are cumulative work
-	// counters at the tick.
-	Decisions      int64
-	ArrivedFlows   int
-	CompletedFlows int
-	// BacklogBytes is the fabric's total backlog at the tick.
-	BacklogBytes float64
+	// counters at the beat.
+	Decisions      int64 `json:"decisions"`
+	ArrivedFlows   int   `json:"arrived_flows"`
+	CompletedFlows int   `json:"completed_flows"`
+	// BacklogBytes is the fabric's total backlog at the last sample tick.
+	BacklogBytes float64 `json:"backlog_bytes"`
+}
+
+// PercentDone returns the run's position as a percentage of its horizon
+// (0 when the horizon is unknown).
+func (p RunProgress) PercentDone() float64 {
+	if p.Duration <= 0 {
+		return 0
+	}
+	return 100 * p.SimTime / p.Duration
 }
 
 // ErrStopAfterCheckpoint, returned from a CheckpointSink, halts the run
@@ -155,7 +166,8 @@ var ErrStopAfterCheckpoint = errors.New("fabricsim: stop after checkpoint")
 type Watchdog struct {
 	// MaxBacklogBytes trips when the fabric's total backlog exceeds it —
 	// the divergence detector for runs past the stability boundary. It is
-	// checked at sample ticks, so truncation stays deterministic.
+	// checked at sample ticks, so truncation stays deterministic. It must
+	// be finite and >= 0; 0 disables the check.
 	MaxBacklogBytes float64
 }
 
@@ -230,10 +242,10 @@ const (
 // Result.QueueSeries — the "queue length at a port" of Figures 2 and 5(b).
 const monitorPort = 0
 
-// defaultStreamKeep is the streaming-mode retention bound when
-// Config.StreamKeep is zero: per-class FCT samples and per-series points
-// kept in memory regardless of horizon length.
-const defaultStreamKeep = 4096
+// streamKeep is the streaming-mode FCT tail: per-class samples kept in
+// memory regardless of horizon length (the collector trims back to it
+// once a class holds twice as many).
+const streamKeep = 4096
 
 // Result carries everything the paper's figures and tables read off a run.
 type Result struct {
@@ -391,8 +403,10 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 	}
-	if wd := cfg.Watchdog; wd != nil && wd.MaxBacklogBytes < 0 {
-		return nil, fmt.Errorf("fabricsim: negative watchdog bound %+v", *wd)
+	if wd := cfg.Watchdog; wd != nil && !(wd.MaxBacklogBytes >= 0 && !math.IsInf(wd.MaxBacklogBytes, 1)) {
+		// Negated so NaN fails too: a NaN or +Inf bound never trips, so it
+		// would turn the watchdog off without saying so.
+		return nil, fmt.Errorf("fabricsim: watchdog bound %g not finite and >= 0 (0 disables it)", wd.MaxBacklogBytes)
 	}
 	if cfg.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("fabricsim: negative checkpoint interval %g", cfg.CheckpointEvery)
@@ -408,15 +422,12 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("fabricsim: checkpointing requires a workload.Checkpointable generator, have %T", cfg.Generator)
 		}
 	}
-	if cfg.StreamWindow < 0 || cfg.StreamKeep < 0 {
-		return nil, fmt.Errorf("fabricsim: negative streaming parameter (window %g, keep %d)", cfg.StreamWindow, cfg.StreamKeep)
-	}
-	if cfg.StreamWindow > 0 && cfg.StreamKeep == 0 {
-		cfg.StreamKeep = defaultStreamKeep
+	if cfg.StreamWindow < 0 {
+		return nil, fmt.Errorf("fabricsim: negative stream window %g", cfg.StreamWindow)
 	}
 	newFCT := metrics.NewFCT
 	if cfg.StreamWindow > 0 {
-		newFCT = func() *metrics.FCT { return metrics.NewBoundedFCT(cfg.StreamKeep) }
+		newFCT = func() *metrics.FCT { return metrics.NewBoundedFCT(streamKeep) }
 	}
 	s := &Sim{
 		cell: newCell(cfg.Hosts, cfg.LinkBps/8, cfg.Duration, cfg.SampleInterval, cfg.Scheduler, cfg.Faults, &Result{

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"basrpt/internal/faults"
 	"basrpt/internal/flow"
 	"basrpt/internal/sched"
 	"basrpt/internal/topology"
@@ -34,6 +35,12 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(good); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	disabled := good
+	disabled.Watchdog = &Watchdog{MaxBacklogBytes: 0}
+	if _, err := New(disabled); err != nil {
+		t.Fatalf("watchdog bound 0 (disabled) rejected: %v", err)
+	}
+	nanWindow := &faults.Schedule{Seed: 1, Horizon: 1, Outages: []faults.Window{{Start: math.NaN(), End: math.NaN()}}}
 	cases := []func(Config) Config{
 		func(c Config) Config { c.Hosts = 0; return c },
 		func(c Config) Config { c.LinkBps = 0; return c },
@@ -46,6 +53,10 @@ func TestNewValidation(t *testing.T) {
 		func(c Config) Config { c.SampleInterval = math.Inf(1); return c },
 		func(c Config) Config { c.ThroughputBucket = math.NaN(); return c },
 		func(c Config) Config { c.ThroughputBucket = math.Inf(1); return c },
+		// A NaN or +Inf bound never trips, so it would turn the watchdog off.
+		func(c Config) Config { c.Watchdog = &Watchdog{MaxBacklogBytes: math.NaN()}; return c },
+		func(c Config) Config { c.Watchdog = &Watchdog{MaxBacklogBytes: math.Inf(1)}; return c },
+		func(c Config) Config { c.Faults = faults.NewInjector(nanWindow); return c },
 	}
 	for i, mutate := range cases {
 		if _, err := New(mutate(good)); err == nil {

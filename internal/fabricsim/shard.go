@@ -93,47 +93,31 @@ type ShardConfig struct {
 	// order within each barrier); span times are wall-clock measurements.
 	Timeline *obs.Timeline
 	// OnWindow, when non-nil, is called on the coordinating goroutine
-	// after every barrier with the run's live position — the decomposed
-	// engine's heartbeat for ops endpoints (the centralized engine's is
-	// Config.OnProgress). Wall-clock plane only: results are
-	// byte-identical whether or not it is set.
+	// after every barrier with the run's live position and wall-clock
+	// attribution — the decomposed engine's heartbeat for ops endpoints
+	// (the centralized engine's is Config.OnProgress). Wall-clock plane
+	// only: results are byte-identical whether or not it is set.
 	OnWindow func(ShardProgress)
 }
 
 // ShardProgress is the live heartbeat handed to ShardConfig.OnWindow
-// after each decomposed barrier.
+// after each decomposed barrier: the run's position, summed over all
+// cells (SimTime is the barrier's end, Windows the lookahead windows
+// completed, which advance by the batch of 8 per beat), and the
+// wall-clock attribution so far. After the last barrier its Imbalance
+// matches Result.Imbalance in every count and per-cell busy time.
 type ShardProgress struct {
-	// SimTime is the barrier's end on the simulated clock; Duration the
-	// configured horizon.
-	SimTime  float64
-	Duration float64
-	// Window is the zero-based index of the last lookahead window the
-	// barrier completed; Barrier the zero-based barrier index. With
-	// window batching one barrier completes several windows, so Window
-	// advances by the batch (8 windows) per beat.
-	Window  int
-	Barrier int
-	// WindowsPerBarrier is the cumulative mean batch width so far.
-	WindowsPerBarrier float64
-	// Cells is the number of PDES cells advancing in lockstep and
-	// Workers the number of spans each batch forks, one goroutine each.
-	Cells   int
-	Workers int
-	// Decisions, ArrivedFlows, and CompletedFlows are cumulative sums
-	// over all cells at the barrier.
-	Decisions      int64
-	ArrivedFlows   int
-	CompletedFlows int
-	// CellBusyNs is each cell's cumulative wall-clock busy nanoseconds
-	// (a copy; safe to retain). Wall-clock plane only.
-	CellBusyNs []int64
+	RunProgress
+	// Imbalance is the attribution report up to this barrier, built by
+	// the same code as Result.Imbalance (fresh slices; safe to retain).
+	Imbalance ShardImbalance
 }
 
-// ShardImbalance is the decomposed engine's post-run wall-clock
-// attribution report: how the run's real time split between cell work
-// and barrier waiting, and which cell was busiest. Everything
-// here is measured on the host machine — wall-clock plane, never part
-// of a deterministic artifact.
+// ShardImbalance is the decomposed engine's wall-clock attribution
+// report, live in each ShardProgress and final in Result.Imbalance: how
+// the run's real time split between cell work and barrier waiting, and
+// which cell was busiest. Everything here is measured on the host
+// machine — wall-clock plane, never part of a deterministic artifact.
 type ShardImbalance struct {
 	// Cells is the number of PDES cells (racks); Windows the number of
 	// lookahead windows the run advanced through; Barriers the number of
@@ -178,17 +162,10 @@ func (im *ShardImbalance) String() string {
 	if im == nil || im.Cells == 0 {
 		return "imbalance: no decomposed windows recorded"
 	}
-	var totalBusy, workerWait int64
-	for _, ns := range im.BusyNs {
-		totalBusy += ns
-	}
-	for _, ns := range im.WorkerWaitNs {
-		workerWait += ns
-	}
 	return fmt.Sprintf(
 		"imbalance: %d cells x %d windows over %d barriers (%.1f windows/barrier, %d workers); busy %.1fms; worker wait %.1fms (%.1f%% of span time); coordinator serial %.1fms (%.1f%% of the run loop); skew ratio %.2f; slowest cell %d (busy %.1fms)",
 		im.Cells, im.Windows, im.Barriers, im.WindowsPerBarrier, im.Workers,
-		float64(totalBusy)/1e6, float64(workerWait)/1e6, 100*im.BarrierWaitFraction,
+		float64(sumNs(im.BusyNs))/1e6, float64(sumNs(im.WorkerWaitNs))/1e6, 100*im.BarrierWaitFraction,
 		float64(im.CoordinatorNs)/1e6, 100*im.SerialFraction,
 		im.SkewRatio, im.SlowestCell, float64(im.BusyNs[im.SlowestCell])/1e6)
 }
@@ -712,7 +689,7 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 	pool := newShardPool(cells, workers, origin)
 
 	capTs := make([]float64, 0, batch)
-	w, windows, barriers := 0, 0, 0
+	w := 0
 	loopStart := time.Now()
 	for b := 0; ; b++ {
 		capTs = capTs[:0]
@@ -755,9 +732,8 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 				return nil, c.err
 			}
 		}
-		windows += len(capTs)
-		barriers++
 		accountBatch(cells, pool, b, w, cfg.Timeline)
+		w += len(capTs)
 		foldStart := time.Since(origin).Nanoseconds()
 		if err := foldBatch(cells, res, cfg); err != nil {
 			return nil, err
@@ -768,26 +744,24 @@ func runDecomposed(cfg ShardConfig, batch int) (*Result, error) {
 		})
 		if cfg.OnWindow != nil {
 			p := ShardProgress{
-				SimTime: end, Duration: cfg.Duration,
-				Window: w + len(capTs) - 1, Barrier: b,
-				WindowsPerBarrier: float64(windows) / float64(barriers),
-				Cells:             numCells, Workers: len(pool.workers),
-				CellBusyNs: make([]int64, numCells),
+				RunProgress: RunProgress{SimTime: end, Duration: cfg.Duration, Windows: w},
+				Imbalance:   imbalance(cells, pool, w, b+1, time.Since(loopStart).Nanoseconds()),
 			}
-			for i, c := range cells {
+			for _, c := range cells {
 				p.Decisions += c.cDecisions.Value()
 				p.ArrivedFlows += c.res.ArrivedFlows
 				p.CompletedFlows += c.res.CompletedFlows
-				p.CellBusyNs[i] = c.busyNs
+			}
+			if n := res.TotalBacklogSeries.Len(); n > 0 {
+				p.BacklogBytes = res.TotalBacklogSeries.Values[n-1]
 			}
 			cfg.OnWindow(p)
 		}
-		w += len(capTs)
 		if last {
-			break
+			im := imbalance(cells, pool, w, b+1, time.Since(loopStart).Nanoseconds())
+			return mergeCells(cells, res, cfg, &im)
 		}
 	}
-	return mergeCells(cells, res, cfg, windows, barriers, pool, time.Since(loopStart).Nanoseconds())
 }
 
 // accountBatch folds one batch's wall-clock stamps into the per-worker
@@ -954,8 +928,8 @@ func foldBatch(cells []*shardCell, res *Result, cfg ShardConfig) error {
 // order — the fixed fold order that makes every float accumulation
 // (FCT sums, sample order, throughput buckets) a pure function of the
 // per-cell streams — and seals the instrumentation registry the way
-// the centralized finish() does.
-func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barriers int, pool *shardPool, loopNs int64) (*Result, error) {
+// the centralized finish() does. im is the run's final imbalance report.
+func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, im *ShardImbalance) (*Result, error) {
 	reg := cfg.Obs.Registry()
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -993,7 +967,28 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	// obs.IsWallClock) and fold the snapshots into the Result in rack
 	// order. The global registry gets the wall-clock totals and the
 	// Result gets the imbalance report.
-	im := &ShardImbalance{
+	for _, c := range cells {
+		c.reg.Gauge("cell.eventq_high_water").Set(float64(c.gen.QueueHighWater()))
+		c.reg.Counter("wall.busy_ns").Add(c.busyNs)
+		res.ShardObs = append(res.ShardObs, c.reg.Snapshot())
+	}
+	res.Imbalance = im
+	reg.Counter("wall.busy_ns").Add(sumNs(im.BusyNs))
+	reg.Counter("wall.worker_busy_ns").Add(sumNs(im.WorkerBusyNs))
+	reg.Counter("wall.worker_wait_ns").Add(sumNs(im.WorkerWaitNs))
+	reg.Counter("wall.coordinator_ns").Add(im.CoordinatorNs)
+	reg.Gauge("wall.windows_per_barrier").Set(im.WindowsPerBarrier)
+	reg.Gauge("wall.workers").Set(float64(im.Workers))
+
+	res.Obs = reg.Snapshot()
+	return res, nil
+}
+
+// imbalance builds the wall-clock attribution report after `barriers`
+// barriers have completed `windows` lookahead windows in loopNs of run
+// loop: each heartbeat's live report and the final Result.Imbalance.
+func imbalance(cells []*shardCell, pool *shardPool, windows, barriers int, loopNs int64) ShardImbalance {
+	im := ShardImbalance{
 		Cells:             len(cells),
 		Windows:           windows,
 		Barriers:          barriers,
@@ -1003,42 +998,35 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 		WorkerBusyNs:      make([]int64, len(pool.workers)),
 		WorkerWaitNs:      make([]int64, len(pool.workers)),
 	}
-	var totalBusy int64
 	for i, c := range cells {
-		c.reg.Gauge("cell.eventq_high_water").Set(float64(c.gen.QueueHighWater()))
-		c.reg.Counter("wall.busy_ns").Add(c.busyNs)
-		res.ShardObs = append(res.ShardObs, c.reg.Snapshot())
 		im.BusyNs[i] = c.busyNs
 		if c.busyNs > im.BusyNs[im.SlowestCell] {
 			im.SlowestCell = i
 		}
-		totalBusy += c.busyNs
 	}
-	var workerBusy, workerWait int64
 	for g, wk := range pool.workers {
 		im.WorkerBusyNs[g] = wk.busyNs
 		im.WorkerWaitNs[g] = wk.waitNs
-		workerBusy += wk.busyNs
-		workerWait += wk.waitNs
 	}
-	if workerBusy+workerWait > 0 {
-		im.BarrierWaitFraction = float64(workerWait) / float64(workerBusy+workerWait)
+	busy, wait := sumNs(im.WorkerBusyNs), sumNs(im.WorkerWaitNs)
+	if busy+wait > 0 {
+		im.BarrierWaitFraction = float64(wait) / float64(busy+wait)
 	}
-	if totalBusy > 0 {
-		im.SkewRatio = float64(im.BusyNs[im.SlowestCell]) / (float64(totalBusy) / float64(len(cells)))
+	if total := sumNs(im.BusyNs); total > 0 {
+		im.SkewRatio = float64(im.BusyNs[im.SlowestCell]) / (float64(total) / float64(len(cells)))
 	}
 	im.CoordinatorNs = loopNs - pool.batchNs
 	if loopNs > 0 {
 		im.SerialFraction = float64(im.CoordinatorNs) / float64(loopNs)
 	}
-	res.Imbalance = im
-	reg.Counter("wall.busy_ns").Add(totalBusy)
-	reg.Counter("wall.worker_busy_ns").Add(workerBusy)
-	reg.Counter("wall.worker_wait_ns").Add(workerWait)
-	reg.Counter("wall.coordinator_ns").Add(im.CoordinatorNs)
-	reg.Gauge("wall.windows_per_barrier").Set(im.WindowsPerBarrier)
-	reg.Gauge("wall.workers").Set(float64(len(pool.workers)))
+	return im
+}
 
-	res.Obs = reg.Snapshot()
-	return res, nil
+// sumNs totals a wall-clock ledger.
+func sumNs(ns []int64) int64 {
+	var sum int64
+	for _, v := range ns {
+		sum += v
+	}
+	return sum
 }

@@ -3,6 +3,7 @@ package fabricsim
 import (
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 
 	"basrpt/internal/obs"
@@ -313,9 +314,10 @@ func TestArbitrationRoundsOnBothEngines(t *testing.T) {
 }
 
 // TestShardOnWindowHeartbeat checks the decomposed heartbeat: one
-// callback per barrier, monotone sim time and window index, cumulative
-// counters matching the final result, and per-cell wall arrays shaped
-// to the fabric.
+// callback per barrier, monotone sim time and window count, cumulative
+// counters matching the final result, a live imbalance report shaped to
+// the fabric, and a last beat whose report and backlog are the run's
+// final ones.
 func TestShardOnWindowHeartbeat(t *testing.T) {
 	cfg := shardObsConfig(t, 2)
 	var beats []ShardProgress
@@ -328,16 +330,17 @@ func TestShardOnWindowHeartbeat(t *testing.T) {
 		t.Fatalf("%d heartbeats, %d barriers", len(beats), res.Imbalance.Barriers)
 	}
 	for i, b := range beats {
-		if b.Barrier != i || b.Cells != 4 || b.Duration != cfg.Duration {
+		im := b.Imbalance
+		if im.Barriers != i+1 || im.Windows != b.Windows || im.Cells != 4 || b.Duration != cfg.Duration {
 			t.Fatalf("beat %d malformed: %+v", i, b)
 		}
-		if b.Workers < 1 || b.Workers > b.Cells || b.WindowsPerBarrier <= 0 {
+		if im.Workers < 1 || im.Workers > im.Cells || im.WindowsPerBarrier <= 0 {
 			t.Fatalf("beat %d pool fields malformed: %+v", i, b)
 		}
-		if len(b.CellBusyNs) != 4 {
-			t.Fatalf("beat %d per-cell arrays malformed: %+v", i, b)
+		if len(im.BusyNs) != 4 || len(im.WorkerBusyNs) != im.Workers || len(im.WorkerWaitNs) != im.Workers {
+			t.Fatalf("beat %d wall arrays malformed: %+v", i, b)
 		}
-		if i > 0 && (b.SimTime <= beats[i-1].SimTime || b.Window <= beats[i-1].Window) {
+		if i > 0 && (b.SimTime <= beats[i-1].SimTime || b.Windows <= beats[i-1].Windows) {
 			t.Fatalf("beat %d position not monotone", i)
 		}
 		if i > 0 && (b.Decisions < beats[i-1].Decisions || b.CompletedFlows < beats[i-1].CompletedFlows) {
@@ -345,12 +348,31 @@ func TestShardOnWindowHeartbeat(t *testing.T) {
 		}
 	}
 	last := beats[len(beats)-1]
-	if last.SimTime != cfg.Duration || last.Decisions != res.Decisions || last.CompletedFlows != res.CompletedFlows {
-		t.Fatalf("final beat %+v does not match result (decisions %d completed %d)",
-			last, res.Decisions, res.CompletedFlows)
+	if last.SimTime != cfg.Duration || last.Decisions != res.Decisions || last.CompletedFlows != res.CompletedFlows ||
+		last.ArrivedFlows != res.ArrivedFlows {
+		t.Fatalf("final beat %+v does not match result (decisions %d arrived %d completed %d)",
+			last.RunProgress, res.Decisions, res.ArrivedFlows, res.CompletedFlows)
 	}
-	if last.Window+1 != res.Imbalance.Windows {
-		t.Fatalf("final beat window %d, run had %d windows", last.Window, res.Imbalance.Windows)
+	want := res.Imbalance
+	if last.Windows != want.Windows || last.Imbalance.Barriers != want.Barriers ||
+		last.Imbalance.Cells != want.Cells || last.Imbalance.Workers != want.Workers ||
+		!slices.Equal(last.Imbalance.BusyNs, want.BusyNs) {
+		t.Fatalf("final beat windows %d, imbalance %+v; result imbalance %+v", last.Windows, last.Imbalance, *want)
+	}
+	totals := res.TotalBacklogSeries.Values
+	if last.BacklogBytes != totals[len(totals)-1] {
+		t.Fatalf("final beat backlog %g, last total-backlog sample %g", last.BacklogBytes, totals[len(totals)-1])
+	}
+}
+
+// TestRunProgressPercentDone: the run's position as a share of its
+// horizon, and 0 when the horizon is unknown.
+func TestRunProgressPercentDone(t *testing.T) {
+	if p := (RunProgress{SimTime: 1, Duration: 4}).PercentDone(); p != 25 {
+		t.Errorf("percent = %g, want 25", p)
+	}
+	if p := (RunProgress{SimTime: 1}).PercentDone(); p != 0 {
+		t.Errorf("unknown horizon percent = %g, want 0", p)
 	}
 }
 

@@ -54,7 +54,7 @@ type LinkFault struct {
 // documented defaults; counts of zero disable that fault class.
 type Params struct {
 	// Seed drives every random draw; the same seed yields a byte-identical
-	// schedule.
+	// schedule. Must be nonzero.
 	Seed uint64
 	// Horizon is the simulated horizon in seconds the faults must fit in.
 	Horizon float64
@@ -86,9 +86,6 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	if p.MeanLinkFaultDuration == 0 {
 		p.MeanLinkFaultDuration = p.Horizon / 20
 	}
@@ -132,7 +129,12 @@ const (
 // (link faults are globally disjoint, hence disjoint per link).
 func Generate(p Params) (*Schedule, error) {
 	p = p.withDefaults()
-	if p.Horizon <= 0 || math.IsNaN(p.Horizon) || math.IsInf(p.Horizon, 0) {
+	if p.Seed == 0 {
+		// Rejected rather than defaulted: a default would give two
+		// distinct seeds one schedule.
+		return nil, fmt.Errorf("faults: seed must be nonzero")
+	}
+	if !positiveFinite(p.Horizon) {
 		return nil, fmt.Errorf("faults: invalid horizon %g", p.Horizon)
 	}
 	if p.LinkFaults < 0 || p.Outages < 0 {
@@ -141,16 +143,18 @@ func Generate(p Params) (*Schedule, error) {
 	if p.LinkFaults > 0 && p.Ports <= 0 {
 		return nil, fmt.Errorf("faults: %d link faults need a positive port count, got %d", p.LinkFaults, p.Ports)
 	}
-	if p.MeanLinkFaultDuration <= 0 || p.MeanOutageDuration <= 0 {
-		return nil, fmt.Errorf("faults: non-positive mean duration")
+	if !positiveFinite(p.MeanLinkFaultDuration) || !positiveFinite(p.MeanOutageDuration) {
+		return nil, fmt.Errorf("faults: mean durations (link fault %g, outage %g) not positive and finite",
+			p.MeanLinkFaultDuration, p.MeanOutageDuration)
 	}
-	if p.DegradedProb < 0 || p.DegradedProb > 1 {
+	// The probability checks are negated so NaN fails them too.
+	if !(p.DegradedProb >= 0 && p.DegradedProb <= 1) {
 		return nil, fmt.Errorf("faults: degraded probability %g outside [0, 1]", p.DegradedProb)
 	}
-	if p.PacketLossProb < 0 || p.PacketLossProb >= 1 {
+	if !(p.PacketLossProb >= 0 && p.PacketLossProb < 1) {
 		return nil, fmt.Errorf("faults: packet loss probability %g outside [0, 1)", p.PacketLossProb)
 	}
-	if p.GrantLossProb < 0 || p.GrantLossProb >= 1 {
+	if !(p.GrantLossProb >= 0 && p.GrantLossProb < 1) {
 		return nil, fmt.Errorf("faults: grant loss probability %g outside [0, 1)", p.GrantLossProb)
 	}
 
@@ -176,6 +180,10 @@ func Generate(p Params) (*Schedule, error) {
 	s.Outages = placeWindows(outageRNG, p.Outages, p.Horizon, p.MeanOutageDuration)
 	return s, nil
 }
+
+// positiveFinite reports whether x is a usable horizon or duration:
+// positive and finite (NaN is neither).
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // placeWindows returns count disjoint windows inside the horizon's active
 // band, sorted by start time. Each window lives in its own equal slice of
@@ -203,20 +211,25 @@ func placeWindows(rng *stats.RNG, count int, horizon, meanDur float64) []Window 
 	return out
 }
 
-// Validate re-checks the structural invariants Generate guarantees; the
-// fuzz target and the determinism tests call it.
+// Validate re-checks the structural invariants Generate guarantees. The
+// simulators run it on every schedule they inject, which callers may
+// build by hand, so every bound is checked in negated form: a NaN fails
+// it instead of passing.
 func (s *Schedule) Validate() error {
-	if s.Horizon <= 0 {
-		return fmt.Errorf("faults: schedule horizon %g", s.Horizon)
+	if !positiveFinite(s.Horizon) {
+		return fmt.Errorf("faults: schedule horizon %g not positive and finite", s.Horizon)
 	}
 	check := func(kind string, w Window) error {
-		if w.Duration() <= 0 {
+		if !(w.Start >= 0 && w.End <= s.Horizon) {
+			return fmt.Errorf("faults: %s window [%g, %g) outside horizon [0, %g]", kind, w.Start, w.End, s.Horizon)
+		}
+		if !(w.Duration() > 0) {
 			return fmt.Errorf("faults: %s window [%g, %g) has non-positive duration", kind, w.Start, w.End)
 		}
-		if w.Start < 0 || w.End > s.Horizon {
-			return fmt.Errorf("faults: %s window [%g, %g) outside horizon %g", kind, w.Start, w.End, s.Horizon)
-		}
 		return nil
+	}
+	if !(s.PacketLossProb >= 0 && s.PacketLossProb < 1) || !(s.GrantLossProb >= 0 && s.GrantLossProb < 1) {
+		return fmt.Errorf("faults: loss probabilities (packet %g, grant %g) outside [0, 1)", s.PacketLossProb, s.GrantLossProb)
 	}
 	for i, lf := range s.LinkFaults {
 		if err := check("link-fault", lf.Window); err != nil {
@@ -225,7 +238,7 @@ func (s *Schedule) Validate() error {
 		if lf.Port < 0 {
 			return fmt.Errorf("faults: link fault on negative port %d", lf.Port)
 		}
-		if lf.RateFraction < 0 || lf.RateFraction >= 1 {
+		if !(lf.RateFraction >= 0 && lf.RateFraction < 1) {
 			return fmt.Errorf("faults: link fault rate fraction %g outside [0, 1)", lf.RateFraction)
 		}
 		if i > 0 && lf.Start < s.LinkFaults[i-1].End {

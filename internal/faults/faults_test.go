@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -84,21 +85,64 @@ func TestScheduleInvariants(t *testing.T) {
 
 // TestGenerateRejectsInvalid: parameter validation.
 func TestGenerateRejectsInvalid(t *testing.T) {
-	for name, p := range map[string]Params{
-		"zero horizon":      {Horizon: 0, LinkFaults: 1, Ports: 2},
-		"negative horizon":  {Horizon: -1},
-		"nan horizon":       {Horizon: math.NaN()},
-		"negative counts":   {Horizon: 1, LinkFaults: -1},
-		"faults no ports":   {Horizon: 1, LinkFaults: 1, Ports: 0},
-		"packet loss >= 1":  {Horizon: 1, PacketLossProb: 1},
-		"negative pkt loss": {Horizon: 1, PacketLossProb: -0.1},
-		"grant loss >= 1":   {Horizon: 1, GrantLossProb: 1.5},
-		"degraded prob > 1": {Horizon: 1, DegradedProb: 1.1},
-		"negative mean dur": {Horizon: 1, MeanLinkFaultDuration: -2},
-		"negative mean out": {Horizon: 1, MeanOutageDuration: -2},
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want string // a substring naming the bad value, when set
+	}{
+		{"zero seed", Params{Seed: 0, Horizon: 1}, "seed"},
+		{"zero horizon", Params{Seed: 1, Horizon: 0, LinkFaults: 1, Ports: 2}, ""},
+		{"negative horizon", Params{Seed: 1, Horizon: -1}, ""},
+		{"nan horizon", Params{Seed: 1, Horizon: nan}, "NaN"},
+		{"negative counts", Params{Seed: 1, Horizon: 1, LinkFaults: -1}, ""},
+		{"faults no ports", Params{Seed: 1, Horizon: 1, LinkFaults: 1, Ports: 0}, ""},
+		{"packet loss >= 1", Params{Seed: 1, Horizon: 1, PacketLossProb: 1}, ""},
+		{"negative pkt loss", Params{Seed: 1, Horizon: 1, PacketLossProb: -0.1}, ""},
+		{"nan pkt loss", Params{Seed: 1, Horizon: 1, PacketLossProb: nan}, "NaN"},
+		{"grant loss >= 1", Params{Seed: 1, Horizon: 1, GrantLossProb: 1.5}, ""},
+		{"nan grant loss", Params{Seed: 1, Horizon: 1, GrantLossProb: nan}, "NaN"},
+		{"degraded prob > 1", Params{Seed: 1, Horizon: 1, DegradedProb: 1.1}, ""},
+		{"nan degraded prob", Params{Seed: 1, Horizon: 1, DegradedProb: nan}, "NaN"},
+		{"negative mean dur", Params{Seed: 1, Horizon: 1, MeanLinkFaultDuration: -2}, ""},
+		{"nan mean dur", Params{Seed: 1, Horizon: 1, MeanLinkFaultDuration: nan}, "NaN"},
+		{"inf mean dur", Params{Seed: 1, Horizon: 1, MeanLinkFaultDuration: math.Inf(1)}, "Inf"},
+		{"negative mean out", Params{Seed: 1, Horizon: 1, MeanOutageDuration: -2}, ""},
+		{"nan mean out", Params{Seed: 1, Horizon: 1, MeanOutageDuration: nan}, "NaN"},
 	} {
-		if _, err := Generate(p); err == nil {
-			t.Errorf("%s: accepted", name)
+		_, err := Generate(tc.p)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: a hand-built schedule with a NaN or
+// infinite bound fails Validate instead of passing every comparison.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		s    Schedule
+		want string
+	}{
+		{"nan horizon", Schedule{Seed: 1, Horizon: nan}, "NaN"},
+		{"inf horizon", Schedule{Seed: 1, Horizon: math.Inf(1)}, "Inf"},
+		{"nan outage", Schedule{Seed: 1, Horizon: 1, Outages: []Window{{Start: nan, End: nan}}}, "NaN"},
+		{"nan outage end", Schedule{Seed: 1, Horizon: 1, Outages: []Window{{Start: 0.1, End: nan}}}, "NaN"},
+		{"nan link window", Schedule{Seed: 1, Horizon: 1, LinkFaults: []LinkFault{{Window: Window{Start: nan, End: 0.5}}}}, "NaN"},
+		{"nan rate fraction", Schedule{Seed: 1, Horizon: 1,
+			LinkFaults: []LinkFault{{Window: Window{Start: 0.1, End: 0.2}, RateFraction: nan}}}, "NaN"},
+		{"nan packet loss", Schedule{Seed: 1, Horizon: 1, PacketLossProb: nan}, "NaN"},
+		{"nan grant loss", Schedule{Seed: 1, Horizon: 1, GrantLossProb: nan}, "NaN"},
+	} {
+		err := tc.s.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
 }

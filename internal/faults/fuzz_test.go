@@ -10,6 +10,7 @@ func FuzzFaultSchedule(f *testing.F) {
 	f.Add(uint64(1), 10.0, 3, 1, 0.05, 0.5)
 	f.Add(uint64(99), 0.001, 16, 8, 0.0, 0.0)
 	f.Add(uint64(0), 500.0, 0, 5, 0.9, 1.0)
+	f.Add(uint64(2), 500.0, 0, 5, 0.9, 1.0) // the row above, past the seed check
 	f.Fuzz(func(t *testing.T, seed uint64, horizon float64, nLink, nOutage int, loss, degraded float64) {
 		if nLink > 1024 || nOutage > 1024 {
 			t.Skip("fault counts beyond any realistic schedule")

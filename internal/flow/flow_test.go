@@ -173,9 +173,10 @@ func TestNonEmptyTracking(t *testing.T) {
 	if got := tab.NumNonEmpty(); got != 3 {
 		t.Fatalf("NumNonEmpty = %d, want 3", got)
 	}
-	voqs := tab.NonEmpty(nil)
-	if len(voqs) != 3 {
-		t.Fatalf("NonEmpty returned %d VOQs, want 3", len(voqs))
+	visited := 0
+	tab.ForEachNonEmpty(func(*VOQ) { visited++ })
+	if visited != 3 {
+		t.Fatalf("ForEachNonEmpty visited %d VOQs, want 3", visited)
 	}
 	// Removing one of two flows in a VOQ keeps it non-empty.
 	tab.Remove(flows[0])

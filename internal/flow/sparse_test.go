@@ -154,10 +154,11 @@ func pairsOf(n int, qs []*VOQ) []int {
 func diffRef(tab *Table, r *denseRef, peak int) string {
 	n := r.n
 	held := heldIn(r)
-	var visited []int
+	var visited, nonEmpty []int
 	tab.ForEachVOQ(func(q *VOQ) { visited = append(visited, q.Src*n+q.Dst) })
+	tab.ForEachNonEmpty(func(q *VOQ) { nonEmpty = append(nonEmpty, q.Src*n+q.Dst) })
 	switch {
-	case !slices.Equal(pairsOf(n, tab.NonEmpty(nil)), r.nonEmpty):
+	case !slices.Equal(nonEmpty, r.nonEmpty):
 		return "non-empty order differs"
 	case !slices.Equal(pairsOf(n, tab.DirtyVOQs(nil)), r.dirty):
 		return "dirty order differs"

@@ -270,18 +270,10 @@ func (t *Table) dropNonEmpty(q *VOQ) {
 	q.nonEmptyPos = -1
 }
 
-// NonEmpty appends pointers to every non-empty VOQ to dst and returns it.
-// The order is unspecified but deterministic for a given event history.
-func (t *Table) NonEmpty(dst []*VOQ) []*VOQ {
-	for _, s := range t.nonEmpty {
-		dst = append(dst, t.at(s))
-	}
-	return dst
-}
-
-// ForEachNonEmpty calls fn for every non-empty VOQ without allocating.
-// fn must not add or remove flows. This is the scheduler hot path: it runs
-// on every arrival and completion.
+// ForEachNonEmpty calls fn for every non-empty VOQ without allocating,
+// in an order that is unspecified but deterministic for a given event
+// history. fn must not add or remove flows. This is the scheduler hot
+// path: it runs on every arrival and completion.
 func (t *Table) ForEachNonEmpty(fn func(q *VOQ)) {
 	for _, s := range t.nonEmpty {
 		fn(t.at(s))

@@ -195,20 +195,6 @@ func (s *Series) Add(t, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Times) }
 
-// TrimToTail discards all but the most recent keep samples, amortized:
-// the trim only fires once the series has doubled past keep, so streaming
-// callers invoking it per window pay O(1) per sample. keep <= 0 is a no-op.
-func (s *Series) TrimToTail(keep int) {
-	if keep <= 0 || len(s.Times) < 2*keep {
-		return
-	}
-	n := len(s.Times)
-	copy(s.Times, s.Times[n-keep:])
-	copy(s.Values, s.Values[n-keep:])
-	s.Times = s.Times[:keep]
-	s.Values = s.Values[:keep]
-}
-
 // Mean returns the average value.
 func (s *Series) Mean() float64 { return stats.Mean(s.Values) }
 

@@ -1,12 +1,13 @@
 // Package ops serves the live operations endpoint for long-running
 // simulations: a Prometheus text-format /metrics view of the latest
-// observability snapshot, a /progress JSON document (sim-time position,
-// windows advanced, per-seed runner states), and the standard
-// net/http/pprof profiling handlers. It is the network face of the
-// wall-clock observability plane — everything served here is advisory
-// and nondeterministic, and nothing the server observes can reach a
-// deterministic artifact (the publish methods copy values in; the
-// simulation never reads back).
+// observability snapshot, a /progress JSON document (the engines' own
+// heartbeat values — fabricsim.RunProgress from either engine, the
+// decomposed engine's live fabricsim.ShardImbalance — and per-seed
+// runner states), and the standard net/http/pprof profiling handlers.
+// It is the network face of the wall-clock observability plane —
+// everything served here is advisory and nondeterministic, and nothing
+// the server observes can reach a deterministic artifact (the publish
+// methods copy values in; the simulation never reads back).
 //
 // Concurrency: a Server is safe for concurrent use. Publish* methods
 // may be called from any goroutine (simulation callbacks, runner
@@ -25,54 +26,10 @@ import (
 	"sync"
 	"time"
 
+	"basrpt/internal/fabricsim"
 	"basrpt/internal/obs"
 	"basrpt/internal/runner"
 )
-
-// RunState is the coarse position of one simulation run, published at
-// sample ticks (centralized engine) or window barriers (sharded
-// engine) and rendered into both /metrics and /progress.
-type RunState struct {
-	// SimTimeS is the simulated clock, and DurationS the configured
-	// horizon (0 when unknown).
-	SimTimeS  float64 `json:"sim_time_s"`
-	DurationS float64 `json:"duration_s"`
-	// Windows counts lookahead (or streaming) windows advanced so far.
-	Windows int `json:"windows"`
-	// Decisions, ArrivedFlows, and CompletedFlows are the engine's
-	// cumulative work counters.
-	Decisions      int64 `json:"decisions"`
-	ArrivedFlows   int   `json:"arrived_flows"`
-	CompletedFlows int   `json:"completed_flows"`
-}
-
-// PercentDone returns the run's position as a percentage of its horizon
-// (0 when the horizon is unknown).
-func (r RunState) PercentDone() float64 {
-	if r.DurationS <= 0 {
-		return 0
-	}
-	return 100 * r.SimTimeS / r.DurationS
-}
-
-// ShardState is the decomposed engine's barrier-level position,
-// published at barriers (wire fabricsim.ShardConfig.OnWindow to
-// PublishShard) and rendered into /metrics as the basrpt_shard_* family.
-// Everything here is wall-clock plane: barrier cadence, span count, and
-// per-cell busy attribution.
-type ShardState struct {
-	// Barriers is the number of coordinator barriers completed and
-	// WindowsPerBarrier the cumulative mean batch width.
-	Barriers          int     `json:"barriers"`
-	WindowsPerBarrier float64 `json:"windows_per_barrier"`
-	// Cells is the PDES cell count and Workers the number of spans each
-	// batch forks, one goroutine each.
-	Cells   int `json:"cells"`
-	Workers int `json:"workers"`
-	// CellBusyNs is each cell's cumulative wall-clock busy nanoseconds
-	// (indexed by rack).
-	CellBusyNs []int64 `json:"cell_busy_ns"`
-}
 
 // SeedState is the last observed lifecycle phase of one (task, seed)
 // runner unit, for the /progress seeds table.
@@ -89,8 +46,8 @@ type Server struct {
 	mu      sync.Mutex
 	started time.Time
 	snap    obs.Snapshot
-	run     *RunState
-	shard   *ShardState
+	run     *fabricsim.RunProgress
+	shard   *fabricsim.ShardImbalance
 	units   map[string]int // (task,seed) key -> index into seeds
 	seeds   []SeedState
 	done    int
@@ -157,20 +114,22 @@ func (s *Server) PublishSnapshot(snap obs.Snapshot) {
 	s.mu.Unlock()
 }
 
-// PublishRun replaces the run-position state served by /metrics and
-// /progress.
-func (s *Server) PublishRun(r RunState) {
+// PublishRun replaces the run position served by /metrics and
+// /progress. Its signature is Config.OnProgress's, so the centralized
+// heartbeat wires to it directly; the decomposed engine's ShardProgress
+// carries the same value.
+func (s *Server) PublishRun(r fabricsim.RunProgress) {
 	s.mu.Lock()
 	s.run = &r
 	s.mu.Unlock()
 }
 
-// PublishShard replaces the sharded-engine barrier state served by
-// /metrics and /progress. The per-cell slices are retained, not copied
-// — hand the server its own copies (ShardProgress already does).
-func (s *Server) PublishShard(st ShardState) {
+// PublishShard replaces the decomposed engine's attribution report
+// served by /metrics and /progress. The slices are retained, not copied
+// — hand the server its own copies (ShardProgress.Imbalance is one).
+func (s *Server) PublishShard(im fabricsim.ShardImbalance) {
 	s.mu.Lock()
-	s.shard = &st
+	s.shard = &im
 	s.mu.Unlock()
 }
 
@@ -200,13 +159,13 @@ func (s *Server) PublishUnit(p runner.Progress) {
 
 // progressDoc is the /progress JSON shape.
 type progressDoc struct {
-	UptimeS    float64     `json:"uptime_s"`
-	Run        *RunState   `json:"run,omitempty"`
-	PercentRun float64     `json:"percent_done,omitempty"`
-	Shard      *ShardState `json:"shard,omitempty"`
-	UnitsDone  int         `json:"units_done"`
-	UnitsTotal int         `json:"units_total"`
-	Seeds      []SeedState `json:"seeds,omitempty"`
+	UptimeS    float64                   `json:"uptime_s"`
+	Run        *fabricsim.RunProgress    `json:"run,omitempty"`
+	PercentRun float64                   `json:"percent_done,omitempty"`
+	Shard      *fabricsim.ShardImbalance `json:"shard,omitempty"`
+	UnitsDone  int                       `json:"units_done"`
+	UnitsTotal int                       `json:"units_total"`
+	Seeds      []SeedState               `json:"seeds,omitempty"`
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
@@ -236,12 +195,12 @@ func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	snap := s.snap
-	var run *RunState
+	var run *fabricsim.RunProgress
 	if s.run != nil {
 		r := *s.run
 		run = &r
 	}
-	var shard *ShardState
+	var shard *fabricsim.ShardImbalance
 	if s.shard != nil {
 		sh := *s.shard
 		shard = &sh
@@ -278,7 +237,7 @@ func metricName(name string) string {
 // high-water), histograms as cumulative le-bucketed histograms with the
 // mandatory +Inf bucket, _sum, and _count series. Instruments appear in
 // snapshot (sorted-name) order.
-func WriteMetrics(w io.Writer, snap obs.Snapshot, run *RunState, unitsDone, unitsTotal int) error {
+func WriteMetrics(w io.Writer, snap obs.Snapshot, run *fabricsim.RunProgress, unitsDone, unitsTotal int) error {
 	for _, c := range snap.Counters {
 		n := metricName(c.Name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, c.Value); err != nil {
@@ -316,13 +275,14 @@ func WriteMetrics(w io.Writer, snap obs.Snapshot, run *RunState, unitsDone, unit
 			name string
 			v    float64
 		}{
-			{"basrpt_run_sim_time_seconds", run.SimTimeS},
-			{"basrpt_run_duration_seconds", run.DurationS},
+			{"basrpt_run_sim_time_seconds", run.SimTime},
+			{"basrpt_run_duration_seconds", run.Duration},
 			{"basrpt_run_percent_done", run.PercentDone()},
 			{"basrpt_run_windows", float64(run.Windows)},
 			{"basrpt_run_decisions", float64(run.Decisions)},
 			{"basrpt_run_arrived_flows", float64(run.ArrivedFlows)},
 			{"basrpt_run_completed_flows", float64(run.CompletedFlows)},
+			{"basrpt_run_backlog_bytes", run.BacklogBytes},
 		} {
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", kv.name, kv.name, kv.v); err != nil {
 				return err
@@ -338,29 +298,33 @@ func WriteMetrics(w io.Writer, snap obs.Snapshot, run *RunState, unitsDone, unit
 	return nil
 }
 
-// WriteShardMetrics renders the sharded engine's barrier state as the
-// basrpt_shard_* Prometheus family: barrier cadence and span count as
-// scalar gauges, plus per-cell busy seconds as a cell-labeled gauge
-// series (one sample per rack, labeled cell="<rack>").
-func WriteShardMetrics(w io.Writer, st *ShardState) error {
+// WriteShardMetrics renders the decomposed engine's attribution report
+// as the basrpt_shard_* Prometheus family: barrier cadence, span count
+// and the barrier-wait, serial and skew shares as scalar gauges, plus
+// per-cell busy seconds as a cell-labeled gauge series (one sample per
+// rack, labeled cell="<rack>").
+func WriteShardMetrics(w io.Writer, im *fabricsim.ShardImbalance) error {
 	for _, kv := range []struct {
 		name string
 		v    float64
 	}{
-		{"basrpt_shard_barriers", float64(st.Barriers)},
-		{"basrpt_shard_windows_per_barrier", st.WindowsPerBarrier},
-		{"basrpt_shard_cells", float64(st.Cells)},
-		{"basrpt_shard_workers", float64(st.Workers)},
+		{"basrpt_shard_barriers", float64(im.Barriers)},
+		{"basrpt_shard_windows_per_barrier", im.WindowsPerBarrier},
+		{"basrpt_shard_cells", float64(im.Cells)},
+		{"basrpt_shard_workers", float64(im.Workers)},
+		{"basrpt_shard_barrier_wait_fraction", im.BarrierWaitFraction},
+		{"basrpt_shard_serial_fraction", im.SerialFraction},
+		{"basrpt_shard_skew_ratio", im.SkewRatio},
 	} {
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", kv.name, kv.name, kv.v); err != nil {
 			return err
 		}
 	}
-	if len(st.CellBusyNs) > 0 {
+	if len(im.BusyNs) > 0 {
 		if _, err := fmt.Fprintf(w, "# TYPE basrpt_shard_cell_busy_seconds gauge\n"); err != nil {
 			return err
 		}
-		for i, ns := range st.CellBusyNs {
+		for i, ns := range im.BusyNs {
 			if _, err := fmt.Fprintf(w, "basrpt_shard_cell_busy_seconds{cell=\"%d\"} %g\n", i, float64(ns)/1e9); err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"basrpt/internal/fabricsim"
 	"basrpt/internal/obs"
 	"basrpt/internal/runner"
 )
@@ -41,10 +42,16 @@ func TestServerEndpoints(t *testing.T) {
 	h.Observe(3)
 	h.Observe(900)
 	s.PublishSnapshot(reg.Snapshot())
-	s.PublishRun(RunState{SimTimeS: 1.5, DurationS: 3, Windows: 60, Decisions: 123, ArrivedFlows: 10, CompletedFlows: 7})
-	s.PublishShard(ShardState{
-		Barriers: 8, WindowsPerBarrier: 7.5, Cells: 2, Workers: 2,
-		CellBusyNs: []int64{2_500_000_000, 1_000_000_000},
+	s.PublishRun(fabricsim.RunProgress{
+		SimTime: 1.5, Duration: 3, Windows: 60, Decisions: 123, ArrivedFlows: 10, CompletedFlows: 7,
+		BacklogBytes: 2.5e6,
+	})
+	s.PublishShard(fabricsim.ShardImbalance{
+		Cells: 2, Windows: 60, Barriers: 8, WindowsPerBarrier: 7.5, Workers: 2,
+		BusyNs:              []int64{2_500_000_000, 1_000_000_000},
+		WorkerBusyNs:        []int64{2_500_000_000, 1_000_000_000},
+		WorkerWaitNs:        []int64{0, 1_500_000_000},
+		BarrierWaitFraction: 0.25, SerialFraction: 0.125, SkewRatio: 1.5,
 	})
 	s.PublishUnit(runner.Progress{Phase: runner.PhaseStart, Done: 0, Total: 2, Task: "srpt/0.8", Seed: 11})
 	s.PublishUnit(runner.Progress{Phase: runner.PhaseDone, Done: 1, Total: 2, Task: "srpt/0.8", Seed: 11})
@@ -67,12 +74,17 @@ func TestServerEndpoints(t *testing.T) {
 		"basrpt_run_sim_time_seconds 1.5",
 		"basrpt_run_percent_done 50",
 		"basrpt_run_windows 60",
+		"basrpt_run_backlog_bytes 2.5e+06",
 		"basrpt_units_done 2",
 		"basrpt_units_total 2",
 		"# TYPE basrpt_shard_windows_per_barrier gauge",
 		"basrpt_shard_windows_per_barrier 7.5",
 		"basrpt_shard_barriers 8",
 		"basrpt_shard_workers 2",
+		"# TYPE basrpt_shard_barrier_wait_fraction gauge",
+		"basrpt_shard_barrier_wait_fraction 0.25",
+		"basrpt_shard_serial_fraction 0.125",
+		"basrpt_shard_skew_ratio 1.5",
 		`basrpt_shard_cell_busy_seconds{cell="0"} 2.5`,
 		`basrpt_shard_cell_busy_seconds{cell="1"} 1`,
 	} {
@@ -86,23 +98,44 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/progress status %d", code)
 	}
 	var doc struct {
-		UptimeS    float64 `json:"uptime_s"`
-		Run        *RunState
-		Percent    float64     `json:"percent_done"`
-		Shard      *ShardState `json:"shard"`
-		UnitsDone  int         `json:"units_done"`
-		UnitsTotal int         `json:"units_total"`
-		Seeds      []SeedState `json:"seeds"`
+		UptimeS    float64                   `json:"uptime_s"`
+		Run        *fabricsim.RunProgress    `json:"run"`
+		Percent    float64                   `json:"percent_done"`
+		Shard      *fabricsim.ShardImbalance `json:"shard"`
+		UnitsDone  int                       `json:"units_done"`
+		UnitsTotal int                       `json:"units_total"`
+		Seeds      []SeedState               `json:"seeds"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/progress not JSON: %v\n%s", err, body)
 	}
-	if doc.Run == nil || doc.Run.SimTimeS != 1.5 || doc.Percent != 50 {
+	if doc.Run == nil || doc.Run.SimTime != 1.5 || doc.Run.BacklogBytes != 2.5e6 || doc.Percent != 50 {
 		t.Fatalf("run state wrong: %s", body)
 	}
 	if doc.Shard == nil || doc.Shard.Barriers != 8 || doc.Shard.WindowsPerBarrier != 7.5 ||
-		len(doc.Shard.CellBusyNs) != 2 {
+		len(doc.Shard.BusyNs) != 2 || doc.Shard.SerialFraction != 0.125 {
 		t.Fatalf("shard state wrong: %s", body)
+	}
+	// The wire keys are the engines' own: the run's are RunProgress's
+	// tags and the shard's are the `imbalance` block of basrptsim -json.
+	var keys struct {
+		Run   map[string]any `json:"run"`
+		Shard map[string]any `json:"shard"`
+	}
+	if err := json.Unmarshal([]byte(body), &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"sim_time_s", "duration_s", "windows", "decisions", "arrived_flows", "completed_flows", "backlog_bytes"} {
+		if _, ok := keys.Run[k]; !ok {
+			t.Errorf("/progress run lacks %q: %s", k, body)
+		}
+	}
+	for _, k := range []string{"cells", "windows", "barriers", "windows_per_barrier", "workers", "busy_ns",
+		"worker_busy_ns", "worker_wait_ns", "slowest_cell", "barrier_wait_fraction", "coordinator_ns",
+		"serial_fraction", "skew_ratio"} {
+		if _, ok := keys.Shard[k]; !ok {
+			t.Errorf("/progress shard lacks %q: %s", k, body)
+		}
 	}
 	if doc.UnitsDone != 2 || doc.UnitsTotal != 2 {
 		t.Fatalf("units %d/%d, want 2/2: %s", doc.UnitsDone, doc.UnitsTotal, body)
@@ -149,14 +182,5 @@ func TestMetricNameMangling(t *testing.T) {
 		if got := metricName(in); got != want {
 			t.Errorf("metricName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestRunStatePercentDone(t *testing.T) {
-	if p := (RunState{SimTimeS: 1, DurationS: 4}).PercentDone(); p != 25 {
-		t.Errorf("percent = %g, want 25", p)
-	}
-	if p := (RunState{SimTimeS: 1}).PercentDone(); p != 0 {
-		t.Errorf("unknown horizon percent = %g, want 0", p)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+
+	"basrpt/internal/stats"
 )
 
 // Sample is the named metric values one run of one task produced.
@@ -96,10 +98,7 @@ func (c Config) withDefaults() Config {
 // scheduling. Streams of the same root never collide for stream counts
 // that matter here (splitmix64 is a bijection on the shifted input).
 func DeriveSeed(root uint64, stream int) uint64 {
-	z := root + 0x9e3779b97f4a7c15*uint64(stream+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := stats.Mix64(root + stats.Golden64*uint64(stream+1))
 	if z == 0 {
 		z = 1 // seed 0 means "default" to most constructors; avoid it
 	}

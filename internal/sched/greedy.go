@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"basrpt/internal/flow"
+	"basrpt/internal/stats"
 )
 
 // key scores a non-empty VOQ's head flow f, whose VOQ holds backlog:
@@ -174,10 +175,7 @@ func noiseFactor(id flow.ID, logSpan float64) float64 {
 	if logSpan == 0 {
 		return 1
 	}
-	z := uint64(id) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := stats.Mix64(uint64(id) + stats.Golden64)
 	u := float64(z>>11) / (1 << 53) // uniform [0, 1)
 	return math.Exp((2*u - 1) * logSpan)
 }

@@ -27,20 +27,26 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
+// Golden64 is splitmix64's increment, 2^64 divided by the golden ratio:
+// the stride between consecutive splitmix64 inputs.
+const Golden64 = 0x9e3779b97f4a7c15
+
+// Mix64 is the splitmix64 finalizer (Steele, Lea & Flood 2014): a
+// bijection on uint64 that spreads every input bit across the output.
+// splitmix64's i-th output from seed s is Mix64(s + i·Golden64).
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // Reseed resets the generator to the stream determined by seed.
 func (r *RNG) Reseed(seed uint64) {
 	// splitmix64 to spread low-entropy seeds across the whole state space.
-	s := seed
-	next := func() uint64 {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	r.state = next()
-	r.inc = next() | 1 // stream selector must be odd
-	r.Uint32()         // advance away from the seed-correlated first output
+	s := seed + Golden64
+	r.state = Mix64(s)
+	r.inc = Mix64(s+Golden64) | 1 // stream selector must be odd
+	r.Uint32()                    // advance away from the seed-correlated first output
 }
 
 // Split derives an independent generator from r. The derived stream is

@@ -193,3 +193,16 @@ func TestMul64AgainstBig(t *testing.T) {
 		}
 	}
 }
+
+// TestMix64MatchesSplitMix64: Mix64 over the Golden64 stride reproduces
+// splitmix64's published outputs for seed 0.
+func TestMix64MatchesSplitMix64(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	var s uint64
+	for i, w := range want {
+		s += Golden64
+		if got := Mix64(s); got != w {
+			t.Fatalf("output %d = %#x, want %#x", i, got, w)
+		}
+	}
+}

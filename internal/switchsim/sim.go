@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"basrpt/internal/flow"
+	"basrpt/internal/lyapunov"
 	"basrpt/internal/metrics"
 	"basrpt/internal/obs"
 	"basrpt/internal/sched"
@@ -176,14 +177,7 @@ func (s *Sim) Run(slots int64) error {
 }
 
 // LyapunovValue computes L(X) = ½ Σij Xij² over the current state.
-func (s *Sim) LyapunovValue() float64 {
-	var sum float64
-	for _, q := range s.table.NonEmpty(nil) {
-		b := q.Backlog()
-		sum += b * b
-	}
-	return sum / 2
-}
+func (s *Sim) LyapunovValue() float64 { return lyapunov.Value(s.table) }
 
 // Table exposes the live VOQ state (read-only use expected).
 func (s *Sim) Table() *flow.Table { return s.table }

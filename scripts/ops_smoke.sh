@@ -71,6 +71,11 @@ grep -qE '^basrpt_shard_barriers [1-9]' "$OUT/metrics.txt" || fail "/metrics lac
 grep -qE '^basrpt_shard_workers 3$' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_shard_workers 3"
 grep -qE '^basrpt_shard_cell_busy_seconds\{cell="0"\} [0-9.]' "$OUT/metrics.txt" || fail "/metrics lacks per-cell busy attribution"
 grep -qE '^basrpt_shard_cell_busy_seconds\{cell="7"\} [0-9.]' "$OUT/metrics.txt" || fail "/metrics lacks busy attribution for the last cell"
+# ...and the shares the final imbalance report computes, live.
+for g in barrier_wait_fraction serial_fraction skew_ratio; do
+    grep -qE "^basrpt_shard_$g [0-9.]" "$OUT/metrics.txt" || fail "/metrics lacks basrpt_shard_$g"
+done
+grep -qE '^basrpt_run_backlog_bytes [0-9]' "$OUT/metrics.txt" || fail "/metrics lacks basrpt_run_backlog_bytes"
 
 curl -sf "$URL/progress" >"$OUT/progress.json" || fail "/progress unreachable"
 python3 - "$OUT/progress.json" <<'PYEOF' || fail "/progress is not well-formed"
@@ -83,8 +88,10 @@ assert 0 <= doc.get("percent_done", 0) <= 100, doc
 shard = doc.get("shard")
 assert shard is not None and shard["cells"] == 8, doc
 assert shard["barriers"] >= 1 and shard["windows_per_barrier"] > 0, doc
-assert len(shard["cell_busy_ns"]) == 8 and "cell_wait_ns" not in shard, doc
-assert all(ns >= 0 for ns in shard["cell_busy_ns"]) and sum(shard["cell_busy_ns"]) > 0, doc
+assert len(shard["busy_ns"]) == 8 and "cell_wait_ns" not in shard, doc
+assert all(ns >= 0 for ns in shard["busy_ns"]) and sum(shard["busy_ns"]) > 0, doc
+assert 0 <= shard["serial_fraction"] <= 1 and len(shard["worker_wait_ns"]) == 3, doc
+assert run["backlog_bytes"] >= 0, doc
 PYEOF
 
 curl -sf "$URL/debug/pprof/cmdline" >/dev/null || fail "pprof endpoint unreachable"
